@@ -91,6 +91,7 @@ def _json_row(req: ComputationRequest, value: int, used: str) -> dict:
         "quantity": req.quantity,
         "n": req.n,
         "r": req.r,
+        "parts": None if req.parts is None else list(req.parts),
         "method": used,
         "value": str(value),
     }
@@ -169,7 +170,7 @@ def cmd_verify(args) -> int:
     failing = 0
     total_cases = 0
     for res in results:
-        status = "ok  " if res.ok else "FAIL"
+        status = "FAIL" if not res.ok else "ok  " if res.cases else "skip"
         print(f"{status} {res.name:<44} {res.cases:>6} cases")
         for failure in res.failures:
             print(f"     mismatch: {failure}")

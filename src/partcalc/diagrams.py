@@ -129,26 +129,7 @@ def count_diagrams(
     *,
     r: int | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    shards: int = 1,
 ) -> int:
-    """Count plane partitions of n passing the predicate.
-
-    The enumeration domain is split round-robin over first rows into
-    `shards` pieces and the per-shard counts are summed, so the result is
-    independent of the partitioning.
-    """
+    """Count plane partitions of n passing the predicate."""
     keep = _predicate(kind, r)
-    if n < 1:
-        raise ValueError("count_diagrams requires n >= 1")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap ({cap})")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    firsts = _first_rows(n)
-    total = 0
-    for shard in range(shards):
-        for first in firsts[shard::shards]:
-            for rest in _stacks(n - sum(first), first):
-                if keep(PlanePartitionDiagram((first,) + rest)):
-                    total += 1
-    return total
+    return sum(1 for diagram in enumerate_diagrams(n, cap) if keep(diagram))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import diagrams, formulas, series, stirling
-from .sequences import QUANTITIES, R_QUANTITIES, WeightSequence, seq_pp_r
+from .sequences import FAMILIES, QUANTITIES, R_QUANTITIES, WeightSequence, quantity_sequence
 
 METHODS = ("auto", "oracle-series", "oracle-dp", "oracle-enum", "theorem", "stirling")
 
@@ -47,67 +47,48 @@ class ComputationRequest:
             raise RequestError(f"quantity {self.quantity!r} does not take --parts")
 
 
-def _theorem_path(req: ComputationRequest) -> Callable[[], int] | None:
+def _reduce(req: ComputationRequest) -> tuple[str, int, int | None]:
+    """The family whose sums serve the request: r = 1 makes pp_r and P_r the
+    ordinary partitions p, and pp_r with r >= n is pp."""
     q, n, r = req.quantity, req.n, req.r
-    if q == "pp" and n >= 3:
-        return lambda: formulas.pp_formula(n)
-    if q == "pp_r":
-        assert r is not None
-        if r >= n and n >= 3:
-            return lambda: formulas.pp_formula(n)
-        if 2 <= r < n:
-            return lambda: formulas.ppr_formula(n, r)
-        return None
-    if q == "pps" and n >= 3:
-        return lambda: formulas.pps_formula(n)
-    if q == "ppso" and n >= 3:
-        return lambda: formulas.ppso_formula(n)
-    if q == "P_r":
-        assert r is not None
-        if n >= 4 and 2 <= r < n:
-            return lambda: formulas.multipartition_formula(n, r)
-        return None
-    return None
+    if q in R_QUANTITIES and r == 1:
+        return "p", n, None
+    if q == "pp_r" and r >= n:
+        return "pp", n, None
+    return q, n, r
 
 
-def _stirling_path(req: ComputationRequest) -> Callable[[], int] | None:
-    q, n, r = req.quantity, req.n, req.r
-    if q == "p_a":
-        parts = req.parts
+def _path(req: ComputationRequest) -> Callable[[], int] | None:
+    """The theorem or Stirling evaluation of req.method, or None outside the
+    family's stated range."""
+    stirling_route = req.method == "stirling"
+    if req.quantity == "p_a":
+        parts, n = req.parts, req.n
         assert parts is not None
+        if not stirling_route:
+            return None
         return lambda: stirling.restricted_count_stirling(WeightSequence.from_parts(parts), n)
-    if q == "p" and n >= 1:
-        return lambda: stirling.restricted_count_stirling(seq_pp_r(n, 1), n)
-    if q == "pp" and n >= 3:
-        return lambda: stirling.pp_stirling(n)
-    if q == "pp_r":
-        assert r is not None
-        if r >= n and n >= 3:
-            return lambda: stirling.pp_stirling(n)
-        if 2 <= r <= n - 1:
-            return lambda: stirling.ppr_stirling(n, r)
-        if r == 1 and n >= 1:
-            return lambda: stirling.restricted_count_stirling(seq_pp_r(n, 1), n)
+    q, n, r = _reduce(req)
+    family = FAMILIES[q]
+    if not family.holds(n, r):
         return None
-    if q == "pps" and n >= 3:
-        return lambda: stirling.pps_stirling(n)
-    if q == "ppso" and n >= 3:
-        return lambda: stirling.ppso_stirling(n)
-    if q == "P_r":
-        assert r is not None
-        if n >= 4 and 2 <= r < n:
-            return lambda: stirling.multipartition_stirling(n, r)
-        if r == 1 and n >= 1:
-            return lambda: stirling.restricted_count_stirling(seq_pp_r(n, 1), n)
-        return None
-    return None
-
-
-_ENUM_KIND = {"p": "max_rows", "pp": "all", "pp_r": "max_rows", "pps": "strict", "ppso": "symmetric"}
+    if family.stem is None:  # p has no closed form; its Stirling sum is the generic engine
+        if not stirling_route:
+            return None
+        return lambda: stirling.restricted_count_stirling(quantity_sequence(q, n), n)
+    args = (n, r) if family.takes_r else (n,)
+    # The wrapper is looked up when the route runs, so a replaced module
+    # attribute (a tracer, a test double) is the one called.
+    if stirling_route:
+        return lambda: getattr(stirling, f"{family.stem}_stirling")(*args)
+    return lambda: getattr(formulas, f"{family.stem}_formula")(*args)
 
 
 def _enum_value(req: ComputationRequest) -> int:
-    kind = _ENUM_KIND.get(req.quantity)
+    family = FAMILIES.get(req.quantity)
+    kind = family.diagram if family else None
+    if req.quantity == "ppso":
+        kind = "symmetric"  # known defect, ROADMAP item 3: counts another sequence
     if kind is None:
         raise RequestError(f"no diagram predicate for quantity {req.quantity!r}")
     if req.n == 0:
@@ -137,12 +118,12 @@ def compute(req: ComputationRequest) -> tuple[int, str]:
     if req.method == "oracle-enum":
         return _enum_value(req), "oracle-enum"
     if req.method == "auto":
-        path = _theorem_path(req)
+        path = _path(req)
         if path is not None:
             return path(), "theorem"
         return _oracle(req, "dp"), "oracle-dp"
     if req.method in ("theorem", "stirling"):
-        path = _theorem_path(req) if req.method == "theorem" else _stirling_path(req)
+        path = _path(req)
         if path is None:
             if req.strict:
                 raise formulas.HypothesisError(

@@ -17,17 +17,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .combinat import binomial
-from .sequences import (
-    pp_multiplicity,
-    ppr_multiplicity,
-    pps_multiplicity,
-    ppso_multiplicity,
-)
+from .sequences import FAMILIES
 from .series import oracle_value
 
 
 class HypothesisError(ValueError):
     """An evaluator was called outside its validity range."""
+
+
+def stated_pattern(quantity: str, wrapper: str, n: int, r: int | None = None) -> list[int]:
+    """The family's multiplicities of parts 1..n, or HypothesisError naming
+    the wrapper when (n, r) lies outside the family's stated range."""
+    family = FAMILIES[quantity]
+    if not family.holds(n, r):
+        raise HypothesisError(f"{wrapper} requires {family.stated_range}")
+    return family.pattern(n, r)
 
 
 def bounded_composition_count(total: int, copies: int, limit: int) -> int:
@@ -126,55 +130,44 @@ def multiplicity_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _vector_sum(n: int, multiplicity_at: Callable[[int], int], shards: int = 1) -> int:
-    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), shard-partitionable."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    vectors = multiplicity_vectors(n)
+def _vector_sum(n: int, pattern: list[int]) -> int:
+    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1]."""
     total = 0
-    for shard in range(shards):
-        for vec in vectors[shard::shards]:
-            term = 1
-            for s, l in enumerate(vec, start=1):
-                if l:
-                    term *= binomial(l + multiplicity_at(s) - 1, l)
-            total += term
+    for vec in multiplicity_vectors(n):
+        term = 1
+        for m, l in zip(pattern, vec):
+            if l:
+                term *= binomial(l + m - 1, l)
+        total += term
     return total
 
 
-def pp_formula(n: int, *, shards: int = 1) -> int:
-    """Plane partitions of n via the multiplicity-vector sum (valid for n >= 3)."""
-    if n < 3:
-        raise HypothesisError("pp_formula requires n >= 3")
-    return _vector_sum(n, pp_multiplicity, shards)
+def pp_formula(n: int) -> int:
+    """Plane partitions of n via the multiplicity-vector sum (valid in the
+    stated range of FAMILIES["pp"])."""
+    return _vector_sum(n, stated_pattern("pp", "pp_formula", n))
 
 
-def ppr_formula(n: int, r: int, *, shards: int = 1) -> int:
-    """Plane partitions of n with at most r rows (valid for n > r >= 2)."""
-    if r < 2 or n <= r:
-        raise HypothesisError("ppr_formula requires n > r >= 2")
-    return _vector_sum(n, lambda s: ppr_multiplicity(s, r), shards)
+def ppr_formula(n: int, r: int) -> int:
+    """Plane partitions of n with at most r rows (valid in the stated range
+    of FAMILIES["pp_r"])."""
+    return _vector_sum(n, stated_pattern("pp_r", "ppr_formula", n, r))
 
 
-def pps_formula(n: int, *, shards: int = 1) -> int:
-    """Strict plane partitions of n (valid for n >= 3)."""
-    if n < 3:
-        raise HypothesisError("pps_formula requires n >= 3")
-    return _vector_sum(n, pps_multiplicity, shards)
+def pps_formula(n: int) -> int:
+    """Strict plane partitions of n (valid in the stated range of FAMILIES["pps"])."""
+    return _vector_sum(n, stated_pattern("pps", "pps_formula", n))
 
 
-def ppso_formula(n: int, *, shards: int = 1) -> int:
-    """The odd-weighted count ppso(n) (valid for n >= 3)."""
-    if n < 3:
-        raise HypothesisError("ppso_formula requires n >= 3")
-    return _vector_sum(n, ppso_multiplicity, shards)
+def ppso_formula(n: int) -> int:
+    """The odd-weighted count ppso(n) (valid in the stated range of FAMILIES["ppso"])."""
+    return _vector_sum(n, stated_pattern("ppso", "ppso_formula", n))
 
 
-def multipartition_formula(n: int, r: int, *, shards: int = 1) -> int:
-    """r-component multipartitions of n (valid for n >= 4 and 2 <= r < n)."""
-    if n < 4 or r < 2 or r >= n:
-        raise HypothesisError("multipartition_formula requires n >= 4 and 2 <= r < n")
-    return _vector_sum(n, lambda s: r, shards)
+def multipartition_formula(n: int, r: int) -> int:
+    """r-component multipartitions of n (valid in the stated range of
+    FAMILIES["P_r"])."""
+    return _vector_sum(n, stated_pattern("P_r", "multipartition_formula", n, r))
 
 
 def ppr_inclusion_exclusion(n: int, r: int, pr_values: Callable[[int], int]) -> int:
@@ -211,7 +204,7 @@ def ppr_via_multipartition_formula(n: int, r: int) -> int:
         if k < 0:
             return 0
         if k not in cache:
-            if k >= 4 and 2 <= r < k:
+            if FAMILIES["P_r"].holds(k, r):
                 cache[k] = multipartition_formula(k, r)
             else:
                 cache[k] = oracle_value("P_r", k, r=r)

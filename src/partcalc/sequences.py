@@ -1,15 +1,16 @@
 """Weight sequences for the counting families.
 
-Each counting family is determined by how many times part k may repeat:
+Each counting family is determined by how many times part k may repeat.
+FAMILIES states that multiplicity pattern once per family, with the range in
+which the paper states its theorem and Stirling sums and the diagram kind
+that enumerates the family.
 
-    p     -> 1            pp_r -> min(k, r)      ppso -> 1 (k odd), k/2 (k even)
-    pp    -> k            pps  -> floor((k+1)/2)  P_r  -> r
-    spp   -> 1 (k odd), floor(k/4) (k even)
-
-The ppso pattern is the odd-part/half-even weighted count, not the generating
-function of symmetric plane partitions.  Those are counted by the spp pattern,
-floor(j/2) for k = 2j: the Gordon / Bender-Knuth product (OEIS A005987).  spp
-has a zero at k = 2, which WeightFunction keeps and WeightFunction.expand drops.
+The ppso pattern (1 for odd k, k/2 for even k) is the odd-part/half-even
+weighted count, not the generating function of symmetric plane partitions.
+Those are counted by spp_multiplicity: 1 for odd k and floor(j/2) for k = 2j,
+the Gordon / Bender-Knuth product (OEIS A005987).  spp has a zero at k = 2,
+which WeightFunction keeps and WeightFunction.expand drops.  spp is not yet a
+quantity, so it has no FAMILIES entry.
 
 A WeightSequence is the expanded part list (multiplicities explicit); a
 WeightFunction is the compressed part -> multiplicity view on 1..bound.
@@ -19,27 +20,52 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-QUANTITIES = ("p", "pp", "pp_r", "pps", "ppso", "P_r", "p_a")
+
+@dataclass(frozen=True)
+class Family:
+    """A counting family: its multiplicity pattern, stated range and diagram kind.
+
+    multiplicity(k, r) is the number of times part k repeats.  The theorem and
+    Stirling sums are stated for n >= min_n and, when the pattern takes r,
+    for 2 <= r < n.  diagram names the `diagrams` kind that enumerates the
+    family, or is None when no predicate does.  stem names the family's
+    wrappers formulas.<stem>_formula and stirling.<stem>_stirling; p has none.
+    """
+
+    multiplicity: Callable[[int, int | None], int]
+    min_n: int
+    takes_r: bool = False
+    diagram: str | None = None
+    stem: str | None = None
+
+    def holds(self, n: int, r: int | None = None) -> bool:
+        """Whether (n, r) lies in the stated range."""
+        return n >= self.min_n and (not self.takes_r or 2 <= r < n)
+
+    @property
+    def stated_range(self) -> str:
+        return f"n >= {self.min_n}" + (" and 2 <= r < n" if self.takes_r else "")
+
+    def pattern(self, bound: int, r: int | None = None) -> list[int]:
+        """Multiplicities of the parts 1..bound."""
+        return [self.multiplicity(k, r) for k in range(1, bound + 1)]
+
+
+FAMILIES = {
+    "p": Family(lambda k, r: 1, min_n=1, diagram="max_rows"),
+    "pp": Family(lambda k, r: k, min_n=3, diagram="all", stem="pp"),
+    "pp_r": Family(lambda k, r: min(k, r), min_n=3, takes_r=True, diagram="max_rows", stem="ppr"),
+    "pps": Family(lambda k, r: (k + 1) // 2, min_n=3, diagram="strict", stem="pps"),
+    "ppso": Family(lambda k, r: 1 if k % 2 else k // 2, min_n=3, stem="ppso"),
+    "P_r": Family(lambda k, r: r, min_n=4, takes_r=True, stem="multipartition"),
+}
+
+QUANTITIES = (*FAMILIES, "p_a")
 
 # Quantities whose weight pattern needs the extra parameter r.
-R_QUANTITIES = ("pp_r", "P_r")
-
-
-def pp_multiplicity(k: int) -> int:
-    return k
-
-
-def ppr_multiplicity(k: int, r: int) -> int:
-    return min(k, r)
-
-
-def pps_multiplicity(k: int) -> int:
-    return (k + 1) // 2
-
-
-def ppso_multiplicity(k: int) -> int:
-    return 1 if k % 2 else k // 2
+R_QUANTITIES = tuple(q for q, family in FAMILIES.items() if family.takes_r)
 
 
 def spp_multiplicity(k: int) -> int:
@@ -112,29 +138,25 @@ class WeightFunction:
         return WeightSequence(tuple(parts))
 
 
-def _expand_pattern(bound: int, multiplicity_at) -> WeightSequence:
-    return WeightFunction(bound, tuple(multiplicity_at(k) for k in range(1, bound + 1))).expand()
-
-
 def seq_pp(n: int) -> WeightSequence:
     """(1, 2, 2, 3, 3, 3, ..., n repeated n times)."""
     if n < 1:
         raise ValueError("seq_pp requires n >= 1")
-    return _expand_pattern(n, pp_multiplicity)
+    return quantity_sequence("pp", n)
 
 
 def seq_pp_r(n: int, r: int) -> WeightSequence:
     """Part k repeated min(k, r) times."""
     if n < 1 or r < 1:
         raise ValueError("seq_pp_r requires n >= 1 and r >= 1")
-    return _expand_pattern(n, lambda k: ppr_multiplicity(k, r))
+    return quantity_sequence("pp_r", n, r)
 
 
 def seq_strict(n: int) -> WeightSequence:
     """Part k repeated floor((k+1)/2) times."""
     if n < 1:
         raise ValueError("seq_strict requires n >= 1")
-    return _expand_pattern(n, pps_multiplicity)
+    return quantity_sequence("pps", n)
 
 
 def seq_symmetric(n: int) -> WeightSequence:
@@ -145,39 +167,25 @@ def seq_symmetric(n: int) -> WeightSequence:
     """
     if n < 1:
         raise ValueError("seq_symmetric requires n >= 1")
-    return _expand_pattern(n, ppso_multiplicity)
+    return quantity_sequence("ppso", n)
 
 
 def seq_multipartition(n: int, r: int) -> WeightSequence:
     """Every part 1..n repeated r times."""
     if n < 1 or r < 1:
         raise ValueError("seq_multipartition requires n >= 1 and r >= 1")
-    return _expand_pattern(n, lambda k: r)
-
-
-def quantity_multiplicity(quantity: str, k: int, r: int | None = None) -> int:
-    """Multiplicity of part k in the weight sequence of the given quantity."""
-    if quantity == "p":
-        return 1
-    if quantity == "pp":
-        return pp_multiplicity(k)
-    if quantity == "pps":
-        return pps_multiplicity(k)
-    if quantity == "ppso":
-        return ppso_multiplicity(k)
-    if quantity in R_QUANTITIES:
-        if r is None:
-            raise ValueError(f"quantity {quantity!r} requires r")
-        return ppr_multiplicity(k, r) if quantity == "pp_r" else r
-    raise ValueError(f"no multiplicity pattern for quantity {quantity!r}")
+    return quantity_sequence("P_r", n, r)
 
 
 def quantity_weights(quantity: str, bound: int, r: int | None = None) -> WeightFunction:
     if bound < 1:
         raise ValueError("quantity_weights requires bound >= 1")
-    return WeightFunction(
-        bound, tuple(quantity_multiplicity(quantity, k, r) for k in range(1, bound + 1))
-    )
+    family = FAMILIES.get(quantity)
+    if family is None:
+        raise ValueError(f"no multiplicity pattern for quantity {quantity!r}")
+    if family.takes_r and r is None:
+        raise ValueError(f"quantity {quantity!r} requires r")
+    return WeightFunction(bound, tuple(family.pattern(bound, r)))
 
 
 def quantity_sequence(quantity: str, n: int, r: int | None = None) -> WeightSequence:

@@ -98,16 +98,22 @@ def euler_product(
     return series
 
 
+def restricted_partition_row(a: WeightSequence, top: int) -> list[int]:
+    """Numbers of solutions of sum a_i x_i = n with x_i >= 0, for n = 0..top
+    (coin-counting DP)."""
+    table = [0] * (top + 1)
+    table[0] = 1
+    for part in a.parts:
+        for i in range(part, top + 1):
+            table[i] += table[i - part]
+    return table
+
+
 def restricted_partition_dp(a: WeightSequence, n: int) -> int:
     """Number of solutions of sum a_i x_i = n with x_i >= 0 (coin-counting DP)."""
     if n < 0:
         return 0
-    table = [0] * (n + 1)
-    table[0] = 1
-    for part in a.parts:
-        for i in range(part, n + 1):
-            table[i] += table[i - part]
-    return table[n]
+    return restricted_partition_row(a, n)[n]
 
 
 def _pa_weight_function(parts: tuple[int, ...], bound: int) -> WeightFunction:

@@ -19,17 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .combinat import StirlingTable, factorial, lcm_range, stirling_first_unsigned
-from .formulas import HypothesisError, bounded_composition_count
-from .sequences import (
-    WeightSequence,
-    pp_multiplicity,
-    ppr_multiplicity,
-    pps_multiplicity,
-    ppso_multiplicity,
-)
+from .formulas import bounded_composition_count, stated_pattern
+from .sequences import WeightSequence
 
 DEFAULT_BOX_LIMIT = 10**9
 
@@ -114,24 +107,17 @@ def _check_guard(box: CongruenceBox, box_limit: int) -> None:
 
 
 def box_weight_histogram(
-    box: CongruenceBox,
-    coeff_tables: tuple[tuple[int, ...], ...] | None = None,
-    *,
-    shards: int = 1,
+    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...], ...] | None = None
 ) -> dict[int, int]:
     """Coefficient mass per weighted sum over the box.
 
     coeff_tables[t][v] weights coordinate t at value v (None means weight 1
     everywhere); a zero coefficient prunes the whole subtree.  The first
     coordinate is never looped: its admissible values are solved from the
-    congruence.  Shards split the last coordinate round-robin; the histogram
-    is independent of the number of shards.
+    congruence.
     """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     if coeff_tables is not None and len(coeff_tables) != len(box.bounds):
         raise ValueError("need one coefficient table per coordinate")
-    m = len(box.bounds)
     modulus, residue = box.modulus, box.residue
     w0, b0 = box.weights[0], box.bounds[0]
     g = math.gcd(w0, modulus)
@@ -167,18 +153,7 @@ def box_weight_histogram(
                 if c:
                     walk(i - 1, partial + w * v, coeff * c)
 
-    top = m - 1
-    for shard in range(shards):
-        if top == 0:
-            if shard == 0:
-                resolve(0, 1)
-            continue
-        w, b = box.weights[top], box.bounds[top]
-        table = coeff_tables[top] if coeff_tables else None
-        for v in range(shard, b + 1, shards):
-            c = 1 if table is None else table[v]
-            if c:
-                walk(top - 1, w * v, c)
+    walk(len(box.bounds) - 1, 0, 1)
     return hist
 
 
@@ -187,13 +162,12 @@ def regrouped_partial_sums(
     kernel: StirlingKernel,
     coeff_tables: tuple[tuple[int, ...], ...] | None = None,
     *,
-    shards: int = 1,
     box_limit: int = DEFAULT_BOX_LIMIT,
 ) -> dict[int, Fraction]:
     """Per-weighted-sum contributions, already divided by (length-1)!."""
     _check_guard(box, box_limit)
     norm = factorial(kernel.length - 1)
-    hist = box_weight_histogram(box, coeff_tables, shards=shards)
+    hist = box_weight_histogram(box, coeff_tables)
     return {
         sw: Fraction(mass) * kernel.value(sw) / norm for sw, mass in sorted(hist.items())
     }
@@ -210,12 +184,9 @@ def regrouped_sum(
     kernel: StirlingKernel,
     coeff_tables: tuple[tuple[int, ...], ...] | None = None,
     *,
-    shards: int = 1,
     box_limit: int = DEFAULT_BOX_LIMIT,
 ) -> int:
-    partials = regrouped_partial_sums(
-        box, kernel, coeff_tables, shards=shards, box_limit=box_limit
-    )
+    partials = regrouped_partial_sums(box, kernel, coeff_tables, box_limit=box_limit)
     return _as_integer(sum(partials.values(), Fraction(0)))
 
 
@@ -223,7 +194,6 @@ def restricted_count_stirling(
     a: WeightSequence,
     n: int,
     *,
-    shards: int = 1,
     box_limit: int = DEFAULT_BOX_LIMIT,
 ) -> int:
     """p_a(n) by the generic congruence-box sum over (j_1..j_r)."""
@@ -239,22 +209,22 @@ def restricted_count_stirling(
     kernel = StirlingKernel(
         length=a.length, modulus=d, target=n, table=stirling_first_unsigned(a.length)
     )
-    return regrouped_sum(box, kernel, None, shards=shards, box_limit=box_limit)
+    return regrouped_sum(box, kernel, None, box_limit=box_limit)
 
 
 def _pattern_setup(
-    n: int, multiplicity_at: Callable[[int], int]
+    n: int, pattern: list[int]
 ) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...], ...]]:
     """Box, kernel and per-coordinate coefficient tables for a regrouped sum.
 
-    Coordinate s collapses the m_s expanded variables of part s; its
-    coefficient at value l counts the (x_1..x_{m_s}) with x_i <= D/s - 1
-    summing to l.  The bound D - m_s covers every point whose weighted sum
-    can reach the target; points it cuts off would hit the kernel only where
-    the kernel vanishes, so truncation does not change the sum.
+    Coordinate s collapses the m_s = pattern[s-1] expanded variables of part
+    s; its coefficient at value l counts the (x_1..x_{m_s}) with
+    x_i <= D/s - 1 summing to l.  The bound D - m_s covers every point whose
+    weighted sum can reach the target; points it cuts off would hit the
+    kernel only where the kernel vanishes, so truncation does not change the
+    sum.
     """
     d = lcm_range(n)
-    pattern = [multiplicity_at(s) for s in range(1, n + 1)]
     bounds = tuple(d - m for m in pattern)
     box = CongruenceBox(
         bounds=bounds, weights=tuple(range(1, n + 1)), modulus=d, residue=n % d
@@ -270,53 +240,38 @@ def _pattern_setup(
     return box, kernel, tables
 
 
-def _regrouped_count(
-    n: int,
-    multiplicity_at: Callable[[int], int],
-    *,
-    shards: int = 1,
-    box_limit: int = DEFAULT_BOX_LIMIT,
-) -> int:
-    box, kernel, tables = _pattern_setup(n, multiplicity_at)
-    return regrouped_sum(box, kernel, tables, shards=shards, box_limit=box_limit)
+def _regrouped_count(n: int, pattern: list[int], box_limit: int) -> int:
+    box, kernel, tables = _pattern_setup(n, pattern)
+    return regrouped_sum(box, kernel, tables, box_limit=box_limit)
 
 
-def pp_stirling(n: int, *, shards: int = 1, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
-    """pp(n) by the regrouped congruence sum (valid for n >= 3)."""
-    if n < 3:
-        raise HypothesisError("pp_stirling requires n >= 3")
-    return _regrouped_count(n, pp_multiplicity, shards=shards, box_limit=box_limit)
+def pp_stirling(n: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+    """pp(n) by the regrouped congruence sum (valid in the stated range of
+    FAMILIES["pp"])."""
+    return _regrouped_count(n, stated_pattern("pp", "pp_stirling", n), box_limit)
 
 
-def ppr_stirling(
-    n: int, r: int, *, shards: int = 1, box_limit: int = DEFAULT_BOX_LIMIT
-) -> int:
-    """pp_r(n) by the regrouped congruence sum (valid for 2 <= r <= n-1)."""
-    if r < 2 or r > n - 1:
-        raise HypothesisError("ppr_stirling requires 2 <= r <= n - 1")
+def ppr_stirling(n: int, r: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+    """pp_r(n) by the regrouped congruence sum (valid in the stated range of
+    FAMILIES["pp_r"])."""
+    return _regrouped_count(n, stated_pattern("pp_r", "ppr_stirling", n, r), box_limit)
+
+
+def pps_stirling(n: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+    """pps(n) by the regrouped congruence sum (valid in the stated range of
+    FAMILIES["pps"])."""
+    return _regrouped_count(n, stated_pattern("pps", "pps_stirling", n), box_limit)
+
+
+def ppso_stirling(n: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+    """ppso(n) by the regrouped congruence sum (valid in the stated range of
+    FAMILIES["ppso"])."""
+    return _regrouped_count(n, stated_pattern("ppso", "ppso_stirling", n), box_limit)
+
+
+def multipartition_stirling(n: int, r: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+    """P_r(n) by the regrouped congruence sum (valid in the stated range of
+    FAMILIES["P_r"])."""
     return _regrouped_count(
-        n, lambda s: ppr_multiplicity(s, r), shards=shards, box_limit=box_limit
+        n, stated_pattern("P_r", "multipartition_stirling", n, r), box_limit
     )
-
-
-def pps_stirling(n: int, *, shards: int = 1, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
-    """pps(n) by the regrouped congruence sum (valid for n >= 3)."""
-    if n < 3:
-        raise HypothesisError("pps_stirling requires n >= 3")
-    return _regrouped_count(n, pps_multiplicity, shards=shards, box_limit=box_limit)
-
-
-def ppso_stirling(n: int, *, shards: int = 1, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
-    """ppso(n) by the regrouped congruence sum (valid for n >= 3)."""
-    if n < 3:
-        raise HypothesisError("ppso_stirling requires n >= 3")
-    return _regrouped_count(n, ppso_multiplicity, shards=shards, box_limit=box_limit)
-
-
-def multipartition_stirling(
-    n: int, r: int, *, shards: int = 1, box_limit: int = DEFAULT_BOX_LIMIT
-) -> int:
-    """P_r(n) by the regrouped congruence sum (valid for n >= 4 and 2 <= r < n)."""
-    if n < 4 or r < 2 or r >= n:
-        raise HypothesisError("multipartition_stirling requires n >= 4 and 2 <= r < n")
-    return _regrouped_count(n, lambda s: r, shards=shards, box_limit=box_limit)

@@ -16,7 +16,14 @@ from fractions import Fraction
 
 from . import diagrams, formulas, series, stirling
 from .combinat import factorial, stirling_first_unsigned
-from .sequences import WeightSequence, quantity_weights, seq_pp, seq_strict
+from .sequences import (
+    FAMILIES,
+    WeightSequence,
+    quantity_sequence,
+    quantity_weights,
+    seq_pp,
+    seq_strict,
+)
 
 SUITES = ("examples", "cross-method", "oracle-consistency", "stirling")
 
@@ -56,15 +63,13 @@ def _series_row(quantity, top, r=None) -> list[int]:
     return list(series.euler_product(weights, top).coeffs)
 
 
-def _dp_row(quantity, top, r=None) -> list[int]:
-    """Values 0..top from a single DP table over the bound-top sequence."""
-    a = quantity_weights(quantity, top, r).expand()
-    table = [0] * (top + 1)
-    table[0] = 1
-    for part in a.parts:
-        for i in range(part, top + 1):
-            table[i] += table[i - part]
-    return table
+def _r_values(quantity):
+    """The r values a suite sweeps for the family: 1..6, or None for no r."""
+    return range(1, 7) if FAMILIES[quantity].takes_r else (None,)
+
+
+def _label(quantity, n, r=None) -> str:
+    return f"{quantity}({n})" if r is None else f"{quantity}({n}, r={r})"
 
 
 # --- examples ---------------------------------------------------------------
@@ -182,18 +187,13 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
     top = 40 if max_n is None else max_n
     out = []
 
-    for quantity in ("p", "pp", "pps", "ppso"):
+    for quantity in FAMILIES:
         res = CheckResult(f"series-vs-dp[{quantity}]")
-        series_row, dp_row = _series_row(quantity, top), _dp_row(quantity, top)
-        for n in range(top + 1):
-            res.expect(series_row[n], dp_row[n], f"{quantity}({n})")
-        out.append(res)
-    for quantity in ("pp_r", "P_r"):
-        res = CheckResult(f"series-vs-dp[{quantity}]")
-        for r in range(1, 7):
-            series_row, dp_row = _series_row(quantity, top, r), _dp_row(quantity, top, r)
+        for r in _r_values(quantity):
+            series_row = _series_row(quantity, top, r)
+            dp_row = series.restricted_partition_row(quantity_sequence(quantity, top, r), top)
             for n in range(top + 1):
-                res.expect(series_row[n], dp_row[n], f"{quantity}({n}, r={r})")
+                res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
         out.append(res)
 
     enum_top = min(8, top)
@@ -225,7 +225,7 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
     out.append(res)
 
     res = CheckResult("vector-count-vs-p")
-    p_row = _dp_row("p", top)
+    p_row = series.restricted_partition_row(quantity_sequence("p", top), top)
     for n in range(1, top + 1):
         res.expect(len(formulas.multiplicity_vectors(n)), p_row[n], f"n={n}")
     out.append(res)
@@ -260,58 +260,26 @@ def _suite_cross_method(max_n=None, long_running=False) -> list[CheckResult]:
     top = 12 if max_n is None else max_n
     out = []
 
-    def methods_for(quantity, n, r=None):
-        values = {
-            "series": _series(quantity, n, r=r),
-            "dp": _dp(quantity, n, r=r),
-        }
-        if n >= 1 and n <= 8:
-            kind = {"p": "max_rows", "pp": "all", "pp_r": "max_rows", "pps": "strict"}.get(
-                quantity
-            )
-            if kind is not None:
-                values["enum"] = diagrams.count_diagrams(
-                    n, kind, r=1 if quantity == "p" else r
-                )
-        return values
-
-    for quantity in ("p", "pp", "pps", "ppso"):
+    for quantity, family in FAMILIES.items():
         res = CheckResult(f"cross-method[{quantity}]")
-        for n in range(top + 1):
-            values = methods_for(quantity, n)
-            if quantity == "pp" and n >= 3:
-                values["formula"] = formulas.pp_formula(n)
-            elif quantity == "pps" and n >= 3:
-                values["formula"] = formulas.pps_formula(n)
-            elif quantity == "ppso" and n >= 3:
-                values["formula"] = formulas.ppso_formula(n)
-            reference = values["dp"]
-            for route, got in values.items():
-                res.expect(got, reference, f"{quantity}({n}) via {route}")
+        for r in _r_values(quantity):
+            for n in range(top + 1):
+                values = {
+                    "series": _series(quantity, n, r=r),
+                    "dp": _dp(quantity, n, r=r),
+                }
+                if family.diagram is not None and 1 <= n <= 8:
+                    values["enum"] = diagrams.count_diagrams(
+                        n, family.diagram, r=1 if quantity == "p" else r
+                    )
+                if family.stem is not None and family.holds(n, r):
+                    args = (n, r) if family.takes_r else (n,)
+                    values["formula"] = getattr(formulas, f"{family.stem}_formula")(*args)
+                if quantity == "pp_r":
+                    values["alternating-sum"] = formulas.ppr_via_multipartition_formula(n, r)
+                for route, got in values.items():
+                    res.expect(got, values["dp"], f"{_label(quantity, n, r)} via {route}")
         out.append(res)
-
-    res = CheckResult("cross-method[pp_r]")
-    for r in range(1, 7):
-        for n in range(top + 1):
-            values = methods_for("pp_r", n, r=r)
-            if 2 <= r < n:
-                values["formula"] = formulas.ppr_formula(n, r)
-            values["alternating-sum"] = formulas.ppr_via_multipartition_formula(n, r)
-            reference = values["dp"]
-            for route, got in values.items():
-                res.expect(got, reference, f"pp_r({n}, r={r}) via {route}")
-    out.append(res)
-
-    res = CheckResult("cross-method[P_r]")
-    for r in range(1, 7):
-        for n in range(top + 1):
-            values = methods_for("P_r", n, r=r)
-            if n >= 4 and 2 <= r < n:
-                values["formula"] = formulas.multipartition_formula(n, r)
-            reference = values["dp"]
-            for route, got in values.items():
-                res.expect(got, reference, f"P_r({n}, r={r}) via {route}")
-    out.append(res)
 
     res = CheckResult("block-poly[direct-vs-closed]")
     for modulus in (6, 12, 60):
@@ -462,4 +430,6 @@ _SUITE_FUNCTIONS = {
 def run_suite(name: str, *, max_n: int | None = None, long_running: bool = False) -> list[CheckResult]:
     if name not in _SUITE_FUNCTIONS:
         raise ValueError(f"unknown suite {name!r}")
+    if max_n is not None and max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     return _SUITE_FUNCTIONS[name](max_n=max_n, long_running=long_running)

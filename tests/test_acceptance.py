@@ -324,25 +324,3 @@ def test_criterion_6_block_polynomial_properties():
         )
     _finish("criterion 6 (block-polynomial properties)", 10.0, started, failures)
 
-
-def test_criterion_7_partition_invariance():
-    started = time.perf_counter()
-    failures: list[str] = []
-    jobs = [
-        ("pp formula, n=12", lambda s: pp_formula(12, shards=s)),
-        ("pps formula, n=15", lambda s: pps_formula(15, shards=s)),
-        ("P_r formula, n=10, r=4", lambda s: multipartition_formula(10, 4, shards=s)),
-        (
-            "engine, parts=(1,2,3), n=17",
-            lambda s: restricted_count_stirling(WeightSequence((1, 2, 3)), 17, shards=s),
-        ),
-        ("pps wrapper, n=4", lambda s: pps_stirling(4, shards=s)),
-        ("P_r wrapper, n=4, r=3", lambda s: multipartition_stirling(4, 3, shards=s)),
-        ("diagrams, all, n=7", lambda s: count_diagrams(7, "all", shards=s)),
-        ("diagrams, strict, n=8", lambda s: count_diagrams(8, "strict", shards=s)),
-    ]
-    for label, job in jobs:
-        baseline = job(1)
-        for shards in (2, 8):
-            _expect(failures, job(shards), baseline, f"{label}, shards={shards}")
-    _finish("criterion 7 (partition invariance)", None, started, failures)

@@ -44,8 +44,25 @@ def test_compute_json(capsys):
         "quantity": "P_r",
         "n": 4,
         "r": 3,
+        "parts": None,
         "method": "theorem",
         "value": "51",
+    }
+
+
+def test_compute_json_lists_parts(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "compute", "--quantity", "p_a", "--n", "6", "--parts", "1,2,3", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "quantity": "p_a",
+        "n": 6,
+        "r": None,
+        "parts": [1, 2, 3],
+        "method": "oracle-dp",
+        "value": "7",
     }
 
 
@@ -169,6 +186,23 @@ def test_verify_max_n_cap(capsys):
     )
     assert code == 0
     assert "0 failing" in out
+
+
+def test_verify_rejects_max_n_below_one(capsys):
+    for suite, bound in (("cross-method", "-1"), ("oracle-consistency", "0")):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--max-n", bound)
+        assert code == 1
+        assert out == ""
+        assert f"max_n must be >= 1, got {bound}" in err
+
+
+def test_verify_prints_checks_without_cases_as_skip(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "stirling", "--max-n", "2")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert any(line.startswith("skip stirling-wrapper[pp]") for line in lines)
+    assert not any(line.startswith("ok   stirling-wrapper[pp]") for line in lines)
+    assert any(line.startswith("ok   stirling-wrapper[pp_r]") for line in lines)
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from partcalc.diagrams import (
     KINDS,
@@ -109,13 +109,6 @@ def test_transpose_closes_enumeration():
         assert {d.transpose() for d in diagrams} == diagrams
 
 
-@given(st.integers(1, 7), st.integers(1, 9))
-@settings(max_examples=40)
-def test_shards_do_not_change_counts(n, shards):
-    assert count_diagrams(n, "all", shards=shards) == count_diagrams(n, "all")
-    assert count_diagrams(n, "strict", shards=shards) == count_diagrams(n, "strict")
-
-
 def test_count_argument_errors():
     with pytest.raises(ValueError):
         count_diagrams(3, "max_rows")  # r missing
@@ -123,8 +116,6 @@ def test_count_argument_errors():
         count_diagrams(3, "nope")
     with pytest.raises(ValueError):
         count_diagrams(0)
-    with pytest.raises(ValueError):
-        count_diagrams(3, shards=0)
     with pytest.raises(ValueError):
         count_diagrams(11)
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from partcalc.dispatch import METHODS, ComputationRequest, RequestError, compute
 from partcalc.formulas import HypothesisError
+from partcalc.sequences import FAMILIES
 from partcalc.series import oracle_value
 
 
@@ -139,6 +140,35 @@ def test_stirling_path_for_p_and_p_a():
     with pytest.raises(HypothesisError):
         compute(ComputationRequest("p", 0, method="stirling", strict=True))
     assert compute(ComputationRequest("p", 0, method="stirling")) == (1, "oracle-dp")
+
+
+def _in_stated_range(method, quantity, n, r):
+    """Where FAMILIES says a strict route runs: r = 1 is read as p, then pp_r
+    with r >= n as pp; p has no closed form, only the Stirling route."""
+    if r == 1:
+        quantity, r = "p", None
+    elif quantity == "pp_r" and r >= n:
+        quantity, r = "pp", None
+    if quantity == "p" and method == "theorem":
+        return False
+    return FAMILIES[quantity].holds(n, r)
+
+
+@pytest.mark.parametrize("quantity", list(FAMILIES))
+@pytest.mark.parametrize("method", ["theorem", "stirling"])
+def test_strict_routes_follow_the_family_table(method, quantity):
+    takes_r = FAMILIES[quantity].takes_r
+    for n in range(9):
+        for r in range(1, 10) if takes_r else (None,):
+            one_row = r == 1 or quantity == "p"
+            if method == "stirling" and n > (6 if one_row else 4):
+                continue  # congruence boxes grow with lcm(1..n)
+            req = ComputationRequest(quantity, n, r=r, method=method, strict=True)
+            if _in_stated_range(method, quantity, n, r):
+                assert compute(req) == (oracle_value(quantity, n, r=r), method), req
+            else:
+                with pytest.raises(HypothesisError):
+                    compute(req)
 
 
 @given(

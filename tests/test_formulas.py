@@ -156,10 +156,3 @@ def test_alternating_sum_edge_cases():
 @settings(max_examples=50)
 def test_mixed_backend_alternating_sum(r, n):
     assert ppr_via_multipartition_formula(n, r) == oracle_value("pp_r", n, r=r)
-
-
-@given(st.integers(3, 20), st.integers(1, 7))
-@settings(max_examples=40)
-def test_vector_sum_shards_are_a_partition(n, shards):
-    assert pp_formula(n, shards=shards) == pp_formula(n)
-    assert pps_formula(n, shards=shards) == pps_formula(n)

@@ -7,7 +7,6 @@ from partcalc.combinat import lcm_range
 from partcalc.sequences import (
     WeightFunction,
     WeightSequence,
-    ppso_multiplicity,
     quantity_sequence,
     quantity_weights,
     seq_multipartition,
@@ -70,7 +69,7 @@ def test_seq_symmetric():
     assert seq_symmetric(4).parts == (1, 2, 3, 4, 4)
     assert seq_symmetric(3).parts == (1, 2, 3)
     assert seq_symmetric(1).parts == (1,)
-    assert [ppso_multiplicity(k) for k in range(1, 7)] == [1, 1, 1, 2, 1, 3]
+    assert quantity_weights("ppso", 6).weights == (1, 1, 1, 2, 1, 3)
     assert [spp_multiplicity(k) for k in range(1, 9)] == [1, 0, 1, 1, 1, 1, 1, 2]
 
 

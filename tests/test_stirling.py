@@ -95,12 +95,6 @@ def test_histogram_zero_coefficients_prune():
     assert sum(hist.values()) == 4
 
 
-@given(st.integers(1, 8))
-def test_histogram_shards_invariant(shards):
-    box = CongruenceBox((4, 3, 2), (1, 2, 3), 6, 1)
-    assert box_weight_histogram(box, shards=shards) == box_weight_histogram(box)
-
-
 def test_generic_engine_matches_dp_small():
     for parts in SEQUENCES:
         a = WeightSequence(parts)
@@ -194,13 +188,6 @@ def test_wrappers_match_oracle_n4():
     for r in range(2, n):
         assert ppr_stirling(n, r) == oracle_value("pp_r", n, r=r)
         assert multipartition_stirling(n, r) == oracle_value("P_r", n, r=r)
-
-
-@given(st.integers(1, 6))
-@settings(max_examples=6, deadline=None)
-def test_regrouped_shards_invariant(shards):
-    assert pps_stirling(4, shards=shards) == 7
-    assert multipartition_stirling(4, 3, shards=shards) == 51
 
 
 def test_single_coordinate_box():
