@@ -50,7 +50,6 @@ from .sequences import (
 from .series import (
     TruncatedSeries,
     euler_product,
-    inverse_power_factor,
     oracle_value,
     restricted_partition_dp,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "enumerate_diagrams",
     "euler_product",
     "factorial",
-    "inverse_power_factor",
     "lcm_range",
     "multipartition_formula",
     "multipartition_stirling",

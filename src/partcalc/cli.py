@@ -66,6 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     table_p.add_argument("--r", type=int)
     table_p.add_argument("--method", default="auto", choices=METHODS)
     table_p.add_argument("--format", default="plain", choices=FORMATS)
+    table_p.add_argument(
+        "--strict",
+        action="store_true",
+        help="error out instead of falling back when a formula hypothesis fails",
+    )
     table_p.set_defaults(func=cmd_table)
 
     verify_p = sub.add_parser("verify", help="run a cross-validation suite")
@@ -136,7 +141,7 @@ def cmd_table(args) -> int:
     try:
         for n in range(args.n_from, args.n_to + 1):
             req = ComputationRequest(
-                quantity=args.quantity, n=n, r=args.r, method=args.method
+                quantity=args.quantity, n=n, r=args.r, method=args.method, strict=args.strict
             )
             value, used = compute(req)
             rows.append((req, value, used))

@@ -112,22 +112,25 @@ def multiplicity_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     if n < 1:
         raise ValueError("multiplicity_vectors requires n >= 1")
     out: list[tuple[int, ...]] = []
-    vec = [0] * n
-
-    # Slots at index >= s-1 are zero whenever rec(s, ...) is entered, because
-    # every loop below ends on l = 0.
-    def rec(s: int, remaining: int) -> None:
-        if remaining == 0:
-            out.append(tuple(vec))
-            return
-        if remaining < s:
-            return
-        for l in range(remaining // s, -1, -1):
-            vec[s - 1] = l
-            rec(s + 1, remaining - s * l)
-
-    rec(1, n)
+    _fill_vectors(1, n, [0] * n, out)
     return tuple(out)
+
+
+def _fill_vectors(s: int, remaining: int, vec: list[int], out: list) -> None:
+    """Append to out every completion of vec[:s-1] with parts s.. summing to
+    remaining.  A module function rather than a closure: a closure that calls
+    itself is a reference cycle, which would keep out alive until the cycle
+    collector runs."""
+    # Slots at index >= s-1 are zero on entry, because every loop below
+    # ends on l = 0.
+    if remaining == 0:
+        out.append(tuple(vec))
+        return
+    if remaining < s:
+        return
+    for l in range(remaining // s, -1, -1):
+        vec[s - 1] = l
+        _fill_vectors(s + 1, remaining - s * l, vec, out)
 
 
 def _vector_sum(n: int, pattern: list[int]) -> int:

@@ -1,15 +1,17 @@
-"""Oracle #1: truncated Euler products and the restricted-partition DP.
+"""Oracle #1: the truncated Euler product and the restricted-partition DP.
 
 Both routes count the same thing — the coefficient of z^n in
 prod_k (1 - z^k)^(-w(k)) equals the number of solutions of sum a_i x_i = n
-over the expanded weight sequence — and the test suite holds them equal.
+over the expanded weight sequence — by different algorithms, and the test
+suite holds them equal.  The series route (euler_product) fills the whole
+row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in O(N^2)
+exact steps; the DP route adds one part of the expanded sequence at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .combinat import binomial
 from .sequences import (
     QUANTITIES,
     R_QUANTITIES,
@@ -37,65 +39,33 @@ class TruncatedSeries:
             raise IndexError(f"coefficient {k} outside truncation bound {self.degree_bound}")
         return self.coeffs[k]
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        if self.degree_bound != other.degree_bound:
-            raise ValueError("can only multiply series with equal truncation bounds")
-        n = self.degree_bound
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(n, tuple(out))
 
+def euler_product(weights: WeightFunction, degree_bound: int) -> TruncatedSeries:
+    """prod_k (1 - z^k)^(-w(k)) mod z^(N+1), by the log-derivative recurrence.
 
-def one(degree_bound: int) -> TruncatedSeries:
-    return TruncatedSeries(degree_bound, (1,) + (0,) * degree_bound)
-
-
-def inverse_power_factor(
-    k: int, w: int, degree_bound: int, *, rule: str = "stride"
-) -> TruncatedSeries:
-    """(1 - z^k)^(-w) mod z^(N+1).
-
-    rule="stride" multiplies by the geometric series of z^k, w times;
-    rule="binomial" writes coefficients directly as C(m + w - 1, m) at z^(km).
-    The two must agree everywhere.
+    z d/dz log of the product is sum_k b(k) z^k with b(k) = sum_{d | k} d w(d),
+    so the coefficients satisfy n a(n) = sum_{k=1..n} b(k) a(n-k).  Every
+    division by n is exact; a remainder raises ArithmeticError.
     """
-    if k < 1:
-        raise ValueError("part k must be >= 1")
-    if w < 0:
-        raise ValueError("weight must be >= 0")
-    n = degree_bound
-    if rule == "binomial":
-        coeffs = [0] * (n + 1)
-        for m in range(n // k + 1):
-            coeffs[k * m] = binomial(m + w - 1, m) if w else (1 if m == 0 else 0)
-        return TruncatedSeries(n, tuple(coeffs))
-    if rule != "stride":
-        raise ValueError(f"unknown factor rule {rule!r}")
-    out = [1] + [0] * n
-    for _ in range(w):
-        for i in range(k, n + 1):
-            out[i] += out[i - k]
-    return TruncatedSeries(n, tuple(out))
-
-
-def euler_product(
-    weights: WeightFunction, degree_bound: int, *, rule: str = "stride"
-) -> TruncatedSeries:
-    """prod_k (1 - z^k)^(-w(k)) mod z^(N+1), factor by factor."""
-    series = one(degree_bound)
-    for k in range(1, min(weights.bound, degree_bound) + 1):
-        w = weights(k)
+    top = degree_bound
+    b = [0] * (top + 1)
+    for d in range(1, min(weights.bound, top) + 1):
+        w = weights(d)
         if w:
-            series = series * inverse_power_factor(k, w, degree_bound, rule=rule)
-    return series
+            for k in range(d, top + 1, d):
+                b[k] += d * w
+    support = [(k, bk) for k, bk in enumerate(b) if bk]
+    a = [1] + [0] * top
+    for n in range(1, top + 1):
+        total = 0
+        for k, bk in support:
+            if k > n:
+                break
+            total += bk * a[n - k]
+        a[n], rest = divmod(total, n)
+        if rest:
+            raise ArithmeticError(f"log-derivative recurrence left remainder {rest} at n={n}")
+    return TruncatedSeries(top, tuple(a))
 
 
 def restricted_partition_row(a: WeightSequence, top: int) -> list[int]:

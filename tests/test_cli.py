@@ -155,6 +155,17 @@ def test_table_json(capsys):
     assert rows[-1]["method"] == "theorem"
 
 
+def test_table_strict(capsys):
+    args = ("table", "--quantity", "pp", "--from", "1", "--to", "4", "--method", "theorem")
+    code, out, err = run_cli(capsys, *args, "--strict")
+    assert code == 1
+    assert out == ""
+    assert "does not cover pp, n=1" in err
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out.splitlines() == ["1 1", "2 3", "3 6", "4 13"]
+
+
 def test_table_rejects_p_a_and_bad_ranges(capsys):
     code, _, err = run_cli(
         capsys, "table", "--quantity", "p_a", "--from", "0", "--to", "3"
@@ -202,7 +213,10 @@ def test_verify_prints_checks_without_cases_as_skip(capsys):
     lines = out.strip().splitlines()
     assert any(line.startswith("skip stirling-wrapper[pp]") for line in lines)
     assert not any(line.startswith("ok   stirling-wrapper[pp]") for line in lines)
-    assert any(line.startswith("ok   stirling-wrapper[pp_r]") for line in lines)
+    assert any(line.startswith("skip stirling-wrapper[pp_r]") for line in lines)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "stirling", "--max-n", "3")
+    assert code == 0
+    assert any(line.startswith("ok   stirling-wrapper[pp_r]") for line in out.splitlines())
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,16 @@ def test_multiplicity_vectors_listed_small_cases():
     assert multiplicity_vectors(4) == A4
     with pytest.raises(ValueError):
         multiplicity_vectors(0)
+
+
+def test_multiplicity_vectors_leave_no_reference_cycle():
+    gc.disable()
+    try:
+        gc.collect()
+        multiplicity_vectors.__wrapped__(15)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @given(st.integers(1, 25))

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from partcalc.sequences import WeightFunction, WeightSequence, quantity_weights
+from partcalc.sequences import (
+    WeightFunction,
+    WeightSequence,
+    quantity_weights,
+    spp_multiplicity,
+)
 from partcalc.series import (
     TruncatedSeries,
     euler_product,
-    inverse_power_factor,
-    one,
     oracle_value,
     restricted_partition_dp,
 )
@@ -34,28 +37,45 @@ def test_truncated_series_validation():
         s.coefficient(3)
 
 
-def test_multiplication_is_truncated_convolution():
-    a = TruncatedSeries(3, (1, 1, 0, 0))
-    b = TruncatedSeries(3, (1, 0, 2, 0))
-    assert (a * b).coeffs == (1, 1, 2, 2)
-    with pytest.raises(ValueError):
-        a * TruncatedSeries(2, (1, 0, 0))
+def _convolution_product(weights, top):
+    """prod_k (1 - z^k)^(-w(k)) mod z^(top+1): multiply in the geometric
+    series of z^k, w(k) times, each by a plain truncated convolution."""
+    coeffs = [1] + [0] * top
+    for k in range(1, top + 1):
+        geometric = [1 if i % k == 0 else 0 for i in range(top + 1)]
+        for _ in range(weights(k)):
+            coeffs = [
+                sum(coeffs[i] * geometric[m - i] for i in range(m + 1))
+                for m in range(top + 1)
+            ]
+    return tuple(coeffs)
 
 
-def test_multiplication_constant_one():
-    s = TruncatedSeries(4, (1, 5, 2, 0, 7))
-    assert (s * one(4)).coeffs == s.coeffs
+@st.composite
+def _weight_functions(draw):
+    bound = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.integers(0, 3), min_size=bound, max_size=bound))
+    return WeightFunction(bound, tuple(weights))
 
 
-@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 25))
-def test_factor_rules_agree(k, w, bound):
-    stride = inverse_power_factor(k, w, bound, rule="stride")
-    binom = inverse_power_factor(k, w, bound, rule="binomial")
-    assert stride.coeffs == binom.coeffs
+@given(_weight_functions(), st.integers(0, 14))
+@example(WeightFunction(4, (0, 2, 0, 1)), 0)
+@example(WeightFunction(4, (0, 2, 0, 1)), 3)
+@example(WeightFunction(4, (0, 2, 0, 1)), 12)
+@example(WeightFunction(3, (0, 0, 0)), 5)
+@settings(max_examples=80)
+def test_euler_product_equals_truncated_convolution(weights, top):
+    assert euler_product(weights, top).coeffs == _convolution_product(weights, top)
 
 
-def test_factor_is_geometric_for_weight_one():
-    assert inverse_power_factor(2, 1, 6).coeffs == (1, 0, 1, 0, 1, 0, 1)
+def test_euler_product_on_spp_pattern():
+    weights = WeightFunction(10, tuple(spp_multiplicity(k) for k in range(1, 11)))
+    assert euler_product(weights, 10).coeffs == (1, 1, 1, 2, 3, 4, 6, 8, 12, 16, 22)
+
+
+@pytest.mark.parametrize("quantity, r", [("pp", None), ("P_r", 4)])
+def test_series_equals_dp_at_300(quantity, r):
+    assert oracle_value(quantity, 300, r=r, backend="series") == oracle_value(quantity, 300, r=r)
 
 
 def test_known_rows():
