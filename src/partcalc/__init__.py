@@ -25,6 +25,7 @@ from .diagrams import (
 from .dispatch import METHODS, ComputationRequest, RequestError, compute
 from .formulas import (
     BlockPolynomial,
+    CostGuardExceeded,
     HypothesisError,
     bounded_composition_count,
     multiplicity_vectors,
@@ -56,7 +57,6 @@ from .series import (
 from .stirling import (
     DEFAULT_BOX_LIMIT,
     CongruenceBox,
-    CostGuardExceeded,
     StirlingKernel,
     multipartition_stirling,
     pp_stirling,

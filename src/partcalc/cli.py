@@ -12,9 +12,8 @@ import sys
 
 from . import verify
 from .dispatch import METHODS, ComputationRequest, RequestError, compute
-from .formulas import HypothesisError
+from .formulas import CostGuardExceeded, HypothesisError
 from .sequences import QUANTITIES
-from .stirling import CostGuardExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1

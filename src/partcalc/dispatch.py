@@ -60,7 +60,8 @@ def _reduce(req: ComputationRequest) -> tuple[str, int, int | None]:
 
 def _path(req: ComputationRequest) -> Callable[[], int] | None:
     """The theorem or Stirling evaluation of req.method, or None outside the
-    family's stated range."""
+    family's stated range, and for auto also when A_n has more vectors than
+    the theorem route walks."""
     stirling_route = req.method == "stirling"
     if req.quantity == "p_a":
         parts, n = req.parts, req.n
@@ -81,6 +82,8 @@ def _path(req: ComputationRequest) -> Callable[[], int] | None:
     # attribute (a tracer, a test double) is the one called.
     if stirling_route:
         return lambda: getattr(stirling, f"{family.stem}_stirling")(*args)
+    if req.method == "auto" and not formulas.within_vector_limit(n):
+        return None
     return lambda: getattr(formulas, f"{family.stem}_formula")(*args)
 
 
@@ -107,7 +110,8 @@ def compute(req: ComputationRequest) -> tuple[int, str]:
     """Evaluate the request; returns (value, method actually used).
 
     method="auto" prefers the closed-form evaluator when its hypothesis
-    holds and falls back to the DP oracle.  Explicit "theorem"/"stirling"
+    holds and A_n has at most formulas.VECTOR_LIMIT vectors, and takes the
+    DP oracle otherwise.  Explicit "theorem"/"stirling"
     requests outside their hypotheses fall back the same way unless
     strict=True, in which case they raise HypothesisError.
     """

@@ -7,22 +7,34 @@ Every counting family reduces to
 where m_s is the family's multiplicity pattern.  C(l + m - 1, l) counts the
 ways to split l copies of part s among m indistinguishable-slot variables,
 which is exactly the coefficient extraction the generating function performs.
+The sum walks A_n depth first, so it holds one path of the walk at a time;
+its time grows with p(n) = |A_n|, which VECTOR_LIMIT bounds.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .combinat import binomial
 from .sequences import FAMILIES
-from .series import oracle_value
+from .series import oracle_value, restricted_partition_row
+
+# Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
+# within, p(61) = 1,121,505 is not.
+VECTOR_LIMIT = 10**6
 
 
 class HypothesisError(ValueError):
     """An evaluator was called outside its validity range."""
+
+
+class CostGuardExceeded(RuntimeError):
+    """A route's work is above its limit: the points of a Stirling
+    congruence box, or the multiplicity vectors of a theorem sum."""
 
 
 def stated_pattern(quantity: str, wrapper: str, n: int, r: int | None = None) -> list[int]:
@@ -105,7 +117,9 @@ class BlockPolynomial:
         return bounded_composition_count(k, self.copies, self.alpha)
 
 
-@functools.lru_cache(maxsize=128)
+# Only verify lists the vectors, once per n; the sums below walk A_n without
+# them, so one cached list is enough.
+@functools.lru_cache(maxsize=1)
 def multiplicity_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     """All (l_1..l_n) with l_1 + 2 l_2 + ... + n l_n = n, in decreasing
     lexicographic order of the tuples as written."""
@@ -133,15 +147,53 @@ def _fill_vectors(s: int, remaining: int, vec: list[int], out: list) -> None:
         _fill_vectors(s + 1, remaining - s * l, vec, out)
 
 
+def vector_count(n: int) -> int:
+    """|A_n| = p(n), from the coin-counting row over the parts 1..n."""
+    return restricted_partition_row(range(1, n + 1), n)[n]
+
+
+def within_vector_limit(n: int) -> bool:
+    """Whether the theorem sum over A_n walks at most VECTOR_LIMIT vectors."""
+    return vector_count(n) <= VECTOR_LIMIT
+
+
 def _vector_sum(n: int, pattern: list[int]) -> int:
-    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1]."""
-    total = 0
-    for vec in multiplicity_vectors(n):
-        term = 1
-        for m, l in zip(pattern, vec):
-            if l:
-                term *= binomial(l + m - 1, l)
-        total += term
+    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1].
+
+    Raises CostGuardExceeded up front when A_n has more than VECTOR_LIMIT
+    vectors.
+    """
+    if not within_vector_limit(n):
+        raise CostGuardExceeded(
+            f"A_{n} has {vector_count(n)} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
+        )
+    return _walk(n, n, pattern)
+
+
+def _walk(s: int, remaining: int, pattern: list[int]) -> int:
+    """sum of prod_t C(l_t + m_t - 1, l_t) over (l_1..l_s) with
+    sum t*l_t = remaining; callers keep s <= remaining.
+
+    Each call chooses l_s and jumps to part min(s - 1, rest), so no branch
+    dead-ends; part 1 takes whatever remains, so every call at s < 2 is one
+    leaf, one vector of A_n.  C(l + m - 1, l) is carried from l - 1 by an
+    exact division.  A zero factor (m_s = 0) prunes every larger l_s.
+    """
+    if s < 2:
+        return math.comb(remaining + pattern[0] - 1, remaining) if s else 1
+    m = pattern[s - 1]
+    below = s - 1
+    total = _walk(below, remaining, pattern)
+    c = 1
+    l = 0
+    rest = remaining - s
+    while rest >= 0:
+        l += 1
+        c = c * (m + l - 1) // l
+        if not c:
+            break
+        total += c * _walk(below if below < rest else rest, rest, pattern)
+        rest -= s
     return total
 
 
@@ -199,7 +251,8 @@ def ppr_inclusion_exclusion(n: int, r: int, pr_values: Callable[[int], int]) -> 
 
 def ppr_via_multipartition_formula(n: int, r: int) -> int:
     """pp_r(n) by the alternating sum, with formula-backed multipartition
-    counts wherever the formula hypothesis holds and the DP oracle elsewhere."""
+    counts wherever the formula hypothesis holds and A_k is within
+    VECTOR_LIMIT, and the DP oracle elsewhere."""
 
     cache: dict[int, int] = {}
 
@@ -207,7 +260,7 @@ def ppr_via_multipartition_formula(n: int, r: int) -> int:
         if k < 0:
             return 0
         if k not in cache:
-            if FAMILIES["P_r"].holds(k, r):
+            if FAMILIES["P_r"].holds(k, r) and within_vector_limit(k):
                 cache[k] = multipartition_formula(k, r)
             else:
                 cache[k] = oracle_value("P_r", k, r=r)

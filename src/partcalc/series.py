@@ -11,6 +11,7 @@ exact steps; the DP route adds one part of the expanded sequence at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .sequences import (
     QUANTITIES,
@@ -68,12 +69,12 @@ def euler_product(weights: WeightFunction, degree_bound: int) -> TruncatedSeries
     return TruncatedSeries(top, tuple(a))
 
 
-def restricted_partition_row(a: WeightSequence, top: int) -> list[int]:
-    """Numbers of solutions of sum a_i x_i = n with x_i >= 0, for n = 0..top
-    (coin-counting DP)."""
+def restricted_partition_row(parts: Iterable[int], top: int) -> list[int]:
+    """Numbers of solutions of sum a_i x_i = n with x_i >= 0 over the parts
+    a_i, for n = 0..top (coin-counting DP)."""
     table = [0] * (top + 1)
     table[0] = 1
-    for part in a.parts:
+    for part in parts:
         for i in range(part, top + 1):
             table[i] += table[i - part]
     return table
@@ -83,7 +84,7 @@ def restricted_partition_dp(a: WeightSequence, n: int) -> int:
     """Number of solutions of sum a_i x_i = n with x_i >= 0 (coin-counting DP)."""
     if n < 0:
         return 0
-    return restricted_partition_row(a, n)[n]
+    return restricted_partition_row(a.parts, n)[n]
 
 
 def _pa_weight_function(parts: tuple[int, ...], bound: int) -> WeightFunction:

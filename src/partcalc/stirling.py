@@ -21,14 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import StirlingTable, factorial, lcm_range, stirling_first_unsigned
-from .formulas import bounded_composition_count, stated_pattern
+from .formulas import CostGuardExceeded, bounded_composition_count, stated_pattern
 from .sequences import WeightSequence
 
 DEFAULT_BOX_LIMIT = 10**9
-
-
-class CostGuardExceeded(RuntimeError):
-    """The congruence box is larger than the configured point limit."""
 
 
 @dataclass(frozen=True)

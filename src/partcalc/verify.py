@@ -212,7 +212,8 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
         res = CheckResult(f"series-vs-dp[{quantity}]")
         for r in _r_values(quantity):
             series_row = _series_row(quantity, top, r)
-            dp_row = series.restricted_partition_row(quantity_sequence(quantity, top, r), top)
+            parts = quantity_sequence(quantity, top, r).parts
+            dp_row = series.restricted_partition_row(parts, top)
             for n in range(top + 1):
                 res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
         out.append(res)
@@ -246,7 +247,7 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
     out.append(res)
 
     res = CheckResult("vector-count-vs-p")
-    p_row = series.restricted_partition_row(quantity_sequence("p", top), top)
+    p_row = series.restricted_partition_row(quantity_sequence("p", top).parts, top)
     for n in range(1, top + 1):
         res.expect(len(formulas.multiplicity_vectors(n)), p_row[n], f"n={n}")
     out.append(res)

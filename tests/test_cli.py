@@ -123,6 +123,19 @@ def test_cost_guard_exit_code(capsys):
     assert "cost guard" in err
 
 
+def test_theorem_guard_exit_code(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--quantity", "pp", "--n", "100", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["method"] == "oracle-dp"
+    for extra in ((), ("--strict",)):
+        code, out, err = run_cli(
+            capsys, "compute", "--quantity", "pp", "--n", "100", "--method", "theorem", *extra
+        )
+        assert code == 3
+        assert out == ""
+        assert "cost guard" in err
+
+
 def test_table_plain(capsys):
     code, out, _ = run_cli(
         capsys, "table", "--quantity", "pp", "--from", "0", "--to", "5"

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partcalc import formulas
 from partcalc.dispatch import METHODS, ComputationRequest, RequestError, compute
-from partcalc.formulas import HypothesisError
+from partcalc.formulas import CostGuardExceeded, HypothesisError
 from partcalc.sequences import FAMILIES
 from partcalc.series import oracle_value
 
@@ -49,6 +50,23 @@ def test_auto_falls_back_below_hypothesis():
     assert (value, method) == (11, "oracle-dp")
     value, method = compute(ComputationRequest("P_r", 3, r=3))
     assert (value, method) == (oracle_value("P_r", 3, r=3), "oracle-dp")
+
+
+def test_auto_takes_dp_above_the_vector_limit():
+    assert compute(ComputationRequest("pp", 100)) == (oracle_value("pp", 100), "oracle-dp")
+    for strict in (False, True):
+        with pytest.raises(CostGuardExceeded):
+            compute(ComputationRequest("pp", 100, method="theorem", strict=strict))
+
+
+def test_auto_reads_the_vector_limit(monkeypatch):
+    # p(10) = 42 vectors, p(11) = 56.
+    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)
+    assert compute(ComputationRequest("pps", 10)) == (oracle_value("pps", 10), "theorem")
+    assert compute(ComputationRequest("pps", 11)) == (oracle_value("pps", 11), "oracle-dp")
+    assert compute(ComputationRequest("pp_r", 11, r=12))[1] == "oracle-dp"
+    with pytest.raises(CostGuardExceeded):
+        compute(ComputationRequest("P_r", 11, r=3, method="theorem"))
 
 
 def test_ppr_routing_collapses_to_pp():

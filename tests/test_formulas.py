@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import gc
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partcalc import formulas
 from partcalc.formulas import (
+    VECTOR_LIMIT,
     BlockPolynomial,
+    CostGuardExceeded,
     HypothesisError,
     bounded_composition_count,
     multipartition_formula,
@@ -17,7 +21,10 @@ from partcalc.formulas import (
     ppr_via_multipartition_formula,
     pps_formula,
     ppso_formula,
+    vector_count,
+    within_vector_limit,
 )
+from partcalc.sequences import FAMILIES
 from partcalc.series import oracle_value
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
@@ -50,6 +57,56 @@ def test_multiplicity_vectors_are_the_partitions(n):
     assert all(sum(s * l for s, l in enumerate(v, start=1)) == n for v in vectors)
     assert len(vectors) == oracle_value("p", n)
     assert list(vectors) == sorted(vectors, reverse=True)
+
+
+@given(st.data(), st.integers(1, 22))
+@settings(max_examples=60, deadline=None)
+def test_vector_sum_walk_matches_listed_vectors(data, n):
+    pattern = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    want = sum(
+        math.prod(math.comb(l + m - 1, l) for m, l in zip(pattern, vec) if l)
+        for vec in multiplicity_vectors(n)
+    )
+    assert formulas._vector_sum(n, pattern) == want
+
+
+def test_vector_sum_walk_has_one_leaf_per_vector(monkeypatch):
+    walk = formulas._walk
+    leaves = 0
+
+    def counting_walk(s, remaining, pattern):
+        nonlocal leaves
+        leaves += s < 2
+        return walk(s, remaining, pattern)
+
+    monkeypatch.setattr(formulas, "_walk", counting_walk)
+    for n in range(1, 21):
+        leaves = 0
+        formulas._vector_sum(n, FAMILIES["pp"].pattern(n))
+        assert leaves == oracle_value("p", n), n
+
+
+def test_vector_sum_builds_no_vector_list():
+    multiplicity_vectors.cache_clear()
+    pp_formula(30)
+    assert multiplicity_vectors.cache_info().currsize == 0
+
+
+def test_vector_count_is_p():
+    assert [vector_count(n) for n in range(25)] == [oracle_value("p", n) for n in range(25)]
+
+
+def test_vector_guard_bounds_the_walk():
+    assert vector_count(60) <= VECTOR_LIMIT < vector_count(61)
+    assert within_vector_limit(60) and not within_vector_limit(61)
+    with pytest.raises(CostGuardExceeded, match="A_61 has 1121505"):
+        pp_formula(61)
+    assert pp_formula(60) == oracle_value("pp", 60)
+
+
+def test_alternating_sum_takes_dp_above_the_vector_limit():
+    # Shifts 0 and 1 need P_2(62) and P_2(61), both above the limit.
+    assert ppr_via_multipartition_formula(62, 2) == oracle_value("pp_r", 62, r=2)
 
 
 def test_bounded_composition_count_small():
