@@ -13,7 +13,6 @@ from .combinat import (
     binomial,
     factorial,
     lcm_range,
-    rising_factorial,
     stirling_first_unsigned,
 )
 from .diagrams import (
@@ -113,7 +112,6 @@ __all__ = [
     "regrouped_sum",
     "restricted_count_stirling",
     "restricted_partition_dp",
-    "rising_factorial",
     "seq_multipartition",
     "seq_pp",
     "seq_pp_r",

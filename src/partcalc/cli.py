@@ -11,8 +11,8 @@ import json
 import sys
 
 from . import verify
-from .dispatch import METHODS, ComputationRequest, RequestError, compute
-from .formulas import CostGuardExceeded, HypothesisError
+from .dispatch import METHODS, ComputationRequest, compute
+from .formulas import CostGuardExceeded
 from .sequences import QUANTITIES
 
 EXIT_OK = 0
@@ -102,23 +102,15 @@ def _json_row(req: ComputationRequest, value: int, used: str) -> dict:
 
 
 def cmd_compute(args) -> int:
-    try:
-        req = ComputationRequest(
-            quantity=args.quantity,
-            n=args.n,
-            r=args.r,
-            parts=args.parts,
-            method=args.method,
-            strict=args.strict,
-        )
-        value, used = compute(req)
-    except CostGuardExceeded as exc:
-        print(f"partcalc: cost guard: {exc}", file=sys.stderr)
-        return EXIT_COST
-    except (RequestError, HypothesisError, ValueError) as exc:
-        print(f"partcalc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    req = ComputationRequest(
+        quantity=args.quantity,
+        n=args.n,
+        r=args.r,
+        parts=args.parts,
+        method=args.method,
+        strict=args.strict,
+    )
+    value, used = compute(req)
     if args.format == "json":
         print(json.dumps(_json_row(req, value, used)))
     elif args.format == "csv":
@@ -137,20 +129,12 @@ def cmd_table(args) -> int:
         print("partcalc: error: need 0 <= --from <= --to", file=sys.stderr)
         return EXIT_USAGE
     rows = []
-    try:
-        for n in range(args.n_from, args.n_to + 1):
-            req = ComputationRequest(
-                quantity=args.quantity, n=n, r=args.r, method=args.method, strict=args.strict
-            )
-            value, used = compute(req)
-            rows.append((req, value, used))
-    except CostGuardExceeded as exc:
-        print(f"partcalc: cost guard: {exc}", file=sys.stderr)
-        return EXIT_COST
-    except (RequestError, HypothesisError, ValueError) as exc:
-        print(f"partcalc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    for n in range(args.n_from, args.n_to + 1):
+        req = ComputationRequest(
+            quantity=args.quantity, n=n, r=args.r, method=args.method, strict=args.strict
+        )
+        value, used = compute(req)
+        rows.append((req, value, used))
     if args.format == "json":
         print(json.dumps([_json_row(req, value, used) for req, value, used in rows]))
     elif args.format == "csv":
@@ -164,13 +148,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify.run_suite(
-            args.suite, max_n=args.max_n, long_running=args.long_running
-        )
-    except ValueError as exc:
-        print(f"partcalc: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    results = verify.run_suite(args.suite, max_n=args.max_n, long_running=args.long_running)
     failing = 0
     total_cases = 0
     for res in results:
@@ -190,7 +168,14 @@ def cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CostGuardExceeded as exc:
+        print(f"partcalc: cost guard: {exc}", file=sys.stderr)
+        return EXIT_COST
+    except ValueError as exc:  # RequestError and HypothesisError among them
+        print(f"partcalc: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -32,16 +32,6 @@ def lcm_range(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
-def rising_factorial(n: int, r: int) -> int:
-    """n (n+1) ... (n+r-1); the empty product 1 for r = 0."""
-    if r < 0:
-        raise ValueError("rising_factorial requires r >= 0")
-    out = 1
-    for i in range(r):
-        out *= n + i
-    return out
-
-
 @dataclass(frozen=True)
 class StirlingTable:
     """Row r of the unsigned Stirling numbers of the first kind.

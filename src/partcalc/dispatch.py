@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import diagrams, formulas, series, stirling
-from .sequences import FAMILIES, QUANTITIES, R_QUANTITIES, WeightSequence, quantity_sequence
+from .sequences import FAMILIES, QUANTITIES, R_QUANTITIES, Family, WeightSequence, quantity_sequence
 
 METHODS = ("auto", "oracle-series", "oracle-dp", "oracle-enum", "theorem", "stirling")
 
@@ -77,14 +77,23 @@ def _path(req: ComputationRequest) -> Callable[[], int] | None:
         if not stirling_route:
             return None
         return lambda: stirling.restricted_count_stirling(quantity_sequence(q, n), n)
-    args = (n, r) if family.takes_r else (n,)
-    # The wrapper is looked up when the route runs, so a replaced module
-    # attribute (a tracer, a test double) is the one called.
     if stirling_route:
-        return lambda: getattr(stirling, f"{family.stem}_stirling")(*args)
+        return lambda: wrapper_value(family, "stirling", n, r)
     if req.method == "auto" and not formulas.within_vector_limit(n):
         return None
-    return lambda: getattr(formulas, f"{family.stem}_formula")(*args)
+    return lambda: wrapper_value(family, "formula", n, r)
+
+
+def wrapper_value(family: Family, kind: str, n: int, r: int | None = None) -> int:
+    """The family's wrapper formulas.<stem>_formula (kind "formula") or
+    stirling.<stem>_stirling (kind "stirling") at (n, r).
+
+    The wrapper is looked up on each call, so a replaced module attribute
+    (a tracer, a test double) is the one called.
+    """
+    module = stirling if kind == "stirling" else formulas
+    wrapper = getattr(module, f"{family.stem}_{kind}")
+    return wrapper(n, r) if family.takes_r else wrapper(n)
 
 
 def _enum_value(req: ComputationRequest) -> int:

@@ -1,7 +1,8 @@
 """Cross-validation suites wired to the CLI's `verify` subcommand.
 
 Each check compares two independently computed values over a range and
-records the first few counterexamples.  Suites:
+records the first few counterexamples.  The per-family checks read
+sequences.FAMILIES.  Suites:
 
   examples           known small values through every applicable route
   oracle-consistency series vs DP vs enumeration, plus structural invariants
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import diagrams, formulas, series, stirling
+from . import diagrams, dispatch, formulas, series, stirling
 from .combinat import factorial, stirling_first_unsigned
 from .sequences import (
     FAMILIES,
@@ -78,117 +79,83 @@ def _label(quantity, n, r=None) -> str:
     return f"{quantity}({n})" if r is None else f"{quantity}({n}, r={r})"
 
 
+def _route_values(quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
+    """quantity at (n, r) by every route that serves the case: both oracles,
+    diagram enumeration for 1 <= n <= 8, the theorem sum in the family's
+    stated range and within VECTOR_LIMIT, the Stirling sum in the stated
+    range when with_stirling, and for pp_r the alternating sum."""
+    family = FAMILIES[quantity]
+    values = {"series": _series(quantity, n, r=r), "dp": _dp(quantity, n, r=r)}
+    if family.diagram is not None and 1 <= n <= 8:
+        values["enum"] = diagrams.count_diagrams(n, family.diagram, r=1 if quantity == "p" else r)
+    if family.stem is not None and family.holds(n, r):
+        if formulas.within_vector_limit(n):
+            values["formula"] = dispatch.wrapper_value(family, "formula", n, r)
+        if with_stirling:
+            values["stirling"] = dispatch.wrapper_value(family, "stirling", n, r)
+    if quantity == "pp_r":
+        values["alternating-sum"] = formulas.ppr_via_multipartition_formula(n, r)
+    return values
+
+
 # --- examples ---------------------------------------------------------------
 
-KNOWN_PP_ROW = (1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500)
-KNOWN_PPS_ROW = (1, 1, 2, 4, 7)
-KNOWN_P2_ROW = (1, 2, 5, 10, 20, 36)
+# (quantity, n, r, value), checked through every route that serves the case.
+KNOWN_VALUES = (
+    ("pp", 3, None, 6),
+    ("pp_r", 3, 1, 3),
+    ("pp_r", 3, 2, 5),
+    ("pp_r", 3, 3, 6),
+    ("pps", 3, None, 4),
+    ("ppso", 3, None, 3),
+    ("P_r", 4, 2, 20),
+)
+# (quantity, r, values at n = 0, 1, ...), checked through the series.
+KNOWN_ROWS = (
+    ("pp", None, (1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500)),
+    ("pps", None, (1, 1, 2, 4, 7)),
+    ("P_r", 2, (1, 2, 5, 10, 20, 36)),
+)
 KNOWN_A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
 KNOWN_A4 = ((4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1))
+EXAMPLE_CHECKS = (
+    "pp", "pp_r", "pps", "ppso", "symmetric-diagrams", "P_r", "p_a",
+    "multiplicity-vectors", "block-coefficients",
+)
 
 
 def _suite_examples(max_n=None, long_running=False) -> list[CheckResult]:
     cap = _cap(max_n)
-    out = []
+    checks = {name: CheckResult(f"known-values[{name}]") for name in EXAMPLE_CHECKS}
 
-    res = CheckResult("known-values[pp]")
-    if 3 <= cap:
-        for route, value in [
-            ("series", _series("pp", 3)),
-            ("dp", _dp("pp", 3)),
-            ("enum", diagrams.count_diagrams(3, "all")),
-            ("formula", formulas.pp_formula(3)),
-            ("stirling", stirling.pp_stirling(3)),
-        ]:
-            res.expect(value, 6, f"pp(3) via {route}")
-    for n, want in enumerate(KNOWN_PP_ROW):
+    for quantity, n, r, want in KNOWN_VALUES:
         if n <= cap:
-            res.expect(_series("pp", n), want, f"pp({n}) via series")
-    out.append(res)
+            for route, got in _route_values(quantity, n, r, with_stirling=True).items():
+                checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via {route}")
+    for quantity, r, row in KNOWN_ROWS:
+        for n, want in enumerate(row):
+            if n <= cap:
+                got = _series(quantity, n, r=r)
+                checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via series")
 
-    res = CheckResult("known-values[pp_r]")
     if 3 <= cap:
-        res.expect(_dp("pp_r", 3, r=1), 3, "pp_r(3, r=1) via dp")
-        res.expect(diagrams.count_diagrams(3, "max_rows", r=1), 3, "pp_r(3, r=1) via enum")
-        for route, value in [
-            ("series", _series("pp_r", 3, r=2)),
-            ("dp", _dp("pp_r", 3, r=2)),
-            ("enum", diagrams.count_diagrams(3, "max_rows", r=2)),
-            ("formula", formulas.ppr_formula(3, 2)),
-            ("stirling", stirling.ppr_stirling(3, 2)),
-            ("alternating-sum", formulas.ppr_via_multipartition_formula(3, 2)),
-        ]:
-            res.expect(value, 5, f"pp_r(3, r=2) via {route}")
-        res.expect(_dp("pp_r", 3, r=3), 6, "pp_r(3, r=3) via dp")
-    out.append(res)
-
-    res = CheckResult("known-values[pps]")
-    if 3 <= cap:
-        for route, value in [
-            ("series", _series("pps", 3)),
-            ("dp", _dp("pps", 3)),
-            ("enum", diagrams.count_diagrams(3, "strict")),
-            ("formula", formulas.pps_formula(3)),
-            ("stirling", stirling.pps_stirling(3)),
-        ]:
-            res.expect(value, 4, f"pps(3) via {route}")
-    for n, want in enumerate(KNOWN_PPS_ROW):
-        if n <= cap:
-            res.expect(_series("pps", n), want, f"pps({n}) via series")
-    out.append(res)
-
-    res = CheckResult("known-values[ppso]")
-    if 3 <= cap:
-        for route, value in [
-            ("series", _series("ppso", 3)),
-            ("dp", _dp("ppso", 3)),
-            ("formula", formulas.ppso_formula(3)),
-            ("stirling", stirling.ppso_stirling(3)),
-        ]:
-            res.expect(value, 3, f"ppso(3) via {route}")
-    out.append(res)
-
-    res = CheckResult("known-values[symmetric-diagrams]")
-    if 3 <= cap:
+        res = checks["symmetric-diagrams"]
         res.expect(diagrams.count_diagrams(3, "symmetric"), 2, "symmetric diagrams of 3")
-    out.append(res)
 
-    res = CheckResult("known-values[P_r]")
-    if 4 <= cap:
-        for route, value in [
-            ("series", _series("P_r", 4, r=2)),
-            ("dp", _dp("P_r", 4, r=2)),
-            ("formula", formulas.multipartition_formula(4, 2)),
-            ("stirling", stirling.multipartition_stirling(4, 2)),
-        ]:
-            res.expect(value, 20, f"P_r(4, r=2) via {route}")
-    for n, want in enumerate(KNOWN_P2_ROW):
+    res = checks["p_a"]
+    for parts, n, want in (((1, 2, 3), 6, 7), ((1,), 5, 1), (seq_strict(3).parts, 3, 4)):
         if n <= cap:
-            res.expect(_series("P_r", n, r=2), want, f"P_r({n}, r=2) via series")
-    out.append(res)
-
-    res = CheckResult("known-values[p_a]")
+            res.expect(_dp("p_a", n, parts=parts), want, f"p_a({n}; parts={parts}) via dp")
     if 6 <= cap:
-        res.expect(_dp("p_a", 6, parts=(1, 2, 3)), 7, "p_a(6; 1,2,3) via dp")
-        res.expect(
-            stirling.restricted_count_stirling(WeightSequence((1, 2, 3)), 6),
-            7,
-            "p_a(6; 1,2,3) via stirling",
-        )
-    if 5 <= cap:
-        res.expect(_dp("p_a", 5, parts=(1,)), 1, "p_a(5; 1) via dp")
-    if 3 <= cap:
-        res.expect(_dp("p_a", 3, parts=seq_strict(3).parts), 4, "p_a(3; strict seq of 3)")
-    out.append(res)
+        got = stirling.restricted_count_stirling(WeightSequence((1, 2, 3)), 6)
+        res.expect(got, 7, "p_a(6; parts=(1, 2, 3)) via stirling")
 
-    res = CheckResult("known-values[multiplicity-vectors]")
-    if 3 <= cap:
-        res.expect(formulas.multiplicity_vectors(3), KNOWN_A3, "vectors for n=3")
-    if 4 <= cap:
-        res.expect(formulas.multiplicity_vectors(4), KNOWN_A4, "vectors for n=4")
-    out.append(res)
+    res = checks["multiplicity-vectors"]
+    for n, want in ((3, KNOWN_A3), (4, KNOWN_A4)):
+        if n <= cap:
+            res.expect(formulas.multiplicity_vectors(n), want, f"vectors for n={n}")
 
-    res = CheckResult("known-values[block-coefficients]")
+    res = checks["block-coefficients"]
     poly = formulas.BlockPolynomial(2, 6)
     res.expect(poly.coefficients(), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
     poly = formulas.BlockPolynomial(3, 6)
@@ -196,9 +163,8 @@ def _suite_examples(max_n=None, long_running=False) -> list[CheckResult]:
     poly = formulas.BlockPolynomial(2, 12)
     res.expect(poly.coefficient_closed(3), 4, "copies=2 modulus=12 coefficient 3")
     res.expect(poly.coefficient_closed(5), 6, "copies=2 modulus=12 coefficient 5")
-    out.append(res)
 
-    return out
+    return list(checks.values())
 
 
 # --- oracle consistency -----------------------------------------------------
@@ -219,23 +185,17 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
         out.append(res)
 
     enum_top = min(8, top)
-    res = CheckResult("enum-vs-series[all]")
-    for n in range(1, enum_top + 1):
-        res.expect(diagrams.count_diagrams(n, "all"), _series("pp", n), f"pp({n})")
-    out.append(res)
-    res = CheckResult("enum-vs-series[strict]")
-    for n in range(1, enum_top + 1):
-        res.expect(diagrams.count_diagrams(n, "strict"), _series("pps", n), f"pps({n})")
-    out.append(res)
-    res = CheckResult("enum-vs-series[max-rows]")
-    for n in range(1, enum_top + 1):
-        for r in range(1, n + 1):
-            res.expect(
-                diagrams.count_diagrams(n, "max_rows", r=r),
-                _series("pp_r", n, r=r),
-                f"pp_r({n}, r={r})",
-            )
-    out.append(res)
+    for quantity in ("pp", "pps", "pp_r"):
+        kind = FAMILIES[quantity].diagram
+        res = CheckResult(f"enum-vs-series[{kind.replace('_', '-')}]")
+        for n in range(1, enum_top + 1):
+            for r in range(1, n + 1) if FAMILIES[quantity].takes_r else (None,):
+                res.expect(
+                    diagrams.count_diagrams(n, kind, r=r),
+                    _series(quantity, n, r=r),
+                    _label(quantity, n, r),
+                )
+        out.append(res)
 
     res = CheckResult("enum[symmetric-vs-strict-odd]")
     for n in range(1, enum_top + 1):
@@ -246,10 +206,14 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
         )
     out.append(res)
 
+    # The theorem walk over A_n with every multiplicity 1 adds 1 per leaf,
+    # so it counts the vectors without listing them.
     res = CheckResult("vector-count-vs-p")
-    p_row = series.restricted_partition_row(quantity_sequence("p", top).parts, top)
+    p_row = series.restricted_partition_row(range(1, top + 1), top)
     for n in range(1, top + 1):
-        res.expect(len(formulas.multiplicity_vectors(n)), p_row[n], f"n={n}")
+        if p_row[n] > formulas.VECTOR_LIMIT:
+            break
+        res.expect(formulas._vector_sum(n, [1] * n), p_row[n], f"n={n}")
     out.append(res)
 
     res = CheckResult("dp-permutation-invariance")
@@ -282,69 +246,42 @@ def _suite_cross_method(max_n=None, long_running=False) -> list[CheckResult]:
     top = 12 if max_n is None else max_n
     out = []
 
-    for quantity, family in FAMILIES.items():
+    for quantity in FAMILIES:
         res = CheckResult(f"cross-method[{quantity}]")
         for r in _r_values(quantity):
             for n in range(top + 1):
-                values = {
-                    "series": _series(quantity, n, r=r),
-                    "dp": _dp(quantity, n, r=r),
-                }
-                if family.diagram is not None and 1 <= n <= 8:
-                    values["enum"] = diagrams.count_diagrams(
-                        n, family.diagram, r=1 if quantity == "p" else r
-                    )
-                if family.stem is not None and family.holds(n, r):
-                    args = (n, r) if family.takes_r else (n,)
-                    values["formula"] = getattr(formulas, f"{family.stem}_formula")(*args)
-                if quantity == "pp_r":
-                    values["alternating-sum"] = formulas.ppr_via_multipartition_formula(n, r)
+                values = _route_values(quantity, n, r)
                 for route, got in values.items():
                     res.expect(got, values["dp"], f"{_label(quantity, n, r)} via {route}")
         out.append(res)
 
-    res = CheckResult("block-poly[direct-vs-closed]")
-    for modulus in (6, 12, 60):
-        for copies in range(1, 7):
-            if modulus % copies:
-                continue
-            poly = formulas.BlockPolynomial(copies, modulus)
-            for k in range(poly.degree + 1):
-                res.expect(
-                    poly.coefficient_closed(k),
-                    poly.coefficient_direct(k),
-                    f"copies={copies} modulus={modulus} k={k}",
-                )
-            res.expect(poly.coefficient_closed(poly.degree + 1), 0, "beyond degree")
+    # The vector sum also holds below the stated ranges, which stay as data.
+    res = CheckResult("vector-sum-below-range")
+    for quantity, family in FAMILIES.items():
+        for r in _r_values(quantity):
+            for n in range(1, min(5, top) + 1):
+                if not family.holds(n, r):
+                    got = formulas._vector_sum(n, family.pattern(n, r))
+                    res.expect(got, _dp(quantity, n, r=r), _label(quantity, n, r))
     out.append(res)
 
-    res = CheckResult("block-poly[reciprocity]")
+    direct = CheckResult("block-poly[direct-vs-closed]")
+    reciprocity = CheckResult("block-poly[reciprocity]")
+    mass = CheckResult("block-poly[mass]")
     for modulus in (6, 12, 60):
         for copies in range(1, 7):
             if modulus % copies:
                 continue
             poly = formulas.BlockPolynomial(copies, modulus)
             coeffs = poly.coefficients()
+            label = f"copies={copies} modulus={modulus}"
             for k in range(poly.degree + 1):
-                res.expect(
-                    coeffs[k],
-                    coeffs[poly.degree - k],
-                    f"copies={copies} modulus={modulus} k={k}",
-                )
-    out.append(res)
-
-    res = CheckResult("block-poly[mass]")
-    for modulus in (6, 12, 60):
-        for copies in range(1, 7):
-            if modulus % copies:
-                continue
-            poly = formulas.BlockPolynomial(copies, modulus)
-            res.expect(
-                sum(poly.coefficients()),
-                (modulus // copies) ** copies,
-                f"copies={copies} modulus={modulus}",
-            )
-    out.append(res)
+                at = f"{label} k={k}"
+                direct.expect(poly.coefficient_closed(k), poly.coefficient_direct(k), at)
+                reciprocity.expect(coeffs[k], coeffs[poly.degree - k], at)
+            direct.expect(poly.coefficient_closed(poly.degree + 1), 0, f"{label} beyond degree")
+            mass.expect(sum(coeffs), (modulus // copies) ** copies, label)
+    out += [direct, reciprocity, mass]
 
     return out
 
@@ -377,39 +314,15 @@ def _suite_stirling(max_n=None, long_running=False) -> list[CheckResult]:
         out.append(res)
 
     wrapper_top = min(5 if long_running else 4, cap)
-
-    res = CheckResult("stirling-wrapper[pp]")
-    for n in range(3, wrapper_top + 1):
-        res.expect(stirling.pp_stirling(n), _dp("pp", n), f"pp({n})")
-    out.append(res)
-
-    res = CheckResult("stirling-wrapper[pp_r]")
-    pairs = [(3, 2), (4, 2), (4, 3)]
-    if long_running:
-        pairs += [(5, 2), (5, 3), (5, 4)]
-    for n, r in [(n, r) for n, r in pairs if n <= cap]:
-        res.expect(stirling.ppr_stirling(n, r), _dp("pp_r", n, r=r), f"pp_r({n}, r={r})")
-    out.append(res)
-
-    res = CheckResult("stirling-wrapper[pps]")
-    for n in range(3, wrapper_top + 1):
-        res.expect(stirling.pps_stirling(n), _dp("pps", n), f"pps({n})")
-    out.append(res)
-
-    res = CheckResult("stirling-wrapper[ppso]")
-    for n in range(3, wrapper_top + 1):
-        res.expect(stirling.ppso_stirling(n), _dp("ppso", n), f"ppso({n})")
-    out.append(res)
-
-    res = CheckResult("stirling-wrapper[P_r]")
-    pairs = [(4, 2), (4, 3)]
-    if long_running:
-        pairs += [(5, 2), (5, 3), (5, 4)]
-    for n, r in [(n, r) for n, r in pairs if n <= cap]:
-        res.expect(
-            stirling.multipartition_stirling(n, r), _dp("P_r", n, r=r), f"P_r({n}, r={r})"
-        )
-    out.append(res)
+    for quantity, family in FAMILIES.items():
+        if family.stem is None:
+            continue
+        res = CheckResult(f"stirling-wrapper[{quantity}]")
+        for n in range(family.min_n, wrapper_top + 1):
+            for r in range(2, n) if family.takes_r else (None,):
+                got = dispatch.wrapper_value(family, "stirling", n, r)
+                res.expect(got, _dp(quantity, n, r=r), _label(quantity, n, r))
+        out.append(res)
 
     res = CheckResult("stirling[partial-sum-denominators]")
     for a in (WeightSequence((1, 2, 3)), seq_pp(4)) if 7 <= cap else ():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from partcalc import formulas, verify
 from partcalc.cli import main
+from partcalc.formulas import CostGuardExceeded
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,25 @@ def test_verify_prints_checks_without_cases_as_skip(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "stirling", "--max-n", "3")
     assert code == 0
     assert any(line.startswith("ok   stirling-wrapper[pp_r]") for line in out.splitlines())
+
+
+def test_verify_cross_method_skips_the_theorem_above_the_vector_limit(capsys, monkeypatch):
+    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
+    code, out, err = run_cli(capsys, "verify", "--suite", "cross-method", "--max-n", "12")
+    assert code == 0
+    assert out.strip().splitlines()[-1].endswith("0 failing")
+    assert err == ""
+
+
+def test_verify_guard_refusal_exits_3(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise CostGuardExceeded("too many points")
+
+    monkeypatch.setattr(verify, "run_suite", refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", "examples")
+    assert code == 3
+    assert out == ""
+    assert "cost guard: too many points" in err
 
 
 def test_verify_rejects_unknown_suite(capsys):

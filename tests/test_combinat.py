@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from partcalc.combinat import (
     binomial,
     factorial,
     lcm_range,
-    rising_factorial,
     stirling_first_unsigned,
 )
 
@@ -93,10 +94,4 @@ def test_stirling_row_sums(r):
 @given(st.integers(1, 12), st.integers(0, 20))
 def test_stirling_rising_factorial_identity(r, n):
     table = stirling_first_unsigned(r)
-    assert sum(table[k] * n**k for k in range(1, r + 1)) == rising_factorial(n, r)
-
-
-@given(st.integers(1, 30), st.integers(0, 8))
-def test_rising_factorial_binomial_link(n, r):
-    # C(n + r - 1, r) * r! == n (n+1) ... (n+r-1)
-    assert binomial(n + r - 1, r) * factorial(r) == rising_factorial(n, r)
+    assert sum(table[k] * n**k for k in range(1, r + 1)) == math.prod(range(n, n + r))
