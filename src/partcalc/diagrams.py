@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .formulas import CostGuardExceeded
+
 DEFAULT_ENUMERATION_CAP = 10
 
 KINDS = ("all", "max_rows", "strict", "symmetric", "strict_odd")
@@ -95,11 +97,14 @@ def _first_rows(n: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_diagrams(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PlanePartitionDiagram, ...]:
-    """All plane partitions of n, each exactly once, in deterministic order."""
+    """All plane partitions of n, each exactly once, in deterministic order.
+
+    Raises CostGuardExceeded when n is above cap.
+    """
     if n < 1:
         raise ValueError("enumerate_diagrams requires n >= 1")
     if n > cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap ({cap})")
+        raise CostGuardExceeded(f"n = {n} exceeds the enumeration cap ({cap})")
     out = []
     for first in _first_rows(n):
         for rest in _stacks(n - sum(first), first):

@@ -34,7 +34,8 @@ class HypothesisError(ValueError):
 
 class CostGuardExceeded(RuntimeError):
     """A route's work is above its limit: the points of a Stirling
-    congruence box, or the multiplicity vectors of a theorem sum."""
+    congruence box, the multiplicity vectors of a theorem sum, or the n of a
+    diagram enumeration."""
 
 
 def stated_pattern(quantity: str, wrapper: str, n: int, r: int | None = None) -> list[int]:
@@ -148,8 +149,9 @@ def _fill_vectors(s: int, remaining: int, vec: list[int], out: list) -> None:
 
 
 def vector_count(n: int) -> int:
-    """|A_n| = p(n), from the coin-counting row over the parts 1..n."""
-    return restricted_partition_row(range(1, n + 1), n)[n]
+    """|A_n| = p(n), from the restricted-partition row with each part 1..n
+    once."""
+    return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
 
 
 def within_vector_limit(n: int) -> bool:

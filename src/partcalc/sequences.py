@@ -19,6 +19,7 @@ WeightFunction is the compressed part -> multiplicity view on 1..bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -99,14 +100,20 @@ class WeightSequence:
     def lcm(self) -> int:
         return math.lcm(*self.parts)
 
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
+    def runs(self) -> list[tuple[int, int]]:
+        """(part, multiplicity) of each distinct part, in increasing order."""
+        parts = self.parts
+        out = []
+        i = 0
+        while i < len(parts):
+            part = parts[i]
+            j = bisect_right(parts, part, i)
+            out.append((part, j - i))
+            i = j
         return out
 
     def to_weight_function(self) -> "WeightFunction":
-        counts = self.multiplicities()
+        counts = dict(self.runs())
         bound = self.parts[-1]
         return WeightFunction(bound, tuple(counts.get(k, 0) for k in range(1, bound + 1)))
 

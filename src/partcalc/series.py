@@ -5,12 +5,15 @@ prod_k (1 - z^k)^(-w(k)) equals the number of solutions of sum a_i x_i = n
 over the expanded weight sequence — by different algorithms, and the test
 suite holds them equal.  The series route (euler_product) fills the whole
 row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in O(N^2)
-exact steps; the DP route adds one part of the expanded sequence at a time.
+exact steps; the DP route divides the row by (1 - z^k)^m once per distinct
+part k of multiplicity m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import mul
 from typing import Iterable
 
 from .sequences import (
@@ -20,6 +23,11 @@ from .sequences import (
     WeightSequence,
     quantity_weights,
 )
+
+# A part of multiplicity m up to this takes m stride passes; above it one pass
+# of the signed recurrence is cheaper (the two cross between m = 12 and 14
+# for P_r at n = 100..300).
+STRIDE_PASSES_UP_TO = 12
 
 
 @dataclass(frozen=True)
@@ -69,22 +77,40 @@ def euler_product(weights: WeightFunction, degree_bound: int) -> TruncatedSeries
     return TruncatedSeries(top, tuple(a))
 
 
-def restricted_partition_row(parts: Iterable[int], top: int) -> list[int]:
-    """Numbers of solutions of sum a_i x_i = n with x_i >= 0 over the parts
-    a_i, for n = 0..top (coin-counting DP)."""
+def restricted_partition_row(pairs: Iterable[tuple[int, int]], top: int) -> list[int]:
+    """Numbers of solutions of sum a_i x_i = n with x_i >= 0, for n = 0..top,
+    where each (k, m) of pairs puts part k into the a_i m times.
+
+    The row is prod (1 - z^k)^(-m) mod z^(top+1), divided out one pair at a
+    time.  A small m takes m stride passes g[i] += g[i - k]; a larger one
+    takes one pass of g[i] = f[i] - sum_{j=1..J} (-1)^j C(m, j) g[i - jk],
+    J = min(m, top // k), from (1 - z^k)^m = sum_j (-1)^j C(m, j) z^(jk).
+    """
     table = [0] * (top + 1)
     table[0] = 1
-    for part in parts:
-        for i in range(part, top + 1):
-            table[i] += table[i - part]
+    for k, m in pairs:
+        if m > STRIDE_PASSES_UP_TO:
+            terms = min(m, top // k)
+            coeffs = [comb(m, j) if j % 2 else -comb(m, j) for j in range(1, terms + 1)]
+            reach = (terms + 1) * k
+            for i in range(k, top + 1):
+                stop = i - reach
+                table[i] += sum(map(mul, coeffs, table[i - k:stop if stop >= 0 else None:-k]))
+            continue
+        cells = range(k, top + 1)
+        while m > 0:
+            for i in cells:
+                table[i] += table[i - k]
+            m -= 1
     return table
 
 
 def restricted_partition_dp(a: WeightSequence, n: int) -> int:
-    """Number of solutions of sum a_i x_i = n with x_i >= 0 (coin-counting DP)."""
+    """Number of solutions of sum a_i x_i = n with x_i >= 0 (coin-counting DP
+    over the runs of equal parts of a)."""
     if n < 0:
         return 0
-    return restricted_partition_row(a.parts, n)[n]
+    return restricted_partition_row(a.runs(), n)[n]
 
 
 def _pa_weight_function(parts: tuple[int, ...], bound: int) -> WeightFunction:

@@ -21,7 +21,6 @@ from .combinat import factorial, stirling_first_unsigned
 from .sequences import (
     FAMILIES,
     WeightSequence,
-    quantity_sequence,
     quantity_weights,
     seq_pp,
     seq_strict,
@@ -57,12 +56,6 @@ def _dp(quantity, n, r=None, parts=None):
 
 def _series(quantity, n, r=None, parts=None):
     return series.oracle_value(quantity, n, r=r, parts=parts, backend="series")
-
-
-def _series_row(quantity, top, r=None) -> list[int]:
-    """Coefficients 0..top from one run of the series recurrence at bound top."""
-    weights = quantity_weights(quantity, top, r)
-    return list(series.euler_product(weights, top).coeffs)
 
 
 def _cap(max_n) -> float:
@@ -177,9 +170,9 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
     for quantity in FAMILIES:
         res = CheckResult(f"series-vs-dp[{quantity}]")
         for r in _r_values(quantity):
-            series_row = _series_row(quantity, top, r)
-            parts = quantity_sequence(quantity, top, r).parts
-            dp_row = series.restricted_partition_row(parts, top)
+            weights = quantity_weights(quantity, top, r)
+            series_row = series.euler_product(weights, top).coeffs
+            dp_row = series.restricted_partition_row(enumerate(weights.weights, start=1), top)
             for n in range(top + 1):
                 res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
         out.append(res)
@@ -209,7 +202,7 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
     # The theorem walk over A_n with every multiplicity 1 adds 1 per leaf,
     # so it counts the vectors without listing them.
     res = CheckResult("vector-count-vs-p")
-    p_row = series.restricted_partition_row(range(1, top + 1), top)
+    p_row = series.restricted_partition_row(enumerate([1] * top, start=1), top)
     for n in range(1, top + 1):
         if p_row[n] > formulas.VECTOR_LIMIT:
             break

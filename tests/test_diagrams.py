@@ -9,6 +9,8 @@ from partcalc.diagrams import (
     count_diagrams,
     enumerate_diagrams,
 )
+from partcalc.cli import EXIT_COST, main
+from partcalc.formulas import CostGuardExceeded
 from partcalc.series import oracle_value
 
 # Symmetric plane partitions by weight, n = 1..9.
@@ -67,9 +69,17 @@ def test_enumeration_order_n3():
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
         enumerate_diagrams(0)
-    with pytest.raises(ValueError):
-        enumerate_diagrams(11)
     assert len(enumerate_diagrams(11, cap=11)) == 859
+
+
+def test_enumeration_cap_is_a_cost_guard_refusal(capsys):
+    with pytest.raises(CostGuardExceeded):
+        enumerate_diagrams(11)
+    with pytest.raises(CostGuardExceeded):
+        count_diagrams(11)
+    argv = ["compute", "--quantity", "pp", "--n", "11", "--method", "oracle-enum"]
+    assert main(argv) == EXIT_COST
+    assert "enumeration cap" in capsys.readouterr().err
 
 
 @given(st.integers(1, 8))
@@ -116,8 +126,6 @@ def test_count_argument_errors():
         count_diagrams(3, "nope")
     with pytest.raises(ValueError):
         count_diagrams(0)
-    with pytest.raises(ValueError):
-        count_diagrams(11)
 
 
 def test_kinds_tuple():

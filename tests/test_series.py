@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from partcalc import formulas, series
 from partcalc.sequences import (
     WeightFunction,
     WeightSequence,
@@ -10,10 +11,12 @@ from partcalc.sequences import (
     spp_multiplicity,
 )
 from partcalc.series import (
+    STRIDE_PASSES_UP_TO,
     TruncatedSeries,
     euler_product,
     oracle_value,
     restricted_partition_dp,
+    restricted_partition_row,
 )
 
 PP_ROW = (1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479)
@@ -93,6 +96,48 @@ def test_known_rows():
         top = len(row) - 1
         got = euler_product(quantity_weights(quantity, top, r), top).coeffs
         assert got == row, quantity
+
+
+def _coin_row(pairs, top):
+    """The restricted-partition row by one plain coin pass per copy of each part."""
+    row = [1] + [0] * top
+    for k, m in pairs:
+        for _ in range(m):
+            for i in range(k, top + 1):
+                row[i] += row[i - k]
+    return row
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 30), st.integers(0, 3 * STRIDE_PASSES_UP_TO)),
+        max_size=6,
+    ),
+    st.integers(0, 40),
+)
+@example([(1, STRIDE_PASSES_UP_TO + 1)], 0)
+@example([(2, STRIDE_PASSES_UP_TO), (3, STRIDE_PASSES_UP_TO + 1)], 40)
+@example([(1, 0), (41, 50), (7, 3 * STRIDE_PASSES_UP_TO)], 40)
+@settings(max_examples=80)
+def test_restricted_partition_row_equals_coin_passes(pairs, top):
+    assert restricted_partition_row(pairs, top) == _coin_row(pairs, top)
+
+
+@pytest.mark.parametrize("quantity", ["pp", "pps", "ppso"])
+def test_series_equals_dp_at_600(quantity):
+    assert oracle_value(quantity, 600, backend="series") == oracle_value(quantity, 600)
+
+
+def test_dp_uses_neither_the_series_nor_the_theorem_walk(monkeypatch):
+    cases = [("pp", None), ("pp_r", 20), ("pps", None), ("ppso", None), ("P_r", 20)]
+    want = [oracle_value(q, 80, r=r, backend="series") for q, r in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the DP route must not call this")
+
+    monkeypatch.setattr(series, "euler_product", refuse)
+    monkeypatch.setattr(formulas, "_walk", refuse)
+    assert [oracle_value(q, 80, r=r) for q, r in cases] == want
 
 
 def test_restricted_partition_dp_examples():
