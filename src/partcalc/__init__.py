@@ -8,13 +8,7 @@ cross-validated against each other.  All arithmetic is exact.
 
 from __future__ import annotations
 
-from .combinat import (
-    StirlingTable,
-    binomial,
-    factorial,
-    lcm_range,
-    stirling_first_unsigned,
-)
+from .combinat import binomial, lcm_range, stirling_first_unsigned
 from .diagrams import (
     DEFAULT_ENUMERATION_CAP,
     PlanePartitionDiagram,
@@ -47,12 +41,7 @@ from .sequences import (
     seq_symmetric,
     spp_multiplicity,
 )
-from .series import (
-    TruncatedSeries,
-    euler_product,
-    oracle_value,
-    restricted_partition_dp,
-)
+from .series import euler_product, oracle_value, restricted_partition_dp
 from .stirling import (
     DEFAULT_BOX_LIMIT,
     CongruenceBox,
@@ -82,8 +71,6 @@ __all__ = [
     "QUANTITIES",
     "RequestError",
     "StirlingKernel",
-    "StirlingTable",
-    "TruncatedSeries",
     "WeightFunction",
     "WeightSequence",
     "binomial",
@@ -92,7 +79,6 @@ __all__ = [
     "count_diagrams",
     "enumerate_diagrams",
     "euler_product",
-    "factorial",
     "lcm_range",
     "multipartition_formula",
     "multipartition_stirling",

@@ -13,6 +13,7 @@ from typing import Iterator
 
 from .formulas import CostGuardExceeded
 
+# Enumeration above this n is refused with CostGuardExceeded; read at call time.
 DEFAULT_ENUMERATION_CAP = 10
 
 KINDS = ("all", "max_rows", "strict", "symmetric", "strict_odd")
@@ -96,15 +97,17 @@ def _first_rows(n: int) -> list[tuple[int, ...]]:
     return list(_dominated_rows(None, n))
 
 
-def enumerate_diagrams(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[PlanePartitionDiagram, ...]:
+def enumerate_diagrams(n: int) -> tuple[PlanePartitionDiagram, ...]:
     """All plane partitions of n, each exactly once, in deterministic order.
 
-    Raises CostGuardExceeded when n is above cap.
+    Raises CostGuardExceeded when n is above DEFAULT_ENUMERATION_CAP.
     """
     if n < 1:
         raise ValueError("enumerate_diagrams requires n >= 1")
-    if n > cap:
-        raise CostGuardExceeded(f"n = {n} exceeds the enumeration cap ({cap})")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise CostGuardExceeded(
+            f"n = {n} exceeds the enumeration cap ({DEFAULT_ENUMERATION_CAP})"
+        )
     out = []
     for first in _first_rows(n):
         for rest in _stacks(n - sum(first), first):
@@ -128,13 +131,7 @@ def _predicate(kind: str, r: int | None):
     raise ValueError(f"unknown diagram kind {kind!r}")
 
 
-def count_diagrams(
-    n: int,
-    kind: str = "all",
-    *,
-    r: int | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> int:
+def count_diagrams(n: int, kind: str = "all", *, r: int | None = None) -> int:
     """Count plane partitions of n passing the predicate."""
     keep = _predicate(kind, r)
-    return sum(1 for diagram in enumerate_diagrams(n, cap) if keep(diagram))
+    return sum(1 for diagram in enumerate_diagrams(n) if keep(diagram))

@@ -112,11 +112,6 @@ class WeightSequence:
             i = j
         return out
 
-    def to_weight_function(self) -> "WeightFunction":
-        counts = dict(self.runs())
-        bound = self.parts[-1]
-        return WeightFunction(bound, tuple(counts.get(k, 0) for k in range(1, bound + 1)))
-
 
 @dataclass(frozen=True)
 class WeightFunction:

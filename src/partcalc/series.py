@@ -6,12 +6,13 @@ over the expanded weight sequence — by different algorithms, and the test
 suite holds them equal.  The series route (euler_product) fills the whole
 row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in O(N^2)
 exact steps; the DP route divides the row by (1 - z^k)^m once per distinct
-part k of multiplicity m.
+part k of multiplicity m.  A truncated series is a plain sequence of its
+coefficients, a tuple from euler_product and a list from
+restricted_partition_row, so a[n] is the coefficient of z^n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 from typing import Iterable
@@ -30,32 +31,16 @@ from .sequences import (
 STRIDE_PASSES_UP_TO = 12
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_N of a formal power series modulo z^(N+1)."""
-
-    degree_bound: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.degree_bound < 0:
-            raise ValueError("degree_bound must be >= 0")
-        if len(self.coeffs) != self.degree_bound + 1:
-            raise ValueError("need exactly degree_bound + 1 coefficients")
-
-    def coefficient(self, k: int) -> int:
-        if k < 0 or k > self.degree_bound:
-            raise IndexError(f"coefficient {k} outside truncation bound {self.degree_bound}")
-        return self.coeffs[k]
-
-
-def euler_product(weights: WeightFunction, degree_bound: int) -> TruncatedSeries:
-    """prod_k (1 - z^k)^(-w(k)) mod z^(N+1), by the log-derivative recurrence.
+def euler_product(weights: WeightFunction, degree_bound: int) -> tuple[int, ...]:
+    """Coefficients a(0..N) of prod_k (1 - z^k)^(-w(k)) mod z^(N+1), by the
+    log-derivative recurrence.
 
     z d/dz log of the product is sum_k b(k) z^k with b(k) = sum_{d | k} d w(d),
     so the coefficients satisfy n a(n) = sum_{k=1..n} b(k) a(n-k).  Every
     division by n is exact; a remainder raises ArithmeticError.
     """
+    if degree_bound < 0:
+        raise ValueError("degree_bound must be >= 0")
     top = degree_bound
     b = [0] * (top + 1)
     for d in range(1, min(weights.bound, top) + 1):
@@ -74,7 +59,7 @@ def euler_product(weights: WeightFunction, degree_bound: int) -> TruncatedSeries
         a[n], rest = divmod(total, n)
         if rest:
             raise ArithmeticError(f"log-derivative recurrence left remainder {rest} at n={n}")
-    return TruncatedSeries(top, tuple(a))
+    return tuple(a)
 
 
 def restricted_partition_row(pairs: Iterable[tuple[int, int]], top: int) -> list[int]:
@@ -148,11 +133,11 @@ def oracle_value(
         if backend == "series":
             if n == 0:
                 return 1
-            return euler_product(_pa_weight_function(a.parts, n), n).coefficient(n)
+            return euler_product(_pa_weight_function(a.parts, n), n)[n]
         return restricted_partition_dp(a, n)
     if n == 0:
         return 1
     weights = quantity_weights(quantity, n, r)
     if backend == "series":
-        return euler_product(weights, n).coefficient(n)
+        return euler_product(weights, n)[n]
     return restricted_partition_dp(weights.expand(), n)

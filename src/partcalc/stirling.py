@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import StirlingTable, factorial, lcm_range, stirling_first_unsigned
+from .combinat import lcm_range, stirling_first_unsigned
 from .formulas import CostGuardExceeded, bounded_composition_count, stated_pattern
 from .sequences import WeightSequence
 
+# Boxes with more points are refused with CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9
 
 
@@ -50,26 +51,24 @@ class CongruenceBox:
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue must lie in [0, modulus)")
 
-    def size(self) -> int:
-        out = 1
-        for b in self.bounds:
-            out *= b + 1
-        return out
-
 
 @dataclass(frozen=True)
 class StirlingKernel:
-    """The inner double sum, as a function of the point's weighted sum."""
+    """The inner double sum, as a function of the point's weighted sum.
+
+    table is the Stirling row stirling_first_unsigned(length), so table[k]
+    is c(length, k + 1).
+    """
 
     length: int
     modulus: int
     target: int
-    table: StirlingTable
+    table: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("kernel length must be >= 1")
-        if self.table.r != self.length:
+        if len(self.table) != self.length:
             raise ValueError("Stirling table must match the kernel length")
 
     def value(self, weighted_sum: int) -> Fraction:
@@ -84,7 +83,7 @@ class StirlingKernel:
         for m in range(r):
             for k in range(m, r):
                 term = (
-                    self.table[k + 1]
+                    self.table[k]
                     * math.comb(k, m)
                     * spow[k - m]
                     * npow[m]
@@ -92,14 +91,6 @@ class StirlingKernel:
                 )
                 num += -term if (k - m) % 2 else term
         return Fraction(num, d ** (r - 1))
-
-
-def _check_guard(box: CongruenceBox, box_limit: int) -> None:
-    size = box.size()
-    if size > box_limit:
-        raise CostGuardExceeded(
-            f"congruence box has {size} points, above the limit of {box_limit}"
-        )
 
 
 def box_weight_histogram(
@@ -157,12 +148,17 @@ def regrouped_partial_sums(
     box: CongruenceBox,
     kernel: StirlingKernel,
     coeff_tables: tuple[tuple[int, ...], ...] | None = None,
-    *,
-    box_limit: int = DEFAULT_BOX_LIMIT,
 ) -> dict[int, Fraction]:
-    """Per-weighted-sum contributions, already divided by (length-1)!."""
-    _check_guard(box, box_limit)
-    norm = factorial(kernel.length - 1)
+    """Per-weighted-sum contributions, already divided by (length-1)!.
+
+    Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
+    """
+    size = math.prod(b + 1 for b in box.bounds)
+    if size > DEFAULT_BOX_LIMIT:
+        raise CostGuardExceeded(
+            f"congruence box has {size} points, above the limit of {DEFAULT_BOX_LIMIT}"
+        )
+    norm = math.factorial(kernel.length - 1)
     hist = box_weight_histogram(box, coeff_tables)
     return {
         sw: Fraction(mass) * kernel.value(sw) / norm for sw, mass in sorted(hist.items())
@@ -179,22 +175,14 @@ def regrouped_sum(
     box: CongruenceBox,
     kernel: StirlingKernel,
     coeff_tables: tuple[tuple[int, ...], ...] | None = None,
-    *,
-    box_limit: int = DEFAULT_BOX_LIMIT,
 ) -> int:
-    partials = regrouped_partial_sums(box, kernel, coeff_tables, box_limit=box_limit)
+    partials = regrouped_partial_sums(box, kernel, coeff_tables)
     return _as_integer(sum(partials.values(), Fraction(0)))
 
 
-def restricted_count_stirling(
-    a: WeightSequence,
-    n: int,
-    *,
-    box_limit: int = DEFAULT_BOX_LIMIT,
-) -> int:
-    """p_a(n) by the generic congruence-box sum over (j_1..j_r)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+def generic_setup(a: WeightSequence, n: int) -> tuple[CongruenceBox, StirlingKernel]:
+    """Box 0 <= j_t < D/a_t with sum a_t j_t = n (mod D), and the kernel of
+    the generic sum for p_a(n), D = lcm(a)."""
     d = a.lcm
     box = CongruenceBox(
         bounds=tuple(d // part - 1 for part in a.parts),
@@ -205,7 +193,14 @@ def restricted_count_stirling(
     kernel = StirlingKernel(
         length=a.length, modulus=d, target=n, table=stirling_first_unsigned(a.length)
     )
-    return regrouped_sum(box, kernel, None, box_limit=box_limit)
+    return box, kernel
+
+
+def restricted_count_stirling(a: WeightSequence, n: int) -> int:
+    """p_a(n) by the generic congruence-box sum over (j_1..j_r)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return regrouped_sum(*generic_setup(a, n))
 
 
 def _pattern_setup(
@@ -236,38 +231,35 @@ def _pattern_setup(
     return box, kernel, tables
 
 
-def _regrouped_count(n: int, pattern: list[int], box_limit: int) -> int:
-    box, kernel, tables = _pattern_setup(n, pattern)
-    return regrouped_sum(box, kernel, tables, box_limit=box_limit)
+def _regrouped_count(n: int, pattern: list[int]) -> int:
+    return regrouped_sum(*_pattern_setup(n, pattern))
 
 
-def pp_stirling(n: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+def pp_stirling(n: int) -> int:
     """pp(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["pp"])."""
-    return _regrouped_count(n, stated_pattern("pp", "pp_stirling", n), box_limit)
+    return _regrouped_count(n, stated_pattern("pp", "pp_stirling", n))
 
 
-def ppr_stirling(n: int, r: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+def ppr_stirling(n: int, r: int) -> int:
     """pp_r(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["pp_r"])."""
-    return _regrouped_count(n, stated_pattern("pp_r", "ppr_stirling", n, r), box_limit)
+    return _regrouped_count(n, stated_pattern("pp_r", "ppr_stirling", n, r))
 
 
-def pps_stirling(n: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+def pps_stirling(n: int) -> int:
     """pps(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["pps"])."""
-    return _regrouped_count(n, stated_pattern("pps", "pps_stirling", n), box_limit)
+    return _regrouped_count(n, stated_pattern("pps", "pps_stirling", n))
 
 
-def ppso_stirling(n: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+def ppso_stirling(n: int) -> int:
     """ppso(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["ppso"])."""
-    return _regrouped_count(n, stated_pattern("ppso", "ppso_stirling", n), box_limit)
+    return _regrouped_count(n, stated_pattern("ppso", "ppso_stirling", n))
 
 
-def multipartition_stirling(n: int, r: int, *, box_limit: int = DEFAULT_BOX_LIMIT) -> int:
+def multipartition_stirling(n: int, r: int) -> int:
     """P_r(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["P_r"])."""
-    return _regrouped_count(
-        n, stated_pattern("P_r", "multipartition_stirling", n, r), box_limit
-    )
+    return _regrouped_count(n, stated_pattern("P_r", "multipartition_stirling", n, r))

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import diagrams, dispatch, formulas, series, stirling
-from .combinat import factorial, stirling_first_unsigned
 from .sequences import (
     FAMILIES,
     WeightSequence,
@@ -171,7 +170,7 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
         res = CheckResult(f"series-vs-dp[{quantity}]")
         for r in _r_values(quantity):
             weights = quantity_weights(quantity, top, r)
-            series_row = series.euler_product(weights, top).coeffs
+            series_row = series.euler_product(weights, top)
             dp_row = series.restricted_partition_row(enumerate(weights.weights, start=1), top)
             for n in range(top + 1):
                 res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
@@ -270,7 +269,7 @@ def _suite_cross_method(max_n=None, long_running=False) -> list[CheckResult]:
             label = f"copies={copies} modulus={modulus}"
             for k in range(poly.degree + 1):
                 at = f"{label} k={k}"
-                direct.expect(poly.coefficient_closed(k), poly.coefficient_direct(k), at)
+                direct.expect(poly.coefficient_closed(k), coeffs[k], at)
                 reciprocity.expect(coeffs[k], coeffs[poly.degree - k], at)
             direct.expect(poly.coefficient_closed(poly.degree + 1), 0, f"{label} beyond degree")
             mass.expect(sum(coeffs), (modulus // copies) ** copies, label)
@@ -319,21 +318,8 @@ def _suite_stirling(max_n=None, long_running=False) -> list[CheckResult]:
 
     res = CheckResult("stirling[partial-sum-denominators]")
     for a in (WeightSequence((1, 2, 3)), seq_pp(4)) if 7 <= cap else ():
-        d = a.lcm
-        box = stirling.CongruenceBox(
-            bounds=tuple(d // p - 1 for p in a.parts),
-            weights=a.parts,
-            modulus=d,
-            residue=7 % d,
-        )
-        kernel = stirling.StirlingKernel(
-            length=a.length,
-            modulus=d,
-            target=7,
-            table=stirling_first_unsigned(a.length),
-        )
-        partials = stirling.regrouped_partial_sums(box, kernel)
-        scale = factorial(a.length - 1) * d ** (a.length - 1)
+        partials = stirling.regrouped_partial_sums(*stirling.generic_setup(a, 7))
+        scale = math.factorial(a.length - 1) * a.lcm ** (a.length - 1)
         for sw, part in partials.items():
             res.expect(
                 (part * scale).denominator, 1, f"parts={a.parts} weighted-sum={sw}"

@@ -5,13 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from partcalc.combinat import (
-    StirlingTable,
-    binomial,
-    factorial,
-    lcm_range,
-    stirling_first_unsigned,
-)
+from partcalc.combinat import binomial, lcm_range, stirling_first_unsigned
 
 
 def test_binomial_values():
@@ -30,14 +24,6 @@ def test_binomial_rejects_negative_n():
 @given(st.integers(1, 60), st.integers(-3, 63))
 def test_binomial_pascal(n, k):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_lcm_range_values():
@@ -64,34 +50,24 @@ def test_lcm_range_divisibility_and_growth(n):
 
 
 def test_stirling_rows():
-    assert stirling_first_unsigned(1).entries == (1,)
-    assert stirling_first_unsigned(2).entries == (1, 1)
-    assert stirling_first_unsigned(3).entries == (2, 3, 1)
-    assert stirling_first_unsigned(4).entries == (6, 11, 6, 1)
+    assert stirling_first_unsigned(1) == (1,)
+    assert stirling_first_unsigned(2) == (1, 1)
+    assert stirling_first_unsigned(3) == (2, 3, 1)
+    assert stirling_first_unsigned(4) == (6, 11, 6, 1)
     with pytest.raises(ValueError):
         stirling_first_unsigned(0)
-
-
-def test_stirling_table_indexing():
-    table = stirling_first_unsigned(3)
-    assert table[1] == 2 and table[2] == 3 and table[3] == 1
-    assert table[0] == 0 and table[4] == 0
-
-
-def test_stirling_table_validation():
-    with pytest.raises(ValueError):
-        StirlingTable(r=2, entries=(1,))
 
 
 @given(st.integers(1, 12))
 def test_stirling_row_sums(r):
     table = stirling_first_unsigned(r)
-    assert table[r] == 1
-    assert table[1] == factorial(r - 1)
-    assert sum(table.entries) == factorial(r)
+    assert len(table) == r
+    assert table[r - 1] == 1
+    assert table[0] == math.factorial(r - 1)
+    assert sum(table) == math.factorial(r)
 
 
 @given(st.integers(1, 12), st.integers(0, 20))
 def test_stirling_rising_factorial_identity(r, n):
     table = stirling_first_unsigned(r)
-    assert sum(table[k] * n**k for k in range(1, r + 1)) == math.prod(range(n, n + r))
+    assert sum(c * n**k for k, c in enumerate(table, start=1)) == math.prod(range(n, n + r))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from partcalc import diagrams
 from partcalc.diagrams import (
     KINDS,
     PlanePartitionDiagram,
@@ -66,10 +67,11 @@ def test_enumeration_order_n3():
     ]
 
 
-def test_enumeration_bounds():
+def test_enumeration_bounds(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_diagrams(0)
-    assert len(enumerate_diagrams(11, cap=11)) == 859
+    monkeypatch.setattr(diagrams, "DEFAULT_ENUMERATION_CAP", 11)
+    assert len(enumerate_diagrams(11)) == 859
 
 
 def test_enumeration_cap_is_a_cost_guard_refusal(capsys):

@@ -96,12 +96,6 @@ def test_weight_sequence_validation():
     assert WeightSequence.from_parts([3, 1, 2]).parts == (1, 2, 3)
 
 
-def test_weight_function_round_trip():
-    for n in range(1, 10):
-        for a in (seq_pp(n), seq_strict(n), seq_symmetric(n), seq_pp_r(n, 2)):
-            assert a.to_weight_function().expand() == a
-
-
 def test_weight_function_validation():
     with pytest.raises(ValueError):
         WeightFunction(0, ())

@@ -12,7 +12,6 @@ from partcalc.sequences import (
 )
 from partcalc.series import (
     STRIDE_PASSES_UP_TO,
-    TruncatedSeries,
     euler_product,
     oracle_value,
     restricted_partition_dp,
@@ -27,17 +26,6 @@ P2_ROW = (1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481, 752, 1165)
 P3_ROW = (1, 3, 9, 22, 51, 108, 221, 429, 810, 1479, 2640, 4599, 7868)
 PP2_ROW = (1, 1, 3, 5, 10, 16, 29, 45, 75, 115, 181, 271, 413)
 PP3_ROW = (1, 1, 3, 6, 12, 21, 40, 67, 117, 193, 319, 510, 818)
-
-
-def test_truncated_series_validation():
-    with pytest.raises(ValueError):
-        TruncatedSeries(1, (1,))
-    with pytest.raises(ValueError):
-        TruncatedSeries(-1, ())
-    s = TruncatedSeries(2, (1, 2, 3))
-    assert s.coefficient(2) == 3
-    with pytest.raises(IndexError):
-        s.coefficient(3)
 
 
 def _convolution_product(weights, top):
@@ -68,12 +56,12 @@ def _weight_functions(draw):
 @example(WeightFunction(3, (0, 0, 0)), 5)
 @settings(max_examples=80)
 def test_euler_product_equals_truncated_convolution(weights, top):
-    assert euler_product(weights, top).coeffs == _convolution_product(weights, top)
+    assert euler_product(weights, top) == _convolution_product(weights, top)
 
 
 def test_euler_product_on_spp_pattern():
     weights = WeightFunction(10, tuple(spp_multiplicity(k) for k in range(1, 11)))
-    assert euler_product(weights, 10).coeffs == (1, 1, 1, 2, 3, 4, 6, 8, 12, 16, 22)
+    assert euler_product(weights, 10) == (1, 1, 1, 2, 3, 4, 6, 8, 12, 16, 22)
 
 
 @pytest.mark.parametrize("quantity, r", [("pp", None), ("P_r", 4)])
@@ -94,7 +82,7 @@ def test_known_rows():
     }
     for (quantity, r), row in table.items():
         top = len(row) - 1
-        got = euler_product(quantity_weights(quantity, top, r), top).coeffs
+        got = euler_product(quantity_weights(quantity, top, r), top)
         assert got == row, quantity
 
 
@@ -218,8 +206,10 @@ def test_p_a_ignores_parts_above_n():
 def test_euler_product_nonnegative_with_unit_constant():
     for quantity, r in [("pp", None), ("pps", None), ("ppso", None), ("P_r", 3)]:
         s = euler_product(quantity_weights(quantity, 15, r), 15)
-        assert s.coeffs[0] == 1
-        assert all(c >= 0 for c in s.coeffs)
+        assert s[0] == 1
+        assert all(c >= 0 for c in s)
+    with pytest.raises(ValueError):
+        euler_product(quantity_weights("pp", 3), -1)
 
 
 def test_weight_function_expansion_matches_series():
@@ -230,5 +220,5 @@ def test_weight_function_expansion_matches_series():
             WeightFunction(max(n, 1), tuple(wf(k) for k in range(1, max(n, 1) + 1))),
             max(n, 1),
         )
-        want = truncated.coefficient(n) if n >= 1 else 1
+        want = truncated[n] if n >= 1 else 1
         assert restricted_partition_dp(a, n) == want

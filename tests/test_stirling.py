@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partcalc.combinat import factorial, stirling_first_unsigned
+from partcalc import stirling
+from partcalc.combinat import stirling_first_unsigned
 from partcalc.formulas import HypothesisError
 from partcalc.sequences import WeightSequence, seq_pp, seq_strict
 from partcalc.series import oracle_value, restricted_partition_dp
@@ -14,6 +16,7 @@ from partcalc.stirling import (
     CostGuardExceeded,
     StirlingKernel,
     box_weight_histogram,
+    generic_setup,
     multipartition_stirling,
     pp_stirling,
     ppr_stirling,
@@ -48,7 +51,6 @@ def test_congruence_box_validation():
         CongruenceBox((2,), (0,), 6, 0)
     with pytest.raises(ValueError):
         CongruenceBox((2,), (1,), 6, 6)
-    assert CongruenceBox((2, 3), (1, 2), 6, 5).size() == 12
 
 
 def test_kernel_validation():
@@ -120,26 +122,20 @@ def test_generic_engine_errors():
         restricted_count_stirling(WeightSequence((1, 2)), -1)
 
 
-def test_cost_guard():
+def test_cost_guard(monkeypatch):
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 10)
     a = seq_pp(4)  # box size (12/1)(12/2)(12/2)... comfortably above 10
     with pytest.raises(CostGuardExceeded):
-        restricted_count_stirling(a, 5, box_limit=10)
+        restricted_count_stirling(a, 5)
     with pytest.raises(CostGuardExceeded):
-        pp_stirling(4, box_limit=10)
+        pp_stirling(4)
 
 
 def test_partial_sums_clear_denominators():
     a = WeightSequence((1, 2, 3))
     d, r = a.lcm, a.length
-    box = CongruenceBox(
-        bounds=tuple(d // p - 1 for p in a.parts),
-        weights=a.parts,
-        modulus=d,
-        residue=7 % d,
-    )
-    kernel = StirlingKernel(r, d, 7, stirling_first_unsigned(r))
-    partials = regrouped_partial_sums(box, kernel)
-    scale = factorial(r - 1) * d ** (r - 1)
+    partials = regrouped_partial_sums(*generic_setup(a, 7))
+    scale = math.factorial(r - 1) * d ** (r - 1)
     for value in partials.values():
         assert (value * scale).denominator == 1
     assert sum(partials.values(), Fraction(0)) == restricted_partition_dp(a, 7)
