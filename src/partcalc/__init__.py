@@ -4,20 +4,18 @@ Every quantity can be computed by several independent routes (closed-form
 multiplicity-vector sums, Stirling-number congruence sums, truncated series,
 dynamic programming, exhaustive diagram enumeration), and the routes are
 cross-validated against each other.  All arithmetic is exact.
+
+`import partcalc` loads combinat, sequences, series, formulas and dispatch.
+The stirling and diagrams modules load on first use (a Stirling or
+enumeration request, or one of their names below), and verify only when
+imported.
 """
 
 from __future__ import annotations
 
 from .combinat import binomial, lcm_range, stirling_first_unsigned
-from .diagrams import (
-    DEFAULT_ENUMERATION_CAP,
-    PlanePartitionDiagram,
-    count_diagrams,
-    enumerate_diagrams,
-)
 from .dispatch import METHODS, ComputationRequest, RequestError, compute
 from .formulas import (
-    BlockPolynomial,
     CostGuardExceeded,
     HypothesisError,
     bounded_composition_count,
@@ -42,19 +40,43 @@ from .sequences import (
     spp_multiplicity,
 )
 from .series import euler_product, oracle_value, restricted_partition_dp
-from .stirling import (
-    DEFAULT_BOX_LIMIT,
-    CongruenceBox,
-    StirlingKernel,
-    multipartition_stirling,
-    pp_stirling,
-    ppr_stirling,
-    pps_stirling,
-    ppso_stirling,
-    regrouped_partial_sums,
-    regrouped_sum,
-    restricted_count_stirling,
-)
+
+# The module of each name that loads on first use.  Each access reads the
+# module's attribute afresh, so a replaced function (a tracer, a test
+# double) is the one returned.
+_ON_FIRST_USE = {
+    **dict.fromkeys(
+        (
+            "BlockPolynomial",
+            "CongruenceBox",
+            "DEFAULT_BOX_LIMIT",
+            "StirlingKernel",
+            "multipartition_stirling",
+            "pp_stirling",
+            "ppr_stirling",
+            "pps_stirling",
+            "ppso_stirling",
+            "regrouped_partial_sums",
+            "regrouped_sum",
+            "restricted_count_stirling",
+        ),
+        "stirling",
+    ),
+    **dict.fromkeys(
+        ("DEFAULT_ENUMERATION_CAP", "PlanePartitionDiagram", "count_diagrams", "enumerate_diagrams"),
+        "diagrams",
+    ),
+}
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _ON_FIRST_USE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
 
 __version__ = "0.1.0"
 

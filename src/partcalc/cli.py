@@ -1,7 +1,7 @@
 """Command-line front end: compute single values, emit tables, run verify suites.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 cost-guard
-refusal.
+refusal.  Values print in full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from . import verify
 from .dispatch import METHODS, ComputationRequest, compute
 from .formulas import CostGuardExceeded
 from .sequences import QUANTITIES
@@ -22,12 +21,44 @@ EXIT_COST = 3
 
 FORMATS = ("plain", "json", "csv")
 
+_CHUNK = 10**600
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; usage errors are 1 here.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _verify():
+    """The verify module, imported only by the verify command."""
+    from . import verify
+
+    return verify
+
+
+class _SuiteNames:
+    """verify.SUITES as argparse choices, read only when a verify command
+    checks a suite name or prints them, so no other command loads verify."""
+
+    def __contains__(self, name) -> bool:
+        return name in _verify().SUITES
+
+    def __iter__(self):
+        return iter(_verify().SUITES)
+
+
+def _digits(value: int) -> str:
+    """The decimal digits of value >= 0, however many.  Python 3.11 refuses
+    int to str above 4,300 digits by default, so the digits are converted in
+    chunks of 600, below 640, the least limit the interpreter accepts."""
+    chunks = []
+    while value >= _CHUNK:
+        value, low = divmod(value, _CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 def _parts(text: str) -> tuple[int, ...]:
@@ -73,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     table_p.set_defaults(func=cmd_table)
 
     verify_p = sub.add_parser("verify", help="run a cross-validation suite")
-    verify_p.add_argument("--suite", required=True, choices=verify.SUITES)
+    verify_p.add_argument(
+        "--suite", required=True, choices=_SuiteNames(), metavar="SUITE", help="one of %(choices)s"
+    )
     verify_p.add_argument("--max-n", dest="max_n", type=int)
     verify_p.add_argument("--long-running", dest="long_running", action="store_true")
     verify_p.set_defaults(func=cmd_verify)
@@ -97,7 +130,7 @@ def _json_row(req: ComputationRequest, value: int, used: str) -> dict:
         "r": req.r,
         "parts": None if req.parts is None else list(req.parts),
         "method": used,
-        "value": str(value),
+        "value": _digits(value),
     }
 
 
@@ -115,9 +148,9 @@ def cmd_compute(args) -> int:
         print(json.dumps(_json_row(req, value, used)))
     elif args.format == "csv":
         print("n,value")
-        print(f"{req.n},{value}")
+        print(f"{req.n},{_digits(value)}")
     else:
-        print(f"{_label(req)} = {value}  (method: {used})")
+        print(f"{_label(req)} = {_digits(value)}  (method: {used})")
     return EXIT_OK
 
 
@@ -140,15 +173,15 @@ def cmd_table(args) -> int:
     elif args.format == "csv":
         print("n,value")
         for req, value, _ in rows:
-            print(f"{req.n},{value}")
+            print(f"{req.n},{_digits(value)}")
     else:
         for req, value, _ in rows:
-            print(f"{req.n} {value}")
+            print(f"{req.n} {_digits(value)}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite, max_n=args.max_n, long_running=args.long_running)
+    results = _verify().run_suite(args.suite, max_n=args.max_n, long_running=args.long_running)
     failing = 0
     total_cases = 0
     for res in results:

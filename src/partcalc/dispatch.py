@@ -1,12 +1,23 @@
-"""Route a quantity request to a formula, an oracle, or a Stirling sum."""
+"""Route a quantity request to a formula, an oracle, or a Stirling sum.
+
+The stirling and diagrams modules load on the first request that takes their
+route: a fresh process that runs one theorem or DP request never needs them.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from . import diagrams, formulas, series, stirling
-from .sequences import FAMILIES, QUANTITIES, R_QUANTITIES, Family, WeightSequence, quantity_sequence
+from . import formulas, series
+from .sequences import (
+    FAMILIES,
+    QUANTITIES,
+    R_QUANTITIES,
+    Family,
+    Value,
+    WeightSequence,
+    quantity_sequence,
+)
 
 METHODS = ("auto", "oracle-series", "oracle-dp", "oracle-enum", "theorem", "stirling")
 
@@ -15,36 +26,44 @@ class RequestError(ValueError):
     """Invalid quantity/parameter combination."""
 
 
-@dataclass(frozen=True)
-class ComputationRequest:
-    quantity: str
-    n: int
-    r: int | None = None
-    parts: tuple[int, ...] | None = None
-    method: str = "auto"
-    strict: bool = False
+class ComputationRequest(Value):
+    __slots__ = ("quantity", "n", "r", "parts", "method", "strict")
 
-    def __post_init__(self) -> None:
-        if self.quantity not in QUANTITIES:
-            raise RequestError(f"unknown quantity {self.quantity!r}")
-        if self.n < 0:
+    def __init__(
+        self,
+        quantity: str,
+        n: int,
+        r: int | None = None,
+        parts: tuple[int, ...] | None = None,
+        method: str = "auto",
+        strict: bool = False,
+    ) -> None:
+        if quantity not in QUANTITIES:
+            raise RequestError(f"unknown quantity {quantity!r}")
+        if n < 0:
             raise RequestError("n must be >= 0")
-        if self.method not in METHODS:
-            raise RequestError(f"unknown method {self.method!r}")
-        if self.quantity in R_QUANTITIES:
-            if self.r is None:
-                raise RequestError(f"quantity {self.quantity!r} requires --r")
-            if self.r < 1:
+        if method not in METHODS:
+            raise RequestError(f"unknown method {method!r}")
+        if quantity in R_QUANTITIES:
+            if r is None:
+                raise RequestError(f"quantity {quantity!r} requires --r")
+            if r < 1:
                 raise RequestError("r must be >= 1")
-        elif self.r is not None:
-            raise RequestError(f"quantity {self.quantity!r} does not take --r")
-        if self.quantity == "p_a":
-            if not self.parts:
+        elif r is not None:
+            raise RequestError(f"quantity {quantity!r} does not take --r")
+        if quantity == "p_a":
+            if not parts:
                 raise RequestError("quantity 'p_a' requires --parts")
-            if any(p < 1 for p in self.parts):
+            if any(p < 1 for p in parts):
                 raise RequestError("parts must be positive")
-        elif self.parts is not None:
-            raise RequestError(f"quantity {self.quantity!r} does not take --parts")
+        elif parts is not None:
+            raise RequestError(f"quantity {quantity!r} does not take --parts")
+        self.quantity = quantity
+        self.n = n
+        self.r = r
+        self.parts = parts
+        self.method = method
+        self.strict = strict
 
 
 def _reduce(req: ComputationRequest) -> tuple[str, int, int | None]:
@@ -58,17 +77,23 @@ def _reduce(req: ComputationRequest) -> tuple[str, int, int | None]:
     return q, n, r
 
 
+def _stirling():
+    """The stirling module, imported by the first Stirling request."""
+    from . import stirling
+
+    return stirling
+
+
 def _path(req: ComputationRequest) -> Callable[[], int] | None:
     """The theorem or Stirling evaluation of req.method, or None outside the
-    family's stated range, and for auto also when A_n has more vectors than
-    the theorem route walks."""
+    family's stated range."""
     stirling_route = req.method == "stirling"
     if req.quantity == "p_a":
         parts, n = req.parts, req.n
         assert parts is not None
         if not stirling_route:
             return None
-        return lambda: stirling.restricted_count_stirling(WeightSequence.from_parts(parts), n)
+        return lambda: _stirling().restricted_count_stirling(WeightSequence.from_parts(parts), n)
     q, n, r = _reduce(req)
     family = FAMILIES[q]
     if not family.holds(n, r):
@@ -76,11 +101,9 @@ def _path(req: ComputationRequest) -> Callable[[], int] | None:
     if family.stem is None:  # p has no closed form; its Stirling sum is the generic engine
         if not stirling_route:
             return None
-        return lambda: stirling.restricted_count_stirling(quantity_sequence(q, n), n)
+        return lambda: _stirling().restricted_count_stirling(quantity_sequence(q, n), n)
     if stirling_route:
         return lambda: wrapper_value(family, "stirling", n, r)
-    if req.method == "auto" and not formulas.within_vector_limit(n):
-        return None
     return lambda: wrapper_value(family, "formula", n, r)
 
 
@@ -91,12 +114,14 @@ def wrapper_value(family: Family, kind: str, n: int, r: int | None = None) -> in
     The wrapper is looked up on each call, so a replaced module attribute
     (a tracer, a test double) is the one called.
     """
-    module = stirling if kind == "stirling" else formulas
+    module = _stirling() if kind == "stirling" else formulas
     wrapper = getattr(module, f"{family.stem}_{kind}")
     return wrapper(n, r) if family.takes_r else wrapper(n)
 
 
 def _enum_value(req: ComputationRequest) -> int:
+    from . import diagrams  # imported by the first enumeration request
+
     family = FAMILIES.get(req.quantity)
     kind = family.diagram if family else None
     if req.quantity == "ppso":
@@ -133,7 +158,12 @@ def compute(req: ComputationRequest) -> tuple[int, str]:
     if req.method == "auto":
         path = _path(req)
         if path is not None:
-            return path(), "theorem"
+            # The theorem sum checks the vector limit before it walks, so a
+            # refusal here has done no work and the DP takes over.
+            try:
+                return path(), "theorem"
+            except formulas.CostGuardExceeded:
+                pass
         return _oracle(req, "dp"), "oracle-dp"
     if req.method in ("theorem", "stirling"):
         path = _path(req)

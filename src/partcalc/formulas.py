@@ -16,12 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .combinat import binomial
 from .sequences import FAMILIES
-from .series import oracle_value, restricted_partition_row
+from .series import CostGuardExceeded, oracle_value, restricted_partition_row
 
 # Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
 # within, p(61) = 1,121,505 is not.
@@ -30,12 +29,6 @@ VECTOR_LIMIT = 10**6
 
 class HypothesisError(ValueError):
     """An evaluator was called outside its validity range."""
-
-
-class CostGuardExceeded(RuntimeError):
-    """A route's work is above its limit: the points of a Stirling
-    congruence box, the multiplicity vectors of a theorem sum, or the n of a
-    diagram enumeration."""
 
 
 def stated_pattern(quantity: str, wrapper: str, n: int, r: int | None = None) -> list[int]:
@@ -67,55 +60,6 @@ def bounded_composition_count(total: int, copies: int, limit: int) -> int:
         term = binomial(copies, i) * binomial(rest + copies - 1, copies - 1)
         out += term if i % 2 == 0 else -term
     return out
-
-
-@dataclass(frozen=True)
-class BlockPolynomial:
-    """(1 + z + ... + z^alpha)^copies with alpha = modulus/copies - 1.
-
-    Coefficients can be read off two ways — direct expansion and the
-    inclusion-exclusion closed form — and the two must agree.  The polynomial
-    is reciprocal: coefficient(k) == coefficient(degree - k).
-    """
-
-    copies: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if self.modulus % self.copies:
-            raise ValueError("copies must divide modulus")
-
-    @property
-    def alpha(self) -> int:
-        return self.modulus // self.copies - 1
-
-    @property
-    def degree(self) -> int:
-        return self.copies * self.alpha
-
-    def coefficients(self) -> tuple[int, ...]:
-        out = [1]
-        for _ in range(self.copies):
-            grown = [0] * (len(out) + self.alpha)
-            for i, c in enumerate(out):
-                for j in range(self.alpha + 1):
-                    grown[i + j] += c
-            out = grown
-        return tuple(out)
-
-    def coefficient_direct(self, k: int) -> int:
-        if k < 0 or k > self.degree:
-            return 0
-        return self.coefficients()[k]
-
-    def coefficient_closed(self, k: int) -> int:
-        if k < 0:
-            return 0
-        return bounded_composition_count(k, self.copies, self.alpha)
 
 
 # Only verify lists the vectors, once per n; the sums below walk A_n without
@@ -154,9 +98,23 @@ def vector_count(n: int) -> int:
     return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
 
 
+def _vector_count_to_limit(n: int) -> tuple[int, int]:
+    """(k, p(k)): k = n, or the first k of 64, 128, 256, ... below n with
+    p(k) above VECTOR_LIMIT.  p is nondecreasing, so p(n) >= p(k) then.  The
+    first row already passes the default limit (p(61) is above it), so the
+    check costs one row of at most 64 whatever n is."""
+    k = 64
+    while k < n:
+        count = vector_count(k)
+        if count > VECTOR_LIMIT:
+            return k, count
+        k *= 2
+    return n, vector_count(n)
+
+
 def within_vector_limit(n: int) -> bool:
     """Whether the theorem sum over A_n walks at most VECTOR_LIMIT vectors."""
-    return vector_count(n) <= VECTOR_LIMIT
+    return _vector_count_to_limit(n)[1] <= VECTOR_LIMIT
 
 
 def _vector_sum(n: int, pattern: list[int]) -> int:
@@ -165,9 +123,11 @@ def _vector_sum(n: int, pattern: list[int]) -> int:
     Raises CostGuardExceeded up front when A_n has more than VECTOR_LIMIT
     vectors.
     """
-    if not within_vector_limit(n):
+    k, count = _vector_count_to_limit(n)
+    if count > VECTOR_LIMIT:
+        at_least = "" if k == n else f"at least p({k}) = "
         raise CostGuardExceeded(
-            f"A_{n} has {vector_count(n)} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
+            f"A_{n} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
         )
     return _walk(n, n, pattern)
 

@@ -20,12 +20,30 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 
-@dataclass(frozen=True)
-class Family:
+class Value:
+    """A value type: its fields are its __slots__, set in __init__ and never
+    changed after; instances compare, hash and print by those fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Family(Value):
     """A counting family: its multiplicity pattern, stated range and diagram kind.
 
     multiplicity(k, r) is the number of times part k repeats.  The theorem and
@@ -35,11 +53,21 @@ class Family:
     wrappers formulas.<stem>_formula and stirling.<stem>_stirling; p has none.
     """
 
-    multiplicity: Callable[[int, int | None], int]
-    min_n: int
-    takes_r: bool = False
-    diagram: str | None = None
-    stem: str | None = None
+    __slots__ = ("multiplicity", "min_n", "takes_r", "diagram", "stem")
+
+    def __init__(
+        self,
+        multiplicity: Callable[[int, int | None], int],
+        min_n: int,
+        takes_r: bool = False,
+        diagram: str | None = None,
+        stem: str | None = None,
+    ) -> None:
+        self.multiplicity = multiplicity
+        self.min_n = min_n
+        self.takes_r = takes_r
+        self.diagram = diagram
+        self.stem = stem
 
     def holds(self, n: int, r: int | None = None) -> bool:
         """Whether (n, r) lies in the stated range."""
@@ -74,19 +102,19 @@ def spp_multiplicity(k: int) -> int:
     return 1 if k % 2 else k // 4
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Value):
     """Nondecreasing list of positive integer parts, multiplicities explicit."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if not parts:
             raise ValueError("WeightSequence needs at least one part")
-        if any(p < 1 for p in self.parts):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a > b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be nondecreasing")
+        self.parts = parts
 
     @classmethod
     def from_parts(cls, parts) -> "WeightSequence":
@@ -113,20 +141,20 @@ class WeightSequence:
         return out
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Value):
     """Part -> multiplicity map on 1..bound; weights[k-1] is the multiplicity of k."""
 
-    bound: int
-    weights: tuple[int, ...]
+    __slots__ = ("bound", "weights")
 
-    def __post_init__(self) -> None:
-        if self.bound < 1:
+    def __init__(self, bound: int, weights: tuple[int, ...]) -> None:
+        if bound < 1:
             raise ValueError("WeightFunction requires bound >= 1")
-        if len(self.weights) != self.bound:
+        if len(weights) != bound:
             raise ValueError("need one weight per part in 1..bound")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
+        self.bound = bound
+        self.weights = weights
 
     def __call__(self, k: int) -> int:
         if 1 <= k <= self.bound:

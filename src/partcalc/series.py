@@ -13,9 +13,9 @@ restricted_partition_row, so a[n] is the coefficient of z^n.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from math import comb
 from operator import mul
-from typing import Iterable
 
 from .sequences import (
     QUANTITIES,
@@ -29,6 +29,17 @@ from .sequences import (
 # of the signed recurrence is cheaper (the two cross between m = 12 and 14
 # for P_r at n = 100..300).
 STRIDE_PASSES_UP_TO = 12
+
+# Most parts the DP oracle expands a family's pattern into (the sum of the
+# multiplicities of 1..n, counted before expanding); read at call time.
+# pp(2000) expands 2,001,000.
+DP_PART_LIMIT = 10**7
+
+
+class CostGuardExceeded(RuntimeError):
+    """A route's work is above its limit: the parts of a DP, the points of a
+    Stirling congruence box, the multiplicity vectors of a theorem sum, or
+    the n of a diagram enumeration."""
 
 
 def euler_product(weights: WeightFunction, degree_bound: int) -> tuple[int, ...]:
@@ -140,4 +151,10 @@ def oracle_value(
     weights = quantity_weights(quantity, n, r)
     if backend == "series":
         return euler_product(weights, n)[n]
+    parts = sum(weights.weights)
+    if parts > DP_PART_LIMIT:
+        raise CostGuardExceeded(
+            f"the DP would expand {quantity} at n = {n} into {parts} parts, above the limit "
+            f"of {DP_PART_LIMIT}; --method oracle-series does not expand them"
+        )
     return restricted_partition_dp(weights.expand(), n)

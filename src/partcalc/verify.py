@@ -148,11 +148,11 @@ def _suite_examples(max_n=None, long_running=False) -> list[CheckResult]:
             res.expect(formulas.multiplicity_vectors(n), want, f"vectors for n={n}")
 
     res = checks["block-coefficients"]
-    poly = formulas.BlockPolynomial(2, 6)
+    poly = stirling.BlockPolynomial(2, 6)
     res.expect(poly.coefficients(), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
-    poly = formulas.BlockPolynomial(3, 6)
+    poly = stirling.BlockPolynomial(3, 6)
     res.expect(poly.coefficients(), (1, 3, 3, 1), "block (1+z)^3")
-    poly = formulas.BlockPolynomial(2, 12)
+    poly = stirling.BlockPolynomial(2, 12)
     res.expect(poly.coefficient_closed(3), 4, "copies=2 modulus=12 coefficient 3")
     res.expect(poly.coefficient_closed(5), 6, "copies=2 modulus=12 coefficient 5")
 
@@ -264,7 +264,7 @@ def _suite_cross_method(max_n=None, long_running=False) -> list[CheckResult]:
         for copies in range(1, 7):
             if modulus % copies:
                 continue
-            poly = formulas.BlockPolynomial(copies, modulus)
+            poly = stirling.BlockPolynomial(copies, modulus)
             coeffs = poly.coefficients()
             label = f"copies={copies} modulus={modulus}"
             for k in range(poly.degree + 1):

@@ -15,7 +15,6 @@ import pytest
 from partcalc.diagrams import count_diagrams
 from partcalc.dispatch import ComputationRequest, compute
 from partcalc.formulas import (
-    BlockPolynomial,
     multipartition_formula,
     multiplicity_vectors,
     pp_formula,
@@ -32,6 +31,7 @@ from partcalc.sequences import (
 )
 from partcalc.series import euler_product, oracle_value, restricted_partition_dp
 from partcalc.stirling import (
+    BlockPolynomial,
     multipartition_stirling,
     pp_stirling,
     ppr_stirling,

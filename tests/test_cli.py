@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
-from partcalc import formulas, verify
+from partcalc import formulas, series, verify
 from partcalc.cli import main
 from partcalc.formulas import CostGuardExceeded
+from partcalc.series import oracle_value
 
 
 def run_cli(capsys, *argv):
@@ -257,4 +259,51 @@ def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["verify", "--suite", "everything"])
     assert exc_info.value.code == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "invalid choice: 'everything'" in err
+    assert "'examples'" in err
+
+
+def test_long_values_print_in_full(capsys):
+    # P_r(100) at r = 10**9 has 743 digits, more than the lowered limit of 640.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int to str conversion")
+    old_limit = sys.get_int_max_str_digits()
+    value = oracle_value("P_r", 100, r=10**9, backend="series")
+    try:
+        sys.set_int_max_str_digits(640)
+        args = ("--quantity", "P_r", "--r", str(10**9), "--method", "oracle-series")
+        code, out, _ = run_cli(capsys, "compute", "--n", "100", *args)
+        assert code == 0
+        digits = out.split(" = ")[1].split()[0]
+        assert len(digits) > 640
+        code, out, _ = run_cli(capsys, "compute", "--n", "100", *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == digits
+        code, out, _ = run_cli(capsys, "compute", "--n", "100", *args, "--format", "csv")
+        assert out == f"n,value\n100,{digits}\n"
+        code, out, _ = run_cli(
+            capsys, "table", "--from", "99", "--to", "100", *args, "--format", "csv"
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == f"100,{digits}"
+        code, out, _ = run_cli(capsys, "table", "--from", "100", "--to", "100", *args)
+        assert out == f"100 {digits}\n"
+        with pytest.raises(ValueError):
+            str(value)  # the interpreter's limit still holds outside the CLI
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert digits == str(value)
+
+
+def test_dp_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(series, "DP_PART_LIMIT", 1000)
+    code, out, err = run_cli(capsys, "compute", "--quantity", "P_r", "--n", "50", "--r", "100")
+    assert code == 3
+    assert out == ""
+    assert "cost guard" in err and "--method oracle-series" in err
+    code, out, _ = run_cli(
+        capsys, "compute", "--quantity", "P_r", "--n", "50", "--r", "100", "--method", "oracle-series"
+    )
+    assert code == 0
+    assert out.startswith("P_r(50; r=100) = ")

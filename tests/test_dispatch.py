@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -216,3 +218,29 @@ def test_r_quantities_match_dp(r, n, method):
         want = oracle_value(quantity, n, r=r)
         got, _ = compute(ComputationRequest(quantity, n, r=r, method=method))
         assert got == want
+
+
+def test_auto_counts_the_vectors_once(monkeypatch):
+    rows = []
+    vector_count = formulas.vector_count
+
+    def spy(n):
+        rows.append(n)
+        return vector_count(n)
+
+    monkeypatch.setattr(formulas, "vector_count", spy)
+    assert compute(ComputationRequest("pp", 60)) == (oracle_value("pp", 60), "theorem")
+    assert rows == [60]
+    rows.clear()
+    # Above the limit the p-row stops at 64, where p(64) already passes it.
+    assert compute(ComputationRequest("pp", 300)) == (oracle_value("pp", 300), "oracle-dp")
+    assert rows == [64]
+
+
+def test_vector_limit_check_does_not_grow_with_n():
+    start = time.perf_counter()
+    assert not formulas.within_vector_limit(10**5)
+    assert not formulas.within_vector_limit(10**9)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(CostGuardExceeded, match=r"A_100000 has at least p\(64\) = 1741630"):
+        compute(ComputationRequest("pp", 10**5, method="theorem"))

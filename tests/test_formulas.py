@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from partcalc import formulas
 from partcalc.formulas import (
     VECTOR_LIMIT,
-    BlockPolynomial,
     CostGuardExceeded,
     HypothesisError,
     bounded_composition_count,
@@ -26,6 +25,7 @@ from partcalc.formulas import (
 )
 from partcalc.sequences import FAMILIES
 from partcalc.series import oracle_value
+from partcalc.stirling import BlockPolynomial
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
 A4 = ((4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1))

@@ -222,3 +222,23 @@ def test_weight_function_expansion_matches_series():
         )
         want = truncated[n] if n >= 1 else 1
         assert restricted_partition_dp(a, n) == want
+
+
+def test_dp_guard_counts_the_parts_before_expanding(monkeypatch):
+    # pp(5) expands into 1 + 2 + 3 + 4 + 5 = 15 parts, pp(6) into 21.
+    monkeypatch.setattr(series, "DP_PART_LIMIT", 15)
+    assert oracle_value("pp", 5) == PP_ROW[5]
+    with pytest.raises(series.CostGuardExceeded, match="--method oracle-series"):
+        oracle_value("pp", 6)
+    assert oracle_value("pp", 6, backend="series") == PP_ROW[6]
+    # P_r at r = 1000 passes the limit at part 1; nothing is expanded.
+    expanded = []
+    monkeypatch.setattr(WeightFunction, "expand", lambda self: expanded.append(self))
+    with pytest.raises(series.CostGuardExceeded):
+        oracle_value("P_r", 50, r=1000)
+    assert expanded == []
+    assert formulas.CostGuardExceeded is series.CostGuardExceeded
+
+
+def test_dp_guard_admits_pp_at_2000():
+    assert series.DP_PART_LIMIT >= 2000 * 2001 // 2
