@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .dispatch import METHODS, ComputationRequest, compute
+from .dispatch import METHODS, ComputationRequest, compute, compute_table
 from .formulas import CostGuardExceeded
 from .sequences import QUANTITIES
 
@@ -123,12 +123,12 @@ def _label(req: ComputationRequest) -> str:
     return f"{req.quantity}({inner})"
 
 
-def _json_row(req: ComputationRequest, value: int, used: str) -> dict:
+def _json_row(quantity: str, n: int, r, parts, value: int, used: str) -> dict:
     return {
-        "quantity": req.quantity,
-        "n": req.n,
-        "r": req.r,
-        "parts": None if req.parts is None else list(req.parts),
+        "quantity": quantity,
+        "n": n,
+        "r": r,
+        "parts": None if parts is None else list(parts),
         "method": used,
         "value": _digits(value),
     }
@@ -145,7 +145,7 @@ def cmd_compute(args) -> int:
     )
     value, used = compute(req)
     if args.format == "json":
-        print(json.dumps(_json_row(req, value, used)))
+        print(json.dumps(_json_row(req.quantity, req.n, req.r, req.parts, value, used)))
     elif args.format == "csv":
         print("n,value")
         print(f"{req.n},{_digits(value)}")
@@ -161,22 +161,19 @@ def cmd_table(args) -> int:
     if args.n_from < 0 or args.n_from > args.n_to:
         print("partcalc: error: need 0 <= --from <= --to", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    for n in range(args.n_from, args.n_to + 1):
-        req = ComputationRequest(
-            quantity=args.quantity, n=n, r=args.r, method=args.method, strict=args.strict
-        )
-        value, used = compute(req)
-        rows.append((req, value, used))
+    rows = compute_table(
+        args.quantity, args.n_from, args.n_to, r=args.r, method=args.method, strict=args.strict
+    )
     if args.format == "json":
-        print(json.dumps([_json_row(req, value, used) for req, value, used in rows]))
+        out = [_json_row(args.quantity, n, args.r, None, value, used) for n, value, used in rows]
+        print(json.dumps(out))
     elif args.format == "csv":
         print("n,value")
-        for req, value, _ in rows:
-            print(f"{req.n},{_digits(value)}")
+        for n, value, _ in rows:
+            print(f"{n},{_digits(value)}")
     else:
-        for req, value, _ in rows:
-            print(f"{req.n} {_digits(value)}")
+        for n, value, _ in rows:
+            print(f"{n} {_digits(value)}")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from .sequences import (
 )
 
 METHODS = ("auto", "oracle-series", "oracle-dp", "oracle-enum", "theorem", "stirling")
+ORACLES = ("oracle-dp", "oracle-series")
 
 
 class RequestError(ValueError):
@@ -85,8 +86,8 @@ def _stirling():
 
 
 def _path(req: ComputationRequest) -> Callable[[], int] | None:
-    """The theorem or Stirling evaluation of req.method, or None outside the
-    family's stated range."""
+    """The Stirling evaluation for method "stirling", else the theorem
+    evaluation, or None outside the family's stated range."""
     stirling_route = req.method == "stirling"
     if req.quantity == "p_a":
         parts, n = req.parts, req.n
@@ -125,7 +126,7 @@ def _enum_value(req: ComputationRequest) -> int:
     family = FAMILIES.get(req.quantity)
     kind = family.diagram if family else None
     if req.quantity == "ppso":
-        kind = "symmetric"  # known defect, ROADMAP item 3: counts another sequence
+        kind = "symmetric"  # known defect, ROADMAP item 4: counts another sequence
     if kind is None:
         raise RequestError(f"no diagram predicate for quantity {req.quantity!r}")
     if req.n == 0:
@@ -134,47 +135,89 @@ def _enum_value(req: ComputationRequest) -> int:
     return diagrams.count_diagrams(req.n, kind, r=r)
 
 
-def _oracle(req: ComputationRequest, backend: str) -> int:
+def _oracle(req: ComputationRequest, route: str) -> int:
     return series.oracle_value(
-        req.quantity, req.n, r=req.r, parts=req.parts, backend=backend
+        req.quantity, req.n, r=req.r, parts=req.parts, backend=route.removeprefix("oracle-")
     )
+
+
+def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
+    """The route with the least estimated work among those whose guard admits
+    req: the theorem walk when theorem is set, then oracle-dp, then
+    oracle-series, in the order that breaks a tie.  Raises CostGuardExceeded
+    when every one is refused."""
+    best = None
+    if theorem:
+        leaves = formulas.vector_work(req.n)
+        if leaves <= formulas.VECTOR_LIMIT:
+            best = (leaves, "theorem")
+    refusals = []
+    for backend in ("dp", "series"):
+        work, refusal = series.oracle_cost(backend, req.quantity, req.n, r=req.r, parts=req.parts)
+        if refusal:
+            refusals.append(refusal)
+        elif best is None or work < best[0]:
+            best = (work, f"oracle-{backend}")
+    if best is None:
+        raise formulas.CostGuardExceeded("; ".join(refusals))
+    return best[1]
 
 
 def compute(req: ComputationRequest) -> tuple[int, str]:
     """Evaluate the request; returns (value, method actually used).
 
-    method="auto" prefers the closed-form evaluator when its hypothesis
-    holds and A_n has at most formulas.VECTOR_LIMIT vectors, and takes the
-    DP oracle otherwise.  Explicit "theorem"/"stirling"
-    requests outside their hypotheses fall back the same way unless
-    strict=True, in which case they raise HypothesisError.
+    method="auto" runs the route with the least estimated work, in
+    big-integer multiply-adds, among those whose guard admits the request:
+    the theorem walk (p(n) leaves) where the family's stated range holds,
+    the DP oracle (series.dp_work) and the series oracle
+    (series.series_work); a tie goes to the theorem, then to the DP.
+    Explicit "theorem"/"stirling" requests outside their hypotheses take
+    the cheaper oracle the same way unless strict=True, in which case they
+    raise HypothesisError.  A route above its limit raises
+    CostGuardExceeded.
     """
-    if req.method == "oracle-dp":
-        return _oracle(req, "dp"), "oracle-dp"
-    if req.method == "oracle-series":
-        return _oracle(req, "series"), "oracle-series"
+    if req.method in ORACLES:
+        return _oracle(req, req.method), req.method
     if req.method == "oracle-enum":
         return _enum_value(req), "oracle-enum"
-    if req.method == "auto":
-        path = _path(req)
-        if path is not None:
-            # The theorem sum checks the vector limit before it walks, so a
-            # refusal here has done no work and the DP takes over.
-            try:
-                return path(), "theorem"
-            except formulas.CostGuardExceeded:
-                pass
-        return _oracle(req, "dp"), "oracle-dp"
-    if req.method in ("theorem", "stirling"):
-        path = _path(req)
-        if path is None:
-            if req.strict:
-                raise formulas.HypothesisError(
-                    f"method {req.method!r} does not cover {_describe(req)}"
-                )
-            return _oracle(req, "dp"), "oracle-dp"
+    path = _path(req)
+    if req.method != "auto" and path is not None:
         return path(), req.method
-    raise RequestError(f"unknown method {req.method!r}")
+    if req.method != "auto" and req.strict:
+        raise formulas.HypothesisError(f"method {req.method!r} does not cover {_describe(req)}")
+    route = _cheapest(req, theorem=path is not None)
+    if route == "theorem":
+        return path(), route
+    # _cheapest has had the guard admit the route, so it is not asked again.
+    value = series.admitted_value(
+        route.removeprefix("oracle-"), req.quantity, req.n, r=req.r, parts=req.parts
+    )
+    return value, route
+
+
+def compute_table(
+    quantity: str,
+    n_from: int,
+    n_to: int,
+    r: int | None = None,
+    method: str = "auto",
+    strict: bool = False,
+) -> list[tuple[int, int, str]]:
+    """(n, value, method actually used) for n = n_from..n_to.
+
+    auto and the two oracles read one oracle row up to n_to, auto the one
+    with the smaller estimate there, and every row carries that oracle's
+    label; the guard is checked once, at n_to.  The other methods evaluate
+    each n as compute does.
+    """
+    top = ComputationRequest(quantity, n_to, r=r, method=method, strict=strict)
+    ns = range(n_from, n_to + 1)
+    if method not in ("auto", *ORACLES):
+        return [(n, *compute(ComputationRequest(quantity, n, r, method=method, strict=strict)))
+                for n in ns]
+    route = _cheapest(top) if method == "auto" else method
+    row = series.oracle_row(quantity, n_to, r=r, backend=route.removeprefix("oracle-"))
+    return [(n, row[n], route) for n in ns]
 
 
 def _describe(req: ComputationRequest) -> str:

@@ -112,9 +112,15 @@ def _vector_count_to_limit(n: int) -> tuple[int, int]:
     return n, vector_count(n)
 
 
+def vector_work(n: int) -> int:
+    """The theorem route's work estimate: p(n), the leaves of its walk over
+    A_n, or a p(k) with k < n once that passes VECTOR_LIMIT."""
+    return _vector_count_to_limit(n)[1]
+
+
 def within_vector_limit(n: int) -> bool:
     """Whether the theorem sum over A_n walks at most VECTOR_LIMIT vectors."""
-    return _vector_count_to_limit(n)[1] <= VECTOR_LIMIT
+    return vector_work(n) <= VECTOR_LIMIT
 
 
 def _vector_sum(n: int, pattern: list[int]) -> int:

@@ -18,9 +18,11 @@ WeightFunction is the compressed part -> multiplicity view on 1..bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from collections.abc import Callable
+from operator import gt
 
 
 class Value:
@@ -110,9 +112,9 @@ class WeightSequence(Value):
     def __init__(self, parts: tuple[int, ...]) -> None:
         if not parts:
             raise ValueError("WeightSequence needs at least one part")
-        if any(p < 1 for p in parts):
+        if min(parts) < 1:
             raise ValueError("parts must be positive")
-        if any(a > b for a, b in zip(parts, parts[1:])):
+        if any(map(gt, parts, parts[1:])):
             raise ValueError("parts must be nondecreasing")
         self.parts = parts
 
@@ -151,7 +153,7 @@ class WeightFunction(Value):
             raise ValueError("WeightFunction requires bound >= 1")
         if len(weights) != bound:
             raise ValueError("need one weight per part in 1..bound")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise ValueError("weights must be nonnegative")
         self.bound = bound
         self.weights = weights
@@ -207,6 +209,8 @@ def seq_multipartition(n: int, r: int) -> WeightSequence:
     return quantity_sequence("P_r", n, r)
 
 
+# A request's oracle reads the weights that its cost estimate read.
+@functools.lru_cache(maxsize=16)
 def quantity_weights(quantity: str, bound: int, r: int | None = None) -> WeightFunction:
     if bound < 1:
         raise ValueError("quantity_weights requires bound >= 1")

@@ -6,18 +6,23 @@ over the expanded weight sequence — by different algorithms, and the test
 suite holds them equal.  The series route (euler_product) fills the whole
 row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in O(N^2)
 exact steps; the DP route divides the row by (1 - z^k)^m once per distinct
-part k of multiplicity m.  A truncated series is a plain sequence of its
-coefficients, a tuple from euler_product and a list from
-restricted_partition_row, so a[n] is the coefficient of z^n.
+part k of multiplicity m.  dp_work and series_work estimate their work in
+big-integer multiply-adds, the unit the route choice compares, and both
+oracles refuse a request whose estimate is above ORACLE_WORK_LIMIT.  A
+truncated series is a plain sequence of its coefficients, a tuple from
+euler_product and a list from restricted_partition_row, so a[n] is the
+coefficient of z^n.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import functools
+from collections.abc import Iterable, Sequence
 from math import comb
-from operator import mul
+from operator import itemgetter, mul
 
 from .sequences import (
+    FAMILIES,
     QUANTITIES,
     R_QUANTITIES,
     WeightFunction,
@@ -35,11 +40,16 @@ STRIDE_PASSES_UP_TO = 12
 # pp(2000) expands 2,001,000.
 DP_PART_LIMIT = 10**7
 
+# Most big-integer multiply-adds an oracle may take on one request or one
+# table row, by its estimate (dp_work, series_work); read at call time.
+# pp(2000) takes about 1.2e7 by the DP and 2.0e6 by the series.
+ORACLE_WORK_LIMIT = 10**8
+
 
 class CostGuardExceeded(RuntimeError):
-    """A route's work is above its limit: the parts of a DP, the points of a
-    Stirling congruence box, the multiplicity vectors of a theorem sum, or
-    the n of a diagram enumeration."""
+    """A route's work is above its limit: the multiply-adds of an oracle, the
+    parts of a DP, the points of a Stirling congruence box, the multiplicity
+    vectors of a theorem sum, or the n of a diagram enumeration."""
 
 
 def euler_product(weights: WeightFunction, degree_bound: int) -> tuple[int, ...]:
@@ -109,12 +119,132 @@ def restricted_partition_dp(a: WeightSequence, n: int) -> int:
     return restricted_partition_row(a.runs(), n)[n]
 
 
+def dp_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
+    """Estimated multiply-adds of restricted_partition_row(pairs, top): one
+    pass of top - k + 1 cells per copy of a part k of multiplicity
+    m <= STRIDE_PASSES_UP_TO, one pass of min(m, top // k) terms per cell
+    above.
+
+    The sum stops once it passes ORACLE_WORK_LIMIT, so a pattern far above
+    the limit is not read to its end; the figure is then a lower bound.
+    """
+    total, limit = 0, ORACLE_WORK_LIMIT
+    for k, m in pairs:
+        if m and k <= top:
+            total += (top - k + 1) * (m if m <= STRIDE_PASSES_UP_TO else min(m, top // k))
+            if total > limit:
+                break
+    return total
+
+
+def series_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
+    """Estimated multiply-adds of euler_product to top: the support pairs of
+    its recurrence, top - k + 1 for each k <= top with b(k) != 0.
+
+    b(k) != 0 exactly when a part of nonzero multiplicity divides k, so each
+    such part adds the pairs of its multiples, and a k with several of them
+    counts once for each.  The pairs come in increasing order of part, and
+    the sum stops at part 1, which divides every k: the figure is exact when
+    1 is a part, as in every family, and an upper bound otherwise.  Like
+    dp_work, it stops past ORACLE_WORK_LIMIT.
+    """
+    total = 0
+    for d, m in pairs:
+        if m and d <= top:
+            j = top // d
+            total += j * (top + 1) - d * j * (j + 1) // 2
+            if d == 1 or total > ORACLE_WORK_LIMIT:
+                break
+    return total
+
+
+# A p_a request's estimates and its oracle read one sorted part list.
+@functools.lru_cache(maxsize=16)
+def _part_sequence(
+    parts: tuple[int, ...],
+) -> tuple[WeightSequence, tuple[tuple[int, int], ...]]:
+    """The part list as a WeightSequence, with its runs."""
+    a = WeightSequence.from_parts(parts)
+    return a, tuple(a.runs())
+
+
+def _pairs(
+    quantity: str, n: int, r: int | None, parts: tuple[int, ...] | None
+) -> Iterable[tuple[int, int]]:
+    """(part, multiplicity) of the request's pattern, in increasing order of
+    part.  A family's pattern comes from the cached quantity_weights when the
+    series' work on it, n(n+1)/2, is within ORACLE_WORK_LIMIT, so the
+    estimates and the oracle read one listing; a longer one is made lazily,
+    so an estimate reads it only as far as it needs."""
+    if quantity == "p_a":
+        return _part_sequence(tuple(parts))[1]
+    if n * (n + 1) // 2 <= ORACLE_WORK_LIMIT:
+        return enumerate(quantity_weights(quantity, n, r).weights if n else (), start=1)
+    multiplicity = FAMILIES[quantity].multiplicity
+    return ((k, multiplicity(k, r)) for k in range(1, n + 1))
+
+
+def oracle_cost(
+    backend: str,
+    quantity: str,
+    n: int,
+    *,
+    r: int | None = None,
+    parts: tuple[int, ...] | None = None,
+) -> tuple[int, str | None]:
+    """(work, refusal) of the oracle backend ("dp" or "series") on a request:
+    its estimated multiply-adds (dp_work or series_work), and why its guard
+    refuses the request, or None when the guard admits it.
+
+    The guard refuses work above ORACLE_WORK_LIMIT.  The DP also refuses a
+    family's pattern of more than DP_PART_LIMIT parts, which it would expand;
+    they are counted only once the work is within its limit, which bounds n
+    for every family.
+    """
+    estimate = dp_work if backend == "dp" else series_work
+    work = estimate(_pairs(quantity, n, r, parts), n)
+    if work > ORACLE_WORK_LIMIT:
+        name = "DP" if backend == "dp" else "series"
+        return work, (
+            f"the {name} oracle needs at least {work} multiply-adds for {quantity} at "
+            f"n = {n}, above the limit of {ORACLE_WORK_LIMIT}"
+        )
+    if backend == "dp" and quantity != "p_a":  # p_a lists its parts already
+        count = sum(map(itemgetter(1), _pairs(quantity, n, r, parts)))
+        if count > DP_PART_LIMIT:
+            return work, (
+                f"the DP would expand {quantity} at n = {n} into {count} parts, above the "
+                f"limit of {DP_PART_LIMIT}; --method oracle-series does not expand them"
+            )
+    return work, None
+
+
 def _pa_weight_function(parts: tuple[int, ...], bound: int) -> WeightFunction:
     weights = [0] * bound
     for p in parts:
         if p <= bound:
             weights[p - 1] += 1
     return WeightFunction(bound, tuple(weights))
+
+
+def _admit(
+    backend: str, quantity: str, n: int, r: int | None, parts: tuple[int, ...] | None
+) -> None:
+    """Validate an oracle request and raise CostGuardExceeded when
+    oracle_cost refuses it."""
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if backend not in ("dp", "series"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if quantity in R_QUANTITIES and r is None:
+        raise ValueError(f"quantity {quantity!r} requires r")
+    if quantity == "p_a" and not parts:
+        raise ValueError("quantity 'p_a' requires parts")
+    refusal = oracle_cost(backend, quantity, n, r=r, parts=parts)[1]
+    if refusal:
+        raise CostGuardExceeded(refusal)
 
 
 def oracle_value(
@@ -127,20 +257,25 @@ def oracle_value(
 ) -> int:
     """Count by weight sequence: DP by default, series coefficient on request.
 
-    Every quantity returns 1 at n = 0 (the empty partition).
+    Every quantity returns 1 at n = 0 (the empty partition).  Raises
+    CostGuardExceeded when oracle_cost refuses the request.
     """
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if backend not in ("dp", "series"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if quantity in R_QUANTITIES and r is None:
-        raise ValueError(f"quantity {quantity!r} requires r")
+    _admit(backend, quantity, n, r, parts)
+    return admitted_value(backend, quantity, n, r=r, parts=parts)
+
+
+def admitted_value(
+    backend: str,
+    quantity: str,
+    n: int,
+    *,
+    r: int | None = None,
+    parts: tuple[int, ...] | None = None,
+) -> int:
+    """oracle_value without its checks, for a caller that has validated the
+    request and whose oracle_cost call admitted it."""
     if quantity == "p_a":
-        if not parts:
-            raise ValueError("quantity 'p_a' requires parts")
-        a = WeightSequence.from_parts(parts)
+        a = _part_sequence(tuple(parts))[0]
         if backend == "series":
             if n == 0:
                 return 1
@@ -151,10 +286,21 @@ def oracle_value(
     weights = quantity_weights(quantity, n, r)
     if backend == "series":
         return euler_product(weights, n)[n]
-    parts = sum(weights.weights)
-    if parts > DP_PART_LIMIT:
-        raise CostGuardExceeded(
-            f"the DP would expand {quantity} at n = {n} into {parts} parts, above the limit "
-            f"of {DP_PART_LIMIT}; --method oracle-series does not expand them"
-        )
     return restricted_partition_dp(weights.expand(), n)
+
+
+def oracle_row(
+    quantity: str, top: int, *, r: int | None = None, backend: str = "dp"
+) -> Sequence[int]:
+    """A family's counts at n = 0..top from one oracle row: the series of
+    euler_product, or one restricted_partition_row over the pattern's
+    (part, multiplicity) pairs.  The guard is checked once, at top."""
+    if quantity not in FAMILIES:
+        raise ValueError(f"no oracle row for quantity {quantity!r}")
+    _admit(backend, quantity, top, r, None)
+    if top == 0:
+        return (1,)
+    weights = quantity_weights(quantity, top, r)
+    if backend == "series":
+        return euler_product(weights, top)
+    return restricted_partition_row(enumerate(weights.weights, start=1), top)

@@ -83,7 +83,7 @@ def test_compute_method_fallback_and_strict(capsys):
         capsys, "compute", "--quantity", "pp", "--n", "2", "--method", "theorem"
     )
     assert code == 0
-    assert "(method: oracle-dp)" in out
+    assert "(method: oracle-series)" in out
     code, _, err = run_cli(
         capsys,
         "compute", "--quantity", "pp", "--n", "2", "--method", "theorem", "--strict",
@@ -130,7 +130,7 @@ def test_cost_guard_exit_code(capsys):
 def test_theorem_guard_exit_code(capsys):
     code, out, _ = run_cli(capsys, "compute", "--quantity", "pp", "--n", "100", "--format", "json")
     assert code == 0
-    assert json.loads(out)["method"] == "oracle-dp"
+    assert json.loads(out)["method"] == "oracle-series"
     for extra in ((), ("--strict",)):
         code, out, err = run_cli(
             capsys, "compute", "--quantity", "pp", "--n", "100", "--method", "theorem", *extra
@@ -168,8 +168,9 @@ def test_table_json(capsys):
     rows = json.loads(out)
     assert [int(row["value"]) for row in rows] == [1, 2, 5, 10, 20]
     assert [row["n"] for row in rows] == [0, 1, 2, 3, 4]
-    assert rows[0]["method"] == "oracle-dp"
-    assert rows[-1]["method"] == "theorem"
+    # One series row serves the table: 10 multiply-adds at n = 4, against 20
+    # by the DP.
+    assert [row["method"] for row in rows] == ["oracle-series"] * 5
 
 
 def test_table_strict(capsys):
@@ -298,12 +299,13 @@ def test_long_values_print_in_full(capsys):
 
 def test_dp_guard_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(series, "DP_PART_LIMIT", 1000)
-    code, out, err = run_cli(capsys, "compute", "--quantity", "P_r", "--n", "50", "--r", "100")
+    args = ("compute", "--quantity", "P_r", "--n", "50", "--r", "100")
+    code, out, err = run_cli(capsys, *args, "--method", "oracle-dp")
     assert code == 3
     assert out == ""
     assert "cost guard" in err and "--method oracle-series" in err
-    code, out, _ = run_cli(
-        capsys, "compute", "--quantity", "P_r", "--n", "50", "--r", "100", "--method", "oracle-series"
-    )
-    assert code == 0
-    assert out.startswith("P_r(50; r=100) = ")
+    value = oracle_value("P_r", 50, r=100, backend="series")
+    for method in ("oracle-series", "auto"):
+        code, out, _ = run_cli(capsys, *args, "--method", method)
+        assert code == 0
+        assert out == f"P_r(50; r=100) = {value}  (method: oracle-series)\n"
