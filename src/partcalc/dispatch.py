@@ -142,22 +142,30 @@ def _oracle(req: ComputationRequest, route: str) -> int:
 
 
 def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
-    """The route with the least estimated work among those whose guard admits
-    req: the theorem walk when theorem is set, then oracle-dp, then
-    oracle-series, in the order that breaks a tie.  Raises CostGuardExceeded
-    when every one is refused."""
+    """The route with the least estimated work, in multiply-adds, among those
+    whose guard admits req: the theorem walk when theorem is set, then
+    oracle-dp, then oracle-series, in the order that breaks a tie.  On a
+    family the DP does more work than the series at every n >= 1 (see
+    series.oracle_cost), so it is a candidate there only at n = 0, where
+    neither works.  Raises CostGuardExceeded when every candidate is
+    refused."""
     best = None
-    if theorem:
-        leaves = formulas.vector_work(req.n)
-        if leaves <= formulas.VECTOR_LIMIT:
-            best = (leaves, "theorem")
     refusals = []
-    for backend in ("dp", "series"):
+    least = min(req.parts or (1,))
+    for backend in ("dp", "series") if req.quantity == "p_a" or req.n == 0 else ("series",):
+        # The multiples of the least part alone are a floor of the series' work.
+        if best and backend == "series" and series.series_work((least,), req.n) >= best[0]:
+            break
         work, refusal = series.oracle_cost(backend, req.quantity, req.n, r=req.r, parts=req.parts)
         if refusal:
             refusals.append(refusal)
         elif best is None or work < best[0]:
             best = (work, f"oracle-{backend}")
+    if theorem:
+        leaves = formulas.vector_work(req.n)
+        work = formulas.LEAF_COST * leaves
+        if leaves <= formulas.VECTOR_LIMIT and (best is None or work <= best[0]):
+            best = (work, "theorem")
     if best is None:
         raise formulas.CostGuardExceeded("; ".join(refusals))
     return best[1]
@@ -168,12 +176,12 @@ def compute(req: ComputationRequest) -> tuple[int, str]:
 
     method="auto" runs the route with the least estimated work, in
     big-integer multiply-adds, among those whose guard admits the request:
-    the theorem walk (p(n) leaves) where the family's stated range holds,
-    the DP oracle (series.dp_work) and the series oracle
-    (series.series_work); a tie goes to the theorem, then to the DP.
-    Explicit "theorem"/"stirling" requests outside their hypotheses take
-    the cheaper oracle the same way unless strict=True, in which case they
-    raise HypothesisError.  A route above its limit raises
+    the theorem walk (formulas.LEAF_COST per vector of A_n) where the
+    family's stated range holds, the DP oracle (series.dp_work) for p_a,
+    and the series oracle (series.series_work); a tie goes to the theorem,
+    then to the DP.  Explicit "theorem"/"stirling" requests outside their
+    hypotheses take the cheaper oracle the same way unless strict=True, in
+    which case they raise HypothesisError.  A route above its limit raises
     CostGuardExceeded.
     """
     if req.method in ORACLES:
@@ -188,11 +196,7 @@ def compute(req: ComputationRequest) -> tuple[int, str]:
     route = _cheapest(req, theorem=path is not None)
     if route == "theorem":
         return path(), route
-    # _cheapest has had the guard admit the route, so it is not asked again.
-    value = series.admitted_value(
-        route.removeprefix("oracle-"), req.quantity, req.n, r=req.r, parts=req.parts
-    )
-    return value, route
+    return _oracle(req, route), route
 
 
 def compute_table(
@@ -205,17 +209,17 @@ def compute_table(
 ) -> list[tuple[int, int, str]]:
     """(n, value, method actually used) for n = n_from..n_to.
 
-    auto and the two oracles read one oracle row up to n_to, auto the one
-    with the smaller estimate there, and every row carries that oracle's
-    label; the guard is checked once, at n_to.  The other methods evaluate
-    each n as compute does.
+    auto and the two oracles read one oracle row up to n_to, auto the
+    series' (the cheaper oracle on every family, see _cheapest), and every
+    row carries that oracle's label; the guard is checked once, at n_to.
+    The other methods evaluate each n as compute does.
     """
-    top = ComputationRequest(quantity, n_to, r=r, method=method, strict=strict)
+    ComputationRequest(quantity, n_to, r=r, method=method, strict=strict)  # checks the arguments
     ns = range(n_from, n_to + 1)
     if method not in ("auto", *ORACLES):
         return [(n, *compute(ComputationRequest(quantity, n, r, method=method, strict=strict)))
                 for n in ns]
-    route = _cheapest(top) if method == "auto" else method
+    route = "oracle-series" if method == "auto" else method
     row = series.oracle_row(quantity, n_to, r=r, backend=route.removeprefix("oracle-"))
     return [(n, row[n], route) for n in ns]
 

@@ -22,7 +22,6 @@ import functools
 import math
 from bisect import bisect_right
 from collections.abc import Callable
-from operator import gt
 
 
 class Value:
@@ -112,9 +111,9 @@ class WeightSequence(Value):
     def __init__(self, parts: tuple[int, ...]) -> None:
         if not parts:
             raise ValueError("WeightSequence needs at least one part")
-        if min(parts) < 1:
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(map(gt, parts, parts[1:])):
+        if any(a > b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be nondecreasing")
         self.parts = parts
 
@@ -153,7 +152,7 @@ class WeightFunction(Value):
             raise ValueError("WeightFunction requires bound >= 1")
         if len(weights) != bound:
             raise ValueError("need one weight per part in 1..bound")
-        if min(weights) < 0:
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be nonnegative")
         self.bound = bound
         self.weights = weights
@@ -209,7 +208,7 @@ def seq_multipartition(n: int, r: int) -> WeightSequence:
     return quantity_sequence("P_r", n, r)
 
 
-# A request's oracle reads the weights that its cost estimate read.
+# The DP oracle's guard and the DP itself read one listing of the pattern.
 @functools.lru_cache(maxsize=16)
 def quantity_weights(quantity: str, bound: int, r: int | None = None) -> WeightFunction:
     if bound < 1:

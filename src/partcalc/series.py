@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 
 from .sequences import (
     FAMILIES,
@@ -42,8 +43,16 @@ DP_PART_LIMIT = 10**7
 
 # Most big-integer multiply-adds an oracle may take on one request or one
 # table row, by its estimate (dp_work, series_work); read at call time.
-# pp(2000) takes about 1.2e7 by the DP and 2.0e6 by the series.
+# pp(2000) takes about 2.3e7 by the DP and 2.0e6 by the series.
 ORACLE_WORK_LIMIT = 10**8
+
+# Multiply-adds that one coefficient of the series' row costs besides its
+# recurrence pairs (reading its weight, starting its loop, the exact
+# division), and that one part of the DP's weight sequence costs to list and
+# group.  Measured on pp, p, pps and P_r at n = 3..160 on a shared 2-core VM:
+# about 0.56 us a coefficient and 0.47 us a part, against 0.10 us a
+# recurrence pair.
+ROW_COST = 5
 
 
 class CostGuardExceeded(RuntimeError):
@@ -120,42 +129,41 @@ def restricted_partition_dp(a: WeightSequence, n: int) -> int:
 
 
 def dp_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
-    """Estimated multiply-adds of restricted_partition_row(pairs, top): one
-    pass of top - k + 1 cells per copy of a part k of multiplicity
-    m <= STRIDE_PASSES_UP_TO, one pass of min(m, top // k) terms per cell
-    above.
-
-    The sum stops once it passes ORACLE_WORK_LIMIT, so a pattern far above
-    the limit is not read to its end; the figure is then a lower bound.
-    """
-    total, limit = 0, ORACLE_WORK_LIMIT
+    """Estimated multiply-adds of the DP to top over the weight sequence
+    whose (part, multiplicity) pairs are given: a cell per entry of its row,
+    ROW_COST per part the sequence lists, and for each part k <= top of
+    multiplicity m, one pass of top - k + 1 cells per copy when
+    m <= STRIDE_PASSES_UP_TO, else one pass of min(m, top // k) terms per
+    cell."""
+    total = top
     for k, m in pairs:
-        if m and k <= top:
+        total += ROW_COST * m
+        if k <= top:
             total += (top - k + 1) * (m if m <= STRIDE_PASSES_UP_TO else min(m, top // k))
-            if total > limit:
-                break
     return total
 
 
-def series_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
-    """Estimated multiply-adds of euler_product to top: the support pairs of
-    its recurrence, top - k + 1 for each k <= top with b(k) != 0.
+def series_work(parts: Iterable[int], top: int) -> int:
+    """Estimated multiply-adds of euler_product to top for weights that are
+    nonzero exactly on parts: ROW_COST per coefficient of its row, and the
+    pairs of its recurrence, top - k + 1 for each k <= top that some part
+    divides (where b(k) != 0).
 
-    b(k) != 0 exactly when a part of nonzero multiplicity divides k, so each
-    such part adds the pairs of its multiples, and a k with several of them
-    counts once for each.  The pairs come in increasing order of part, and
-    the sum stops at part 1, which divides every k: the figure is exact when
-    1 is a part, as in every family, and an upper bound otherwise.  Like
-    dp_work, it stops past ORACLE_WORK_LIMIT.
+    When 1 is a part, as in every family, or a single part is at most top,
+    the support is the multiples of the least part and the pairs have a
+    closed form; otherwise the support is sieved over 1..top.
     """
-    total = 0
-    for d, m in pairs:
-        if m and d <= top:
-            j = top // d
-            total += j * (top + 1) - d * j * (j + 1) // 2
-            if d == 1 or total > ORACLE_WORK_LIMIT:
-                break
-    return total
+    below = {d for d in parts if d <= top}
+    least = min(below, default=top + 1)
+    if least == 1 or len(below) < 2:
+        j = top // least
+        pairs = j * (top + 1) - least * j * (j + 1) // 2
+    else:
+        support = bytearray(top + 1)
+        for d in below:
+            support[d::d] = b"\1" * (top // d)
+        pairs = support.count(1) * (top + 1) - sum(compress(range(top + 1), support))
+    return pairs + ROW_COST * top
 
 
 # A p_a request's estimates and its oracle read one sorted part list.
@@ -166,22 +174,6 @@ def _part_sequence(
     """The part list as a WeightSequence, with its runs."""
     a = WeightSequence.from_parts(parts)
     return a, tuple(a.runs())
-
-
-def _pairs(
-    quantity: str, n: int, r: int | None, parts: tuple[int, ...] | None
-) -> Iterable[tuple[int, int]]:
-    """(part, multiplicity) of the request's pattern, in increasing order of
-    part.  A family's pattern comes from the cached quantity_weights when the
-    series' work on it, n(n+1)/2, is within ORACLE_WORK_LIMIT, so the
-    estimates and the oracle read one listing; a longer one is made lazily,
-    so an estimate reads it only as far as it needs."""
-    if quantity == "p_a":
-        return _part_sequence(tuple(parts))[1]
-    if n * (n + 1) // 2 <= ORACLE_WORK_LIMIT:
-        return enumerate(quantity_weights(quantity, n, r).weights if n else (), start=1)
-    multiplicity = FAMILIES[quantity].multiplicity
-    return ((k, multiplicity(k, r)) for k in range(1, n + 1))
 
 
 def oracle_cost(
@@ -196,26 +188,37 @@ def oracle_cost(
     its estimated multiply-adds (dp_work or series_work), and why its guard
     refuses the request, or None when the guard admits it.
 
-    The guard refuses work above ORACLE_WORK_LIMIT.  The DP also refuses a
-    family's pattern of more than DP_PART_LIMIT parts, which it would expand;
-    they are counted only once the work is within its limit, which bounds n
-    for every family.
+    The guard refuses work above ORACLE_WORK_LIMIT.  A family's series work
+    is a lower bound of its DP work (every multiplicity is at least 1), so
+    above the limit the DP refuses without reading the pattern; within it
+    the DP also refuses a pattern of more than DP_PART_LIMIT parts, which it
+    would expand.  A p_a row alone costs ROW_COST per coefficient, so a
+    longer one than that admits is refused before its support is sieved.
     """
-    estimate = dp_work if backend == "dp" else series_work
-    work = estimate(_pairs(quantity, n, r, parts), n)
+    if quantity == "p_a":
+        if backend == "dp":
+            work = dp_work(_part_sequence(tuple(parts))[1], n)
+        elif ROW_COST * n > ORACLE_WORK_LIMIT:
+            work = ROW_COST * n
+        else:
+            work = series_work(parts, n)
+    else:
+        work = series_work((1,), n)
+        if backend == "dp" and work <= ORACLE_WORK_LIMIT:
+            weights = quantity_weights(quantity, n, r).weights if n else ()
+            count = sum(weights)
+            if count > DP_PART_LIMIT:
+                return work, (
+                    f"the DP would expand {quantity} at n = {n} into {count} parts, above the "
+                    f"limit of {DP_PART_LIMIT}; --method oracle-series does not expand them"
+                )
+            work = dp_work(enumerate(weights, start=1), n)
     if work > ORACLE_WORK_LIMIT:
         name = "DP" if backend == "dp" else "series"
         return work, (
             f"the {name} oracle needs at least {work} multiply-adds for {quantity} at "
             f"n = {n}, above the limit of {ORACLE_WORK_LIMIT}"
         )
-    if backend == "dp" and quantity != "p_a":  # p_a lists its parts already
-        count = sum(map(itemgetter(1), _pairs(quantity, n, r, parts)))
-        if count > DP_PART_LIMIT:
-            return work, (
-                f"the DP would expand {quantity} at n = {n} into {count} parts, above the "
-                f"limit of {DP_PART_LIMIT}; --method oracle-series does not expand them"
-            )
     return work, None
 
 
@@ -231,7 +234,8 @@ def _admit(
     backend: str, quantity: str, n: int, r: int | None, parts: tuple[int, ...] | None
 ) -> None:
     """Validate an oracle request and raise CostGuardExceeded when
-    oracle_cost refuses it."""
+    oracle_cost refuses it; a p_a request within the limit by a ceiling of
+    both estimates is admitted in O(1)."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if n < 0:
@@ -242,6 +246,11 @@ def _admit(
         raise ValueError(f"quantity {quantity!r} requires r")
     if quantity == "p_a" and not parts:
         raise ValueError("quantity 'p_a' requires parts")
+    if quantity == "p_a":
+        # Either estimate is at most this sum: every k <= n a pair of the
+        # series, and every part a pass over the whole row of the DP.
+        if n * (n + 1) // 2 + (ROW_COST + 1) * n + (ROW_COST + n) * len(parts) <= ORACLE_WORK_LIMIT:
+            return
     refusal = oracle_cost(backend, quantity, n, r=r, parts=parts)[1]
     if refusal:
         raise CostGuardExceeded(refusal)
@@ -261,19 +270,6 @@ def oracle_value(
     CostGuardExceeded when oracle_cost refuses the request.
     """
     _admit(backend, quantity, n, r, parts)
-    return admitted_value(backend, quantity, n, r=r, parts=parts)
-
-
-def admitted_value(
-    backend: str,
-    quantity: str,
-    n: int,
-    *,
-    r: int | None = None,
-    parts: tuple[int, ...] | None = None,
-) -> int:
-    """oracle_value without its checks, for a caller that has validated the
-    request and whose oracle_cost call admitted it."""
     if quantity == "p_a":
         a = _part_sequence(tuple(parts))[0]
         if backend == "series":

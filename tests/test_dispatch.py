@@ -46,20 +46,19 @@ def test_auto_prefers_theorem_in_hypothesis():
 
 
 def test_auto_falls_back_below_hypothesis():
-    # Below the stated range auto takes the oracle with the smaller estimate:
-    # pp(2) costs 4 multiply-adds by the DP and 3 by the series, p(6) 21 by
-    # both (a tie, which goes to the DP), P_r(3; r=3) 18 and 6.
+    # Below the stated range the theorem walk is no candidate and auto takes
+    # the series: on a family the DP does more work at every n >= 1.
     value, method = compute(ComputationRequest("pp", 2))
     assert (value, method) == (3, "oracle-series")
     value, method = compute(ComputationRequest("p", 6))
-    assert (value, method) == (11, "oracle-dp")
+    assert (value, method) == (11, "oracle-series")
     value, method = compute(ComputationRequest("P_r", 3, r=3))
     assert (value, method) == (oracle_value("P_r", 3, r=3), "oracle-series")
 
 
 def test_auto_takes_dp_above_the_vector_limit():
-    # Above the vector limit auto takes an oracle, for pp the series (5,050
-    # multiply-adds against 17,686 by the DP); the DP still serves it on request.
+    # Above the vector limit auto takes an oracle, for pp the series (5,550
+    # multiply-adds by its estimate); the DP still serves it on request.
     want = oracle_value("pp", 100)
     assert compute(ComputationRequest("pp", 100)) == (want, "oracle-series")
     assert compute(ComputationRequest("pp", 100, method="oracle-dp")) == (want, "oracle-dp")
@@ -69,10 +68,12 @@ def test_auto_takes_dp_above_the_vector_limit():
 
 
 def test_auto_reads_the_vector_limit(monkeypatch):
-    # p(10) = 42 vectors, p(11) = 56.
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)
-    assert compute(ComputationRequest("pps", 10)) == (oracle_value("pps", 10), "theorem")
-    assert compute(ComputationRequest("pps", 11)) == (oracle_value("pps", 11), "oracle-series")
+    # pps(7): p(7) = 15 vectors, 4 * 15 = 60 multiply-adds against the
+    # series' 63, so the theorem runs while the limit admits 15 vectors.
+    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 15)
+    assert compute(ComputationRequest("pps", 7)) == (oracle_value("pps", 7), "theorem")
+    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 14)
+    assert compute(ComputationRequest("pps", 7)) == (oracle_value("pps", 7), "oracle-series")
     assert compute(ComputationRequest("pp_r", 11, r=12))[1] == "oracle-series"
     with pytest.raises(CostGuardExceeded):
         compute(ComputationRequest("P_r", 11, r=3, method="theorem"))
@@ -236,8 +237,13 @@ def test_auto_counts_the_vectors_once(monkeypatch):
         return vector_count(n)
 
     monkeypatch.setattr(formulas, "vector_count", spy)
-    # The theorem's estimate p(60) = 966,467 leaves loses to the series' 1,830
-    # multiply-adds; the p-row is built once, for the estimate.
+    formulas._count_to_limit.cache_clear()
+    # pp(7): the theorem's 4 * p(7) = 60 multiply-adds beat the series' 63;
+    # the route choice and the walk's own guard read one p-row.
+    assert compute(ComputationRequest("pp", 7)) == (oracle_value("pp", 7), "theorem")
+    assert rows == [7]
+    rows.clear()
+    # p(60) = 966,467 vectors lose to the series' 2,130 multiply-adds.
     assert compute(ComputationRequest("pp", 60)) == (oracle_value("pp", 60), "oracle-series")
     assert rows == [60]
     rows.clear()

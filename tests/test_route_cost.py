@@ -44,8 +44,11 @@ def test_auto_takes_the_smallest_estimate():
     for req in _requests(20):
         costs = {}
         if _theorem_serves(req):
-            costs["theorem"] = formulas.vector_work(req.n)
-        for backend in ("dp", "series"):
+            leaves = formulas.vector_work(req.n)
+            if leaves <= formulas.VECTOR_LIMIT:
+                costs["theorem"] = formulas.LEAF_COST * leaves
+        backends = ("dp", "series") if req.quantity == "p_a" or req.n == 0 else ("series",)
+        for backend in backends:
             costs[f"oracle-{backend}"] = series.oracle_cost(
                 backend, req.quantity, req.n, r=req.r, parts=req.parts
             )[0]
@@ -55,13 +58,37 @@ def test_auto_takes_the_smallest_estimate():
         assert compute(req)[1] == first, (req, costs)
 
 
+def test_family_dp_costs_more_than_the_series():
+    # Why auto leaves the DP out for a family at n >= 1.
+    for req in _requests(40, rs=range(1, 15), parts=()):
+        dp, series_ = (series.oracle_cost(backend, req.quantity, req.n, r=req.r)[0]
+                       for backend in ("dp", "series"))
+        assert dp > series_ if req.n else dp == series_ == 0, req
+
+
 def test_ties_break_theorem_then_dp_then_series(monkeypatch):
-    # p(6): 21 multiply-adds by either oracle.
-    assert compute(ComputationRequest("p", 6)) == (11, "oracle-dp")
-    monkeypatch.setattr(series, "dp_work", series.series_work)
-    assert compute(ComputationRequest("pp", 30)) == (oracle_value("pp", 30), "oracle-dp")
-    monkeypatch.setattr(formulas, "vector_work", lambda n: n * (n + 1) // 2)
-    assert compute(ComputationRequest("pp", 30)) == (oracle_value("pp", 30), "theorem")
+    # p(0): no work by either oracle.
+    assert compute(ComputationRequest("p", 0)) == (1, "oracle-dp")
+    monkeypatch.setattr(series, "dp_work", lambda pairs, top: 100)
+    monkeypatch.setattr(series, "series_work", lambda parts, top: 100)
+    assert compute(ComputationRequest("p_a", 10, parts=(1, 2, 3)))[1] == "oracle-dp"
+    assert compute(ComputationRequest("pp", 10))[1] == "oracle-series"
+    monkeypatch.setattr(formulas, "vector_work", lambda n: 100 // formulas.LEAF_COST)
+    assert compute(ComputationRequest("pp", 10)) == (oracle_value("pp", 10), "theorem")
+    monkeypatch.setattr(series, "series_work", lambda parts, top: 99)
+    assert compute(ComputationRequest("pp", 10))[1] == "oracle-series"
+
+
+def test_series_work_counts_the_support_of_its_recurrence():
+    # Parts 3, 3, 6, 6, 12 at n = 12: b(k) != 0 at k = 3, 6, 9, 12, so
+    # 10 + 7 + 4 + 1 = 22 pairs, and ROW_COST per coefficient.
+    assert series.series_work((3, 6, 12), 12) == 22 + series.ROW_COST * 12
+    assert series.series_work((1, 5), 10) == 55 + series.ROW_COST * 10
+    assert series.series_work((7,), 6) == series.ROW_COST * 6
+    for parts in ((2, 3), (4, 6, 9), (5,)):
+        for top in range(30):
+            pairs = sum(top - k + 1 for k in range(1, top + 1) if any(k % d == 0 for d in parts))
+            assert series.series_work(parts, top) == pairs + series.ROW_COST * top
 
 
 def _best_times(requests, samples):
@@ -71,6 +98,7 @@ def _best_times(requests, samples):
     best = {route: float("inf") for route in requests}
     for _ in range(samples):
         for route, req in requests.items():
+            formulas._count_to_limit.cache_clear()
             sequences.quantity_weights.cache_clear()
             series._part_sequence.cache_clear()
             start = time.perf_counter()
@@ -79,11 +107,16 @@ def _best_times(requests, samples):
     return best
 
 
-@pytest.mark.parametrize("quantity, r, parts", [
-    ("pp", None, None), ("pps", None, None), ("P_r", 4, None), ("p_a", None, PARTS_25),
+@pytest.mark.parametrize("quantity, r, parts, sizes", [
+    ("pp", None, None, (5, 10, 42, 300, 1000)),
+    ("pps", None, None, (10, 42, 300, 1000)),
+    ("P_r", 4, None, (10, 42, 300, 1000)),
+    ("p_a", None, PARTS_25, (10, 42, 300, 1000)),
+    ("p_a", None, (3, 3, 6, 6, 12), (12,)),
 ])
-def test_chosen_route_is_within_half_again_of_the_fastest(quantity, r, parts):
-    for n, samples in ((10, 300), (42, 9), (300, 1), (1000, 1)):
+def test_chosen_route_is_within_half_again_of_the_fastest(quantity, r, parts, sizes):
+    for n in sizes:
+        samples = 300 if n <= 12 else 9 if n <= 42 else 1
         chosen = compute(ComputationRequest(quantity, n, r=r, parts=parts))[1]
         routes = ["oracle-dp", "oracle-series"]
         if quantity != "p_a" and formulas.within_vector_limit(n):
@@ -128,21 +161,40 @@ def test_auto_and_tables_equal_the_dp():
 
 
 def test_oracle_work_guard_reads_its_limit(monkeypatch):
-    pp44, pp45 = oracle_value("pp", 44), oracle_value("pp", 45)
+    pp39, pp40 = oracle_value("pp", 39), oracle_value("pp", 40)
     monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", 1000)
-    # pp(44): 990 multiply-adds by the series, 3,726 by the DP.
-    assert compute(ComputationRequest("pp", 44)) == (pp44, "oracle-series")
+    # pp(39): 780 + 5 * 39 = 975 multiply-adds by the series, more than 4,000
+    # by the DP.
+    assert compute(ComputationRequest("pp", 39)) == (pp39, "oracle-series")
     with pytest.raises(CostGuardExceeded, match="the DP oracle needs at least"):
-        compute(ComputationRequest("pp", 44, method="oracle-dp"))
-    # p(45): 1,035 by either oracle, so auto has no route left; pp(45) still
-    # has the theorem walk.
+        compute(ComputationRequest("pp", 39, method="oracle-dp"))
+    # p(40): 820 + 5 * 40 = 1,020 by the series and more by the DP, so auto
+    # has no route left; pp(40) still has the theorem walk.
     for method in ("auto", "oracle-series"):
-        with pytest.raises(CostGuardExceeded, match="the series oracle needs at least 1035 "):
-            compute(ComputationRequest("p", 45, method=method))
-    assert compute(ComputationRequest("pp", 45)) == (pp45, "theorem")
+        with pytest.raises(CostGuardExceeded, match="the series oracle needs at least 1020 "):
+            compute(ComputationRequest("p", 40, method=method))
+    with pytest.raises(CostGuardExceeded, match="the DP oracle needs at least"):
+        compute(ComputationRequest("p", 40, method="oracle-dp"))
+    assert compute(ComputationRequest("pp", 40)) == (pp40, "theorem")
     # A table is guarded once, at the top of its range.
-    assert compute_table("pp", 0, 44)[-1] == (44, pp44, "oracle-series")
-    assert main(["table", "--quantity", "pp", "--from", "0", "--to", "45"]) == 3
+    assert compute_table("pp", 0, 39)[-1] == (39, pp39, "oracle-series")
+    assert main(["table", "--quantity", "pp", "--from", "0", "--to", "40"]) == 3
+
+
+def test_p_a_guard_admits_what_the_estimates_admit(monkeypatch):
+    # The guard admits a p_a request at once when a ceiling of both estimates
+    # is within the limit; it must never admit what an estimate refuses.
+    monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", 2000)
+    for parts in ((1,), (7,), (2, 5), (3, 3, 6, 6, 12), PARTS_25):
+        for n in range(0, 90, 3):
+            for backend in ("dp", "series"):
+                refused = series.oracle_cost(backend, "p_a", n, parts=parts)[1] is not None
+                try:
+                    oracle_value("p_a", n, parts=parts, backend=backend)
+                except CostGuardExceeded:
+                    assert refused, (parts, n, backend)
+                else:
+                    assert not refused, (parts, n, backend)
 
 
 def test_huge_requests_are_refused_before_any_work(monkeypatch, capsys):
@@ -159,3 +211,8 @@ def test_huge_requests_are_refused_before_any_work(monkeypatch, capsys):
             assert code == 3
             assert "cost guard" in capsys.readouterr().err
     assert main(["table", "--quantity", "pp", "--from", "0", "--to", str(10**6)]) == 3
+    # A part list whose parts all exceed n does no pass, but its row still
+    # has n + 1 coefficients.
+    for method in ("auto", "oracle-dp", "oracle-series"):
+        assert main(["compute", "--quantity", "p_a", "--parts", str(10**13), "--n", str(10**12),
+                     "--method", method]) == 3
