@@ -63,7 +63,7 @@ _ON_FIRST_USE = {
         "stirling",
     ),
     **dict.fromkeys(
-        ("DEFAULT_ENUMERATION_CAP", "PlanePartitionDiagram", "count_diagrams", "enumerate_diagrams"),
+        ("ENUMERATION_LIMIT", "PlanePartitionDiagram", "count_diagrams", "enumerate_diagrams"),
         "diagrams",
     ),
 }
@@ -86,7 +86,7 @@ __all__ = [
     "CongruenceBox",
     "CostGuardExceeded",
     "DEFAULT_BOX_LIMIT",
-    "DEFAULT_ENUMERATION_CAP",
+    "ENUMERATION_LIMIT",
     "HypothesisError",
     "METHODS",
     "PlanePartitionDiagram",

@@ -4,24 +4,55 @@ A diagram is stored in canonical form (no zero padding): a tuple of rows,
 each row a nonempty tuple of positive integers, rows and columns weakly
 decreasing.  Enumeration is deterministic: diagrams appear in decreasing
 lexicographic order of their row-reading.
+
+One listing of the raw row tuples of n serves every kind: diagram_counts
+walks it once and counts each kind, and each r, from it.  The listing is a
+direct one; it shares no weight pattern with the oracles it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
+from . import series
 from .formulas import CostGuardExceeded
 
-# Enumeration above this n is refused with CostGuardExceeded; read at call time.
-DEFAULT_ENUMERATION_CAP = 10
+# Listing n is refused with CostGuardExceeded when pp(n), the number of its
+# diagrams, is above this; read at call time.  It admits n <= 20.
+ENUMERATION_LIMIT = 10**5
 
 KINDS = ("all", "max_rows", "strict", "symmetric", "strict_odd")
+
+Rows = tuple[tuple[int, ...], ...]
+
+
+def _transpose(rows: Rows) -> Rows:
+    return tuple(tuple(row[j] for row in rows if j < len(row)) for j in range(len(rows[0])))
+
+
+def _is_strict(rows: Rows) -> bool:
+    # Rows weakly decrease, so a row is strict when no entry repeats.
+    return all(len(set(row)) == len(row) for row in rows)
+
+
+def _is_odd(rows: Rows) -> bool:
+    return all(v & 1 for row in rows for v in row)
+
+
+def _is_symmetric(rows: Rows) -> bool:
+    # The first row against the first column rejects most diagrams cheaply.
+    return (
+        len(rows) == len(rows[0])
+        and rows[0] == tuple(row[0] for row in rows)
+        and rows == _transpose(rows)
+    )
 
 
 @dataclass(frozen=True)
 class PlanePartitionDiagram:
-    rows: tuple[tuple[int, ...], ...]
+    rows: Rows
 
     def __post_init__(self) -> None:
         if not self.rows or any(not row for row in self.rows):
@@ -46,92 +77,143 @@ class PlanePartitionDiagram:
         return len(self.rows)
 
     def transpose(self) -> "PlanePartitionDiagram":
-        width = len(self.rows[0])
-        cols = []
-        for j in range(width):
-            col = tuple(row[j] for row in self.rows if j < len(row))
-            cols.append(col)
-        return PlanePartitionDiagram(tuple(cols))
+        return PlanePartitionDiagram(_transpose(self.rows))
 
     def is_strict(self) -> bool:
         """Nonzero entries strictly decrease along every row."""
-        return all(all(a > b for a, b in zip(row, row[1:])) for row in self.rows)
+        return _is_strict(self.rows)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.transpose().rows
+        return _is_symmetric(self.rows)
 
     def has_odd_entries(self) -> bool:
-        return all(v % 2 for row in self.rows for v in row)
+        return _is_odd(self.rows)
 
 
-def _dominated_rows(bound: tuple[int, ...] | None, budget: int) -> Iterator[tuple[int, ...]]:
+def _dominated_rows(bound: tuple[int, ...] | None, budget: int) -> list[tuple[int, ...]]:
     """Nonempty weakly decreasing rows with sum <= budget, entrywise below bound.
 
     bound=None means a free first row (width limited only by the budget).
-    Rows are produced in decreasing lexicographic order: all extensions of a
+    Rows are listed in decreasing lexicographic order: all extensions of a
     prefix come before the bare prefix itself.
     """
-    width = budget if bound is None else len(bound)
-
-    def rec(prefix: tuple[int, ...], remaining: int, prev: int, idx: int) -> Iterator[tuple[int, ...]]:
-        if idx < width and remaining > 0:
-            cap = prev if bound is None else min(prev, bound[idx])
-            for v in range(min(cap, remaining), 0, -1):
-                yield from rec(prefix + (v,), remaining - v, v, idx + 1)
-        if prefix:
-            yield prefix
-
-    yield from rec((), budget, budget, 0)
+    out: list[tuple[int, ...]] = []
+    _fill_rows((), budget, budget, bound, budget if bound is None else len(bound), out)
+    return out
 
 
-def _stacks(remaining: int, prev_row: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _fill_rows(prefix, remaining, prev, bound, width, out) -> None:
+    # A module function rather than a closure, which would be a reference cycle.
+    idx = len(prefix)
+    if idx < width and remaining > 0:
+        cap = prev if bound is None else min(prev, bound[idx])
+        for v in range(min(cap, remaining), 0, -1):
+            _fill_rows(prefix + (v,), remaining - v, v, bound, width, out)
+    if prefix:
+        out.append(prefix)
+
+
+def _stacks(
+    prefix: Rows, remaining: int, prev_row: tuple[int, ...] | None, below: dict
+) -> Iterator[Rows]:
+    """prefix followed by every stack of rows that completes it to a plane
+    partition, remaining being left to place under prev_row.  below keeps
+    the candidate rows of each (prev_row, remaining) for the one listing:
+    every diagram is still visited."""
     if remaining == 0:
-        yield ()
+        yield prefix
         return
-    for row in _dominated_rows(prev_row, remaining):
-        for rest in _stacks(remaining - sum(row), row):
-            yield (row,) + rest
+    key = (prev_row, remaining)
+    rows = below.get(key)
+    if rows is None:
+        rows = below[key] = [(row, remaining - sum(row)) for row in _dominated_rows(prev_row, remaining)]
+    for row, rest in rows:
+        yield from _stacks(prefix + (row,), rest, row, below)
 
 
-def _first_rows(n: int) -> list[tuple[int, ...]]:
-    return list(_dominated_rows(None, n))
+def _diagram_total(n: int) -> int:
+    """pp(n), or pp(k) for the first k of 32, 64, 128, ... below n that is
+    above ENUMERATION_LIMIT; pp increases, so pp(n) is larger still.  The
+    default limit is passed at k = 32, so the check reads one series row of
+    at most 32 whatever n is."""
+    k = 32
+    while k < n:
+        count = series.oracle_value("pp", k, backend="series")
+        if count > ENUMERATION_LIMIT:
+            return count
+        k *= 2
+    return series.oracle_value("pp", n, backend="series")
+
+
+def _plane_partitions(n: int) -> Iterator[Rows]:
+    """Every plane partition of n as its tuple of rows, once each, in
+    deterministic order.  n and the guard are checked on the call, before
+    anything is listed."""
+    if n < 1:
+        raise ValueError("plane partitions are listed for n >= 1")
+    # pp(n) <= 3^(n-1): the entries read row by row are a composition of n
+    # into L parts, the row ends a subset of its L - 1 gaps, and
+    # sum_L C(n-1, L-1) 2^(L-1) = 3^(n-1).  Below that bound no row is read.
+    if n > 64 or 3 ** (n - 1) > ENUMERATION_LIMIT:
+        count = _diagram_total(n)
+        if count > ENUMERATION_LIMIT:
+            raise CostGuardExceeded(
+                f"n = {n} has at least {count} plane partitions, above the "
+                f"enumeration limit ({ENUMERATION_LIMIT})"
+            )
+    return _stacks((), n, None, {})
 
 
 def enumerate_diagrams(n: int) -> tuple[PlanePartitionDiagram, ...]:
     """All plane partitions of n, each exactly once, in deterministic order.
 
-    Raises CostGuardExceeded when n is above DEFAULT_ENUMERATION_CAP.
+    Raises CostGuardExceeded when pp(n) is above ENUMERATION_LIMIT.
     """
-    if n < 1:
-        raise ValueError("enumerate_diagrams requires n >= 1")
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise CostGuardExceeded(
-            f"n = {n} exceeds the enumeration cap ({DEFAULT_ENUMERATION_CAP})"
-        )
-    out = []
-    for first in _first_rows(n):
-        for rest in _stacks(n - sum(first), first):
-            out.append(PlanePartitionDiagram((first,) + rest))
-    return tuple(out)
+    return tuple(PlanePartitionDiagram(rows) for rows in _plane_partitions(n))
 
 
-def _predicate(kind: str, r: int | None):
-    if kind == "all":
-        return lambda d: True
-    if kind == "max_rows":
-        if r is None or r < 1:
-            raise ValueError("kind 'max_rows' requires r >= 1")
-        return lambda d: d.row_count <= r
-    if kind == "strict":
-        return lambda d: d.is_strict()
-    if kind == "symmetric":
-        return lambda d: d.is_symmetric()
-    if kind == "strict_odd":
-        return lambda d: d.is_strict() and d.has_odd_entries()
-    raise ValueError(f"unknown diagram kind {kind!r}")
+def _check_kind(kind: str, r: int | None) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown diagram kind {kind!r}")
+    if kind == "max_rows" and (r is None or r < 1):
+        raise ValueError("kind 'max_rows' requires r >= 1")
+
+
+@dataclass(frozen=True)
+class DiagramCounts:
+    """The plane partitions of one n, counted by kind.  max_rows[r] counts
+    those with at most r rows, for r = 0..n."""
+
+    all: int
+    strict: int
+    symmetric: int
+    strict_odd: int
+    max_rows: tuple[int, ...]
+
+    def count(self, kind: str, r: int | None = None) -> int:
+        _check_kind(kind, r)
+        if kind == "max_rows":
+            return self.max_rows[min(r, len(self.max_rows) - 1)]
+        return getattr(self, kind)
+
+
+def diagram_counts(n: int) -> DiagramCounts:
+    """Every kind's count of the plane partitions of n, from one listing of
+    their raw rows; no diagram object is built."""
+    strict = symmetric = strict_odd = 0
+    by_rows = [0] * (n + 1)
+    for rows in _plane_partitions(n):
+        by_rows[len(rows)] += 1
+        if _is_strict(rows):
+            strict += 1
+            strict_odd += _is_odd(rows)
+        symmetric += _is_symmetric(rows)
+    max_rows = tuple(accumulate(by_rows))
+    return DiagramCounts(max_rows[-1], strict, symmetric, strict_odd, max_rows)
 
 
 def count_diagrams(n: int, kind: str = "all", *, r: int | None = None) -> int:
-    """Count plane partitions of n passing the predicate."""
-    keep = _predicate(kind, r)
-    return sum(1 for diagram in enumerate_diagrams(n) if keep(diagram))
+    """Count plane partitions of n of the given kind (at most r rows for
+    max_rows)."""
+    _check_kind(kind, r)
+    return diagram_counts(n).count(kind, r)

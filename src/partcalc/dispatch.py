@@ -212,16 +212,17 @@ def compute_table(
     auto and the two oracles read one oracle row up to n_to, auto the
     series' (the cheaper oracle on every family, see _cheapest), and every
     row carries that oracle's label; the guard is checked once, at n_to.
-    The other methods evaluate each n as compute does.
+    The other methods evaluate each n as compute does, n_to first, so that a
+    guard refusal at the top comes before any work on the rows below it.
     """
-    ComputationRequest(quantity, n_to, r=r, method=method, strict=strict)  # checks the arguments
-    ns = range(n_from, n_to + 1)
+    top = ComputationRequest(quantity, n_to, r=r, method=method, strict=strict)
     if method not in ("auto", *ORACLES):
+        last = [(n_to, *compute(top))] if n_from <= n_to else []
         return [(n, *compute(ComputationRequest(quantity, n, r, method=method, strict=strict)))
-                for n in ns]
+                for n in range(n_from, n_to)] + last
     route = "oracle-series" if method == "auto" else method
     row = series.oracle_row(quantity, n_to, r=r, backend=route.removeprefix("oracle-"))
-    return [(n, row[n], route) for n in ns]
+    return [(n, row[n], route) for n in range(n_from, n_to + 1)]
 
 
 def _describe(req: ComputationRequest) -> str:

@@ -8,10 +8,15 @@ sequences.FAMILIES.  Suites:
   oracle-consistency series vs DP vs enumeration, plus structural invariants
   cross-method       closed-form evaluators vs the oracles
   stirling           congruence-sum engine and its regrouped variants
+
+Every suite takes counts, the run's reader of diagrams.diagram_counts: it
+lists each n once for the run, and every diagram kind and every r is read
+from that one listing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -71,15 +76,16 @@ def _label(quantity, n, r=None) -> str:
     return f"{quantity}({n})" if r is None else f"{quantity}({n}, r={r})"
 
 
-def _route_values(quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
+def _route_values(counts, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
     """quantity at (n, r) by every route that serves the case: both oracles,
-    diagram enumeration for 1 <= n <= 8, the theorem sum in the family's
-    stated range and within VECTOR_LIMIT, the Stirling sum in the stated
-    range when with_stirling, and for pp_r the alternating sum."""
+    diagram enumeration (read from counts) for 1 <= n <= 8, the theorem sum
+    in the family's stated range and within VECTOR_LIMIT, the Stirling sum
+    in the stated range when with_stirling, and for pp_r the alternating
+    sum."""
     family = FAMILIES[quantity]
     values = {"series": _series(quantity, n, r=r), "dp": _dp(quantity, n, r=r)}
     if family.diagram is not None and 1 <= n <= 8:
-        values["enum"] = diagrams.count_diagrams(n, family.diagram, r=1 if quantity == "p" else r)
+        values["enum"] = counts(n).count(family.diagram, r=1 if quantity == "p" else r)
     if family.stem is not None and family.holds(n, r):
         if formulas.within_vector_limit(n):
             values["formula"] = dispatch.wrapper_value(family, "formula", n, r)
@@ -116,13 +122,13 @@ EXAMPLE_CHECKS = (
 )
 
 
-def _suite_examples(max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_examples(counts, max_n=None, long_running=False) -> list[CheckResult]:
     cap = _cap(max_n)
     checks = {name: CheckResult(f"known-values[{name}]") for name in EXAMPLE_CHECKS}
 
     for quantity, n, r, want in KNOWN_VALUES:
         if n <= cap:
-            for route, got in _route_values(quantity, n, r, with_stirling=True).items():
+            for route, got in _route_values(counts, quantity, n, r, with_stirling=True).items():
                 checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via {route}")
     for quantity, r, row in KNOWN_ROWS:
         for n, want in enumerate(row):
@@ -132,7 +138,7 @@ def _suite_examples(max_n=None, long_running=False) -> list[CheckResult]:
 
     if 3 <= cap:
         res = checks["symmetric-diagrams"]
-        res.expect(diagrams.count_diagrams(3, "symmetric"), 2, "symmetric diagrams of 3")
+        res.expect(counts(3).symmetric, 2, "symmetric diagrams of 3")
 
     res = checks["p_a"]
     for parts, n, want in (((1, 2, 3), 6, 7), ((1,), 5, 1), (seq_strict(3).parts, 3, 4)):
@@ -162,7 +168,7 @@ def _suite_examples(max_n=None, long_running=False) -> list[CheckResult]:
 # --- oracle consistency -----------------------------------------------------
 
 
-def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[CheckResult]:
     top = 40 if max_n is None else max_n
     out = []
 
@@ -176,14 +182,14 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
                 res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
         out.append(res)
 
-    enum_top = min(8, top)
+    enum_top = min(16 if long_running else 8, top)
     for quantity in ("pp", "pps", "pp_r"):
         kind = FAMILIES[quantity].diagram
         res = CheckResult(f"enum-vs-series[{kind.replace('_', '-')}]")
         for n in range(1, enum_top + 1):
             for r in range(1, n + 1) if FAMILIES[quantity].takes_r else (None,):
                 res.expect(
-                    diagrams.count_diagrams(n, kind, r=r),
+                    counts(n).count(kind, r=r),
                     _series(quantity, n, r=r),
                     _label(quantity, n, r),
                 )
@@ -191,11 +197,7 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
 
     res = CheckResult("enum[symmetric-vs-strict-odd]")
     for n in range(1, enum_top + 1):
-        res.expect(
-            diagrams.count_diagrams(n, "symmetric"),
-            diagrams.count_diagrams(n, "strict_odd"),
-            f"n={n}",
-        )
+        res.expect(counts(n).symmetric, counts(n).strict_odd, f"n={n}")
     out.append(res)
 
     # The theorem walk over A_n with every multiplicity 1 adds 1 per leaf,
@@ -234,7 +236,7 @@ def _suite_oracle_consistency(max_n=None, long_running=False) -> list[CheckResul
 # --- cross-method -----------------------------------------------------------
 
 
-def _suite_cross_method(max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_cross_method(counts, max_n=None, long_running=False) -> list[CheckResult]:
     top = 12 if max_n is None else max_n
     out = []
 
@@ -242,7 +244,7 @@ def _suite_cross_method(max_n=None, long_running=False) -> list[CheckResult]:
         res = CheckResult(f"cross-method[{quantity}]")
         for r in _r_values(quantity):
             for n in range(top + 1):
-                values = _route_values(quantity, n, r)
+                values = _route_values(counts, quantity, n, r)
                 for route, got in values.items():
                     res.expect(got, values["dp"], f"{_label(quantity, n, r)} via {route}")
         out.append(res)
@@ -290,7 +292,7 @@ ENGINE_SEQUENCES = (
 )
 
 
-def _suite_stirling(max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_stirling(counts, max_n=None, long_running=False) -> list[CheckResult]:
     cap = _cap(max_n)
     out = []
 
@@ -347,4 +349,6 @@ def run_suite(name: str, *, max_n: int | None = None, long_running: bool = False
         raise ValueError(f"unknown suite {name!r}")
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    return _SUITE_FUNCTIONS[name](max_n=max_n, long_running=long_running)
+    # The reader goes with this call, so each run lists as a fresh process would.
+    counts = functools.cache(diagrams.diagram_counts)
+    return _SUITE_FUNCTIONS[name](counts, max_n=max_n, long_running=long_running)

@@ -184,6 +184,20 @@ def test_table_strict(capsys):
     assert out.splitlines() == ["1 1", "2 3", "3 6", "4 13"]
 
 
+def test_table_refuses_at_its_top_row_before_any_work(capsys, listings):
+    args = ("table", "--quantity", "pp", "--from", "19", "--to", "21", "--method", "oracle-enum")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 3
+    assert out == ""
+    assert "enumeration limit" in err
+    assert listings == []
+    code, out, _ = run_cli(capsys, "table", "--quantity", "pps", "--from", "2", "--to", "5",
+                           "--method", "oracle-enum")
+    assert code == 0
+    assert out.splitlines() == ["2 2", "3 4", "4 7", "5 12"]
+    assert listings == [5, 2, 3, 4]
+
+
 def test_table_rejects_p_a_and_bad_ranges(capsys):
     code, _, err = run_cli(
         capsys, "table", "--quantity", "p_a", "--from", "0", "--to", "3"

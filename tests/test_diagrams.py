@@ -8,6 +8,7 @@ from partcalc.diagrams import (
     KINDS,
     PlanePartitionDiagram,
     count_diagrams,
+    diagram_counts,
     enumerate_diagrams,
 )
 from partcalc.cli import EXIT_COST, main
@@ -16,6 +17,8 @@ from partcalc.series import oracle_value
 
 # Symmetric plane partitions by weight, n = 1..9.
 SYMMETRIC_COUNTS = (1, 1, 2, 3, 4, 6, 8, 12, 16)
+# The same at n = 8, 10, 12, 14, 16 (OEIS A005987).
+SYMMETRIC_FURTHER = {8: 12, 10: 22, 12: 41, 14: 71, 16: 125}
 
 
 def test_diagram_validation():
@@ -70,18 +73,27 @@ def test_enumeration_order_n3():
 def test_enumeration_bounds(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_diagrams(0)
-    monkeypatch.setattr(diagrams, "DEFAULT_ENUMERATION_CAP", 11)
-    assert len(enumerate_diagrams(11)) == 859
+    # Below 3^(n-1), a bound of pp(n), the guard reads no series row.
+    assert all(oracle_value("pp", n) <= 3 ** (n - 1) for n in range(1, 30))
+    # pp(21) = 118,794: the guard compares the limit with the diagram count.
+    monkeypatch.setattr(diagrams, "ENUMERATION_LIMIT", 118_794)
+    assert count_diagrams(21) == 118_794
+    monkeypatch.setattr(diagrams, "ENUMERATION_LIMIT", 118_793)
+    with pytest.raises(CostGuardExceeded):
+        count_diagrams(21)
 
 
-def test_enumeration_cap_is_a_cost_guard_refusal(capsys):
+def test_enumeration_cap_is_a_cost_guard_refusal(capsys, listings):
+    assert diagrams._diagram_total(20) == 75_278 <= diagrams.ENUMERATION_LIMIT
     with pytest.raises(CostGuardExceeded):
-        enumerate_diagrams(11)
+        enumerate_diagrams(21)
     with pytest.raises(CostGuardExceeded):
-        count_diagrams(11)
-    argv = ["compute", "--quantity", "pp", "--n", "11", "--method", "oracle-enum"]
-    assert main(argv) == EXIT_COST
-    assert "enumeration cap" in capsys.readouterr().err
+        count_diagrams(21)
+    for n in ("21", "1000000"):
+        argv = ["compute", "--quantity", "pp", "--n", n, "--method", "oracle-enum"]
+        assert main(argv) == EXIT_COST
+        assert "enumeration limit" in capsys.readouterr().err
+    assert listings == []
 
 
 @given(st.integers(1, 8))
@@ -98,6 +110,24 @@ def test_counts_match_series_oracle(n):
     assert count_diagrams(n, "strict") == oracle_value("pps", n)
     for r in (1, 2, 3):
         assert count_diagrams(n, "max_rows", r=r) == oracle_value("pp_r", n, r=r)
+
+
+def test_one_listing_counts_every_kind(listings):
+    for n in range(1, 13):
+        counts = diagram_counts(n)
+        assert counts.all == counts.count("all") == oracle_value("pp", n)
+        assert counts.strict == counts.count("strict") == oracle_value("pps", n)
+        assert counts.count("max_rows", r=1) == oracle_value("p", n)
+        for r in range(1, n + 1):
+            assert counts.count("max_rows", r=r) == oracle_value("pp_r", n, r=r)
+        assert counts.count("max_rows", r=n + 5) == counts.all
+    assert listings == list(range(1, 13))
+
+
+def test_symmetric_counts_further():
+    for n, want in SYMMETRIC_FURTHER.items():
+        counts = diagram_counts(n)
+        assert counts.symmetric == counts.strict_odd == want
 
 
 def test_max_rows_r1_is_ordinary_partitions():

@@ -24,6 +24,28 @@ def test_oracle_consistency_lists_no_large_vector_set(monkeypatch):
     assert counted.cases == 40
 
 
+@pytest.mark.parametrize(
+    "suite, listed",
+    [("examples", {3}), ("cross-method", set(range(1, 9))),
+     ("oracle-consistency", set(range(1, 9))), ("stirling", set())],
+)
+def test_a_run_lists_each_n_once(listings, suite, listed):
+    for _ in range(2):  # the second run lists afresh: no listing outlives its run
+        listings.clear()
+        results = verify.run_suite(suite)
+        assert all(res.ok for res in results)
+        assert len(listings) == len(set(listings))
+        assert set(listings) == listed
+
+
+def test_long_running_lists_diagrams_to_16(listings):
+    results = verify.run_suite("oracle-consistency", long_running=True)
+    assert all(res.ok for res in results)
+    assert sorted(listings) == list(range(1, 17))
+    symmetric = next(res for res in results if res.name == "enum[symmetric-vs-strict-odd]")
+    assert symmetric.cases == 16
+
+
 def test_vector_count_stops_at_the_vector_limit(monkeypatch):
     monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
     results = verify.run_suite("oracle-consistency", max_n=12)
