@@ -17,7 +17,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from . import series
-from .formulas import CostGuardExceeded
+from .formulas import CostGuardExceeded, count_to_limit
 
 # Listing n is refused with CostGuardExceeded when pp(n), the number of its
 # diagrams, is above this; read at call time.  It admits n <= 20.
@@ -113,35 +113,17 @@ def _fill_rows(prefix, remaining, prev, bound, width, out) -> None:
         out.append(prefix)
 
 
-def _stacks(
-    prefix: Rows, remaining: int, prev_row: tuple[int, ...] | None, below: dict
-) -> Iterator[Rows]:
+def _stacks(prefix: Rows, remaining: int, prev_row: tuple[int, ...] | None) -> Iterator[Rows]:
     """prefix followed by every stack of rows that completes it to a plane
-    partition, remaining being left to place under prev_row.  below keeps
-    the candidate rows of each (prev_row, remaining) for the one listing:
-    every diagram is still visited."""
+    partition, remaining being left to place under prev_row."""
     if remaining == 0:
         yield prefix
         return
-    key = (prev_row, remaining)
-    rows = below.get(key)
-    if rows is None:
-        rows = below[key] = [(row, remaining - sum(row)) for row in _dominated_rows(prev_row, remaining)]
-    for row, rest in rows:
-        yield from _stacks(prefix + (row,), rest, row, below)
+    for row in _dominated_rows(prev_row, remaining):
+        yield from _stacks(prefix + (row,), remaining - sum(row), row)
 
 
-def _diagram_total(n: int) -> int:
-    """pp(n), or pp(k) for the first k of 32, 64, 128, ... below n that is
-    above ENUMERATION_LIMIT; pp increases, so pp(n) is larger still.  The
-    default limit is passed at k = 32, so the check reads one series row of
-    at most 32 whatever n is."""
-    k = 32
-    while k < n:
-        count = series.oracle_value("pp", k, backend="series")
-        if count > ENUMERATION_LIMIT:
-            return count
-        k *= 2
+def _pp(n: int) -> int:
     return series.oracle_value("pp", n, backend="series")
 
 
@@ -155,13 +137,13 @@ def _plane_partitions(n: int) -> Iterator[Rows]:
     # into L parts, the row ends a subset of its L - 1 gaps, and
     # sum_L C(n-1, L-1) 2^(L-1) = 3^(n-1).  Below that bound no row is read.
     if n > 64 or 3 ** (n - 1) > ENUMERATION_LIMIT:
-        count = _diagram_total(n)
+        count = count_to_limit(_pp, n, ENUMERATION_LIMIT)[1]
         if count > ENUMERATION_LIMIT:
             raise CostGuardExceeded(
                 f"n = {n} has at least {count} plane partitions, above the "
                 f"enumeration limit ({ENUMERATION_LIMIT})"
             )
-    return _stacks((), n, None, {})
+    return _stacks((), n, None)
 
 
 def enumerate_diagrams(n: int) -> tuple[PlanePartitionDiagram, ...]:
@@ -200,9 +182,10 @@ class DiagramCounts:
 def diagram_counts(n: int) -> DiagramCounts:
     """Every kind's count of the plane partitions of n, from one listing of
     their raw rows; no diagram object is built."""
+    listing = _plane_partitions(n)  # the guard runs here, before any allocation
     strict = symmetric = strict_odd = 0
     by_rows = [0] * (n + 1)
-    for rows in _plane_partitions(n):
+    for rows in listing:
         by_rows[len(rows)] += 1
         if _is_strict(rows):
             strict += 1

@@ -115,13 +115,21 @@ def _vector_count_to_limit(n: int) -> tuple[int, int]:
 # guard: the last answer is kept for that second read.
 @functools.lru_cache(maxsize=1)
 def _count_to_limit(n: int, limit: int) -> tuple[int, int]:
+    return count_to_limit(vector_count, n, limit)
+
+
+def count_to_limit(count, n: int, limit: int) -> tuple[int, int]:
+    """(n, count(n)), or (k, count(k)) for the first k of 64, 128, 256, ...
+    below n with count(k) above limit; for a nondecreasing count, count(n)
+    is at least as large.  A guard reads one row of at most 64 this way
+    whatever n is, once the limit is below count(64)."""
     k = 64
     while k < n:
-        count = vector_count(k)
-        if count > limit:
-            return k, count
+        value = count(k)
+        if value > limit:
+            return k, value
         k *= 2
-    return n, vector_count(n)
+    return n, count(n)
 
 
 def vector_work(n: int) -> int:

@@ -196,6 +196,13 @@ def test_table_refuses_at_its_top_row_before_any_work(capsys, listings):
     assert code == 0
     assert out.splitlines() == ["2 2", "3 4", "4 7", "5 12"]
     assert listings == [5, 2, 3, 4]
+    # The top row's error wins: n = 1 is outside the theorem's hypothesis
+    # (exit 1), but n = 100 is above its cost guard (exit 3) and comes first.
+    code, out, err = run_cli(capsys, "table", "--quantity", "pp", "--from", "1", "--to", "100",
+                             "--method", "theorem", "--strict")
+    assert code == 3
+    assert out == ""
+    assert "cost guard" in err
 
 
 def test_table_rejects_p_a_and_bad_ranges(capsys):

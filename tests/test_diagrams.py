@@ -15,10 +15,8 @@ from partcalc.cli import EXIT_COST, main
 from partcalc.formulas import CostGuardExceeded
 from partcalc.series import oracle_value
 
-# Symmetric plane partitions by weight, n = 1..9.
-SYMMETRIC_COUNTS = (1, 1, 2, 3, 4, 6, 8, 12, 16)
-# The same at n = 8, 10, 12, 14, 16 (OEIS A005987).
-SYMMETRIC_FURTHER = {8: 12, 10: 22, 12: 41, 14: 71, 16: 125}
+# Symmetric plane partitions by weight, n = 1..16 (OEIS A005987).
+SYMMETRIC_COUNTS = (1, 1, 2, 3, 4, 6, 8, 12, 16, 22, 29, 41, 53, 71, 93, 125)
 
 
 def test_diagram_validation():
@@ -84,12 +82,16 @@ def test_enumeration_bounds(monkeypatch):
 
 
 def test_enumeration_cap_is_a_cost_guard_refusal(capsys, listings):
-    assert diagrams._diagram_total(20) == 75_278 <= diagrams.ENUMERATION_LIMIT
-    with pytest.raises(CostGuardExceeded):
-        enumerate_diagrams(21)
-    with pytest.raises(CostGuardExceeded):
-        count_diagrams(21)
-    for n in ("21", "1000000"):
+    assert oracle_value("pp", 20) == 75_278 <= diagrams.ENUMERATION_LIMIT
+    # n = 10^12 is refused before anything the size of n is allocated.
+    for n in (21, 10**12):
+        with pytest.raises(CostGuardExceeded):
+            enumerate_diagrams(n)
+        with pytest.raises(CostGuardExceeded):
+            count_diagrams(n)
+        with pytest.raises(CostGuardExceeded):
+            diagram_counts(n)
+    for n in ("21", "1000000", str(10**12)):
         argv = ["compute", "--quantity", "pp", "--n", n, "--method", "oracle-enum"]
         assert main(argv) == EXIT_COST
         assert "enumeration limit" in capsys.readouterr().err
@@ -104,45 +106,37 @@ def test_enumeration_is_exact_and_exhaustive(n):
     assert len(diagrams) == oracle_value("pp", n)
 
 
-@given(st.integers(1, 8))
+@given(st.integers(1, 12))
 def test_counts_match_series_oracle(n):
     assert count_diagrams(n, "all") == oracle_value("pp", n)
     assert count_diagrams(n, "strict") == oracle_value("pps", n)
-    for r in (1, 2, 3):
+    # r = n + 1 has more rows than any diagram of n: pp_r is pp there.
+    for r in range(1, n + 2):
         assert count_diagrams(n, "max_rows", r=r) == oracle_value("pp_r", n, r=r)
 
 
 def test_one_listing_counts_every_kind(listings):
-    for n in range(1, 13):
+    for n in range(1, 9):
         counts = diagram_counts(n)
-        assert counts.all == counts.count("all") == oracle_value("pp", n)
-        assert counts.strict == counts.count("strict") == oracle_value("pps", n)
-        assert counts.count("max_rows", r=1) == oracle_value("p", n)
-        for r in range(1, n + 1):
-            assert counts.count("max_rows", r=r) == oracle_value("pp_r", n, r=r)
-        assert counts.count("max_rows", r=n + 5) == counts.all
-    assert listings == list(range(1, 13))
-
-
-def test_symmetric_counts_further():
-    for n, want in SYMMETRIC_FURTHER.items():
-        counts = diagram_counts(n)
-        assert counts.symmetric == counts.strict_odd == want
+        for kind in KINDS:
+            counts.count(kind, r=n)
+    assert listings == list(range(1, 9))
 
 
 def test_max_rows_r1_is_ordinary_partitions():
-    for n in range(1, 9):
+    for n in range(1, 13):
         assert count_diagrams(n, "max_rows", r=1) == oracle_value("p", n)
 
 
 def test_symmetric_counts():
-    got = tuple(count_diagrams(n, "symmetric") for n in range(1, 10))
+    got = tuple(count_diagrams(n, "symmetric") for n in range(1, 17))
     assert got == SYMMETRIC_COUNTS
 
 
 def test_symmetric_equals_strict_odd():
-    for n in range(1, 10):
-        assert count_diagrams(n, "symmetric") == count_diagrams(n, "strict_odd")
+    for n in range(1, 17):
+        counts = diagram_counts(n)
+        assert counts.symmetric == counts.strict_odd
 
 
 def test_transpose_closes_enumeration():
