@@ -103,14 +103,6 @@ def vector_count(n: int) -> int:
     return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
 
 
-def _vector_count_to_limit(n: int) -> tuple[int, int]:
-    """(k, p(k)): k = n, or the first k of 64, 128, 256, ... below n with
-    p(k) above VECTOR_LIMIT.  p is nondecreasing, so p(n) >= p(k) then.  The
-    first row already passes the default limit (p(61) is above it), so the
-    check costs one row of at most 64 whatever n is."""
-    return _count_to_limit(n, VECTOR_LIMIT)
-
-
 # The route choice reads p(n), and the walk it picks reads it again for its
 # guard: the last answer is kept for that second read.
 @functools.lru_cache(maxsize=1)
@@ -136,7 +128,7 @@ def vector_work(n: int) -> int:
     """The theorem route's leaves: p(n), the vectors of its walk over A_n,
     or a p(k) with k < n once that passes VECTOR_LIMIT.  A leaf costs about
     LEAF_COST multiply-adds."""
-    return _vector_count_to_limit(n)[1]
+    return _count_to_limit(n, VECTOR_LIMIT)[1]
 
 
 def within_vector_limit(n: int) -> bool:
@@ -150,7 +142,7 @@ def _vector_sum(n: int, pattern: list[int]) -> int:
     Raises CostGuardExceeded up front when A_n has more than VECTOR_LIMIT
     vectors.
     """
-    k, count = _vector_count_to_limit(n)
+    k, count = _count_to_limit(n, VECTOR_LIMIT)
     if count > VECTOR_LIMIT:
         at_least = "" if k == n else f"at least p({k}) = "
         raise CostGuardExceeded(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from collections.abc import Callable
 
 
@@ -129,18 +128,6 @@ class WeightSequence(Value):
     def lcm(self) -> int:
         return math.lcm(*self.parts)
 
-    def runs(self) -> list[tuple[int, int]]:
-        """(part, multiplicity) of each distinct part, in increasing order."""
-        parts = self.parts
-        out = []
-        i = 0
-        while i < len(parts):
-            part = parts[i]
-            j = bisect_right(parts, part, i)
-            out.append((part, j - i))
-            i = j
-        return out
-
 
 class WeightFunction(Value):
     """Part -> multiplicity map on 1..bound; weights[k-1] is the multiplicity of k."""
@@ -208,7 +195,7 @@ def seq_multipartition(n: int, r: int) -> WeightSequence:
     return quantity_sequence("P_r", n, r)
 
 
-# The DP oracle's guard and the DP itself read one listing of the pattern.
+# An oracle's guard and the oracle itself read one listing of the pattern.
 @functools.lru_cache(maxsize=16)
 def quantity_weights(quantity: str, bound: int, r: int | None = None) -> WeightFunction:
     if bound < 1:

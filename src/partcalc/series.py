@@ -2,10 +2,11 @@
 
 Both routes count the same thing — the coefficient of z^n in
 prod_k (1 - z^k)^(-w(k)) equals the number of solutions of sum a_i x_i = n
-over the expanded weight sequence — by different algorithms, and the test
-suite holds them equal.  The series route (euler_product) fills the whole
-row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in O(N^2)
-exact steps; the DP route divides the row by (1 - z^k)^m once per distinct
+where part k appears w(k) times — by different algorithms, and the test
+suite holds them equal.  Both read part k with its multiplicity w(k) and
+never list the w(k) copies.  The series route (euler_product) fills the
+whole row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in
+O(N^2) exact steps; the DP route divides the row by (1 - z^k)^m once per distinct
 part k of multiplicity m.  dp_work and series_work estimate their work in
 big-integer multiply-adds, the unit the route choice compares, and both
 oracles refuse a request whose estimate is above ORACLE_WORK_LIMIT.  A
@@ -18,12 +19,11 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
-from itertools import compress
+from itertools import compress, groupby
 from math import comb
 from operator import mul
 
 from .sequences import (
-    FAMILIES,
     QUANTITIES,
     R_QUANTITIES,
     WeightFunction,
@@ -36,29 +36,23 @@ from .sequences import (
 # for P_r at n = 100..300).
 STRIDE_PASSES_UP_TO = 12
 
-# Most parts the DP oracle expands a family's pattern into (the sum of the
-# multiplicities of 1..n, counted before expanding); read at call time.
-# pp(2000) expands 2,001,000.
-DP_PART_LIMIT = 10**7
-
 # Most big-integer multiply-adds an oracle may take on one request or one
 # table row, by its estimate (dp_work, series_work); read at call time.
-# pp(2000) takes about 2.3e7 by the DP and 2.0e6 by the series.
+# pp(2000) takes about 3.3e7 by the DP and 2.0e6 by the series.
 ORACLE_WORK_LIMIT = 10**8
 
 # Multiply-adds that one coefficient of the series' row costs besides its
 # recurrence pairs (reading its weight, starting its loop, the exact
-# division), and that one part of the DP's weight sequence costs to list and
-# group.  Measured on pp, p, pps and P_r at n = 3..160 on a shared 2-core VM:
-# about 0.56 us a coefficient and 0.47 us a part, against 0.10 us a
-# recurrence pair.
+# division), and that one distinct part of the DP costs to set up its pass.
+# Measured on pp, p, pps and P_r at n = 3..160 on a shared 2-core VM: about
+# 0.56 us a coefficient, against 0.10 us a recurrence pair.
 ROW_COST = 5
 
 
 class CostGuardExceeded(RuntimeError):
     """A route's work is above its limit: the multiply-adds of an oracle, the
-    parts of a DP, the points of a Stirling congruence box, the multiplicity
-    vectors of a theorem sum, or the n of a diagram enumeration."""
+    points of a Stirling congruence box, the multiplicity vectors of a
+    theorem sum, or the n of a diagram enumeration."""
 
 
 def euler_product(weights: WeightFunction, degree_bound: int) -> tuple[int, ...]:
@@ -120,26 +114,43 @@ def restricted_partition_row(pairs: Iterable[tuple[int, int]], top: int) -> list
     return table
 
 
+# A p_a request's estimates and its oracle read one grouping of its parts.
+@functools.lru_cache(maxsize=16)
+def _part_pairs(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(part, multiplicity) of each distinct part, in increasing order."""
+    return tuple((k, len(list(copies))) for k, copies in groupby(sorted(parts)))
+
+
 def restricted_partition_dp(a: WeightSequence, n: int) -> int:
     """Number of solutions of sum a_i x_i = n with x_i >= 0 (coin-counting DP
-    over the runs of equal parts of a)."""
+    over the distinct parts of a, each with its multiplicity)."""
     if n < 0:
         return 0
-    return restricted_partition_row(a.runs(), n)[n]
+    return restricted_partition_row(_part_pairs(a.parts), n)[n]
 
 
 def dp_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
-    """Estimated multiply-adds of the DP to top over the weight sequence
-    whose (part, multiplicity) pairs are given: a cell per entry of its row,
-    ROW_COST per part the sequence lists, and for each part k <= top of
-    multiplicity m, one pass of top - k + 1 cells per copy when
-    m <= STRIDE_PASSES_UP_TO, else one pass of min(m, top // k) terms per
-    cell."""
+    """Estimated multiply-adds of restricted_partition_row(pairs, top): a
+    cell per entry of its row, ROW_COST per pair to set up its pass, and for
+    each part k <= top of multiplicity m, top - k + 1 cells of m stride steps
+    when m <= STRIDE_PASSES_UP_TO, else of min(m, top // k) signed terms.
+    The j-th term multiplies by C(m, j), which has at most
+    min(j * bits(m), m) bits, so it counts 2 units, for its add and its
+    multiply's first word, and one more per further 64 bits."""
     total = top
     for k, m in pairs:
-        total += ROW_COST * m
-        if k <= top:
-            total += (top - k + 1) * (m if m <= STRIDE_PASSES_UP_TO else min(m, top // k))
+        total += ROW_COST
+        if k > top:
+            continue
+        if m <= STRIDE_PASSES_UP_TO:
+            units = m
+        else:
+            terms = min(m, top // k)
+            bits = m.bit_length()
+            short = min(terms, m // bits)  # the terms below m bits
+            size = bits * short * (short + 1) // 2 + (terms - short) * m
+            units = 2 * terms + -(-size // 64)
+        total += (top - k + 1) * units
     return total
 
 
@@ -166,14 +177,14 @@ def series_work(parts: Iterable[int], top: int) -> int:
     return pairs + ROW_COST * top
 
 
-# A p_a request's estimates and its oracle read one sorted part list.
-@functools.lru_cache(maxsize=16)
-def _part_sequence(
-    parts: tuple[int, ...],
-) -> tuple[WeightSequence, tuple[tuple[int, int], ...]]:
-    """The part list as a WeightSequence, with its runs."""
-    a = WeightSequence.from_parts(parts)
-    return a, tuple(a.runs())
+def _pairs(
+    quantity: str, top: int, r: int | None, parts: tuple[int, ...] | None
+) -> Iterable[tuple[int, int]]:
+    """The (part, multiplicity) pairs the DP reads to top: those of parts for
+    p_a, else the family's pattern on 1..top."""
+    if quantity == "p_a":
+        return _part_pairs(tuple(parts))
+    return enumerate(quantity_weights(quantity, top, r).weights, start=1) if top else ()
 
 
 def oracle_cost(
@@ -190,14 +201,13 @@ def oracle_cost(
 
     The guard refuses work above ORACLE_WORK_LIMIT.  A family's series work
     is a lower bound of its DP work (every multiplicity is at least 1), so
-    above the limit the DP refuses without reading the pattern; within it
-    the DP also refuses a pattern of more than DP_PART_LIMIT parts, which it
-    would expand.  A p_a row alone costs ROW_COST per coefficient, so a
-    longer one than that admits is refused before its support is sieved.
+    above the limit the DP refuses without reading the pattern.  A p_a row
+    alone costs ROW_COST per coefficient, so a longer one than that admits
+    is refused before its support is sieved.
     """
     if quantity == "p_a":
         if backend == "dp":
-            work = dp_work(_part_sequence(tuple(parts))[1], n)
+            work = dp_work(_pairs(quantity, n, r, parts), n)
         elif ROW_COST * n > ORACLE_WORK_LIMIT:
             work = ROW_COST * n
         else:
@@ -205,14 +215,7 @@ def oracle_cost(
     else:
         work = series_work((1,), n)
         if backend == "dp" and work <= ORACLE_WORK_LIMIT:
-            weights = quantity_weights(quantity, n, r).weights if n else ()
-            count = sum(weights)
-            if count > DP_PART_LIMIT:
-                return work, (
-                    f"the DP would expand {quantity} at n = {n} into {count} parts, above the "
-                    f"limit of {DP_PART_LIMIT}; --method oracle-series does not expand them"
-                )
-            work = dp_work(enumerate(weights, start=1), n)
+            work = dp_work(_pairs(quantity, n, r, parts), n)
     if work > ORACLE_WORK_LIMIT:
         name = "DP" if backend == "dp" else "series"
         return work, (
@@ -244,12 +247,16 @@ def _admit(
         raise ValueError(f"unknown backend {backend!r}")
     if quantity in R_QUANTITIES and r is None:
         raise ValueError(f"quantity {quantity!r} requires r")
-    if quantity == "p_a" and not parts:
-        raise ValueError("quantity 'p_a' requires parts")
+    if quantity == "p_a" and (not parts or min(parts) < 1):
+        raise ValueError("quantity 'p_a' requires positive parts")
     if quantity == "p_a":
         # Either estimate is at most this sum: every k <= n a pair of the
-        # series, and every part a pass over the whole row of the DP.
-        if n * (n + 1) // 2 + (ROW_COST + 1) * n + (ROW_COST + n) * len(parts) <= ORACLE_WORK_LIMIT:
+        # series; for the DP, ROW_COST a part, and on each cell at most
+        # 3 m + m * m / 64 units for a part of multiplicity m, so at most
+        # 3 L + L * L / 64 for all L parts.
+        count = len(parts)
+        units = 3 * count + -(-count * count // 64)
+        if n * (n + 1) // 2 + (ROW_COST + 1) * n + ROW_COST * count + n * units <= ORACLE_WORK_LIMIT:
             return
     refusal = oracle_cost(backend, quantity, n, r=r, parts=parts)[1]
     if refusal:
@@ -264,39 +271,31 @@ def oracle_value(
     parts: tuple[int, ...] | None = None,
     backend: str = "dp",
 ) -> int:
-    """Count by weight sequence: DP by default, series coefficient on request.
+    """Count by weight sequence: DP by default, series coefficient on
+    request; entry n of oracle_row.
 
     Every quantity returns 1 at n = 0 (the empty partition).  Raises
     CostGuardExceeded when oracle_cost refuses the request.
     """
-    _admit(backend, quantity, n, r, parts)
-    if quantity == "p_a":
-        a = _part_sequence(tuple(parts))[0]
-        if backend == "series":
-            if n == 0:
-                return 1
-            return euler_product(_pa_weight_function(a.parts, n), n)[n]
-        return restricted_partition_dp(a, n)
-    if n == 0:
-        return 1
-    weights = quantity_weights(quantity, n, r)
-    if backend == "series":
-        return euler_product(weights, n)[n]
-    return restricted_partition_dp(weights.expand(), n)
+    return oracle_row(quantity, n, r=r, parts=parts, backend=backend)[n]
 
 
 def oracle_row(
-    quantity: str, top: int, *, r: int | None = None, backend: str = "dp"
+    quantity: str,
+    top: int,
+    *,
+    r: int | None = None,
+    parts: tuple[int, ...] | None = None,
+    backend: str = "dp",
 ) -> Sequence[int]:
-    """A family's counts at n = 0..top from one oracle row: the series of
-    euler_product, or one restricted_partition_row over the pattern's
-    (part, multiplicity) pairs.  The guard is checked once, at top."""
-    if quantity not in FAMILIES:
-        raise ValueError(f"no oracle row for quantity {quantity!r}")
-    _admit(backend, quantity, top, r, None)
+    """Counts at n = 0..top from one oracle row: the series of euler_product,
+    or one restricted_partition_row over the (part, multiplicity) pairs of
+    the family's pattern or of parts.  The guard is checked once, at top."""
+    _admit(backend, quantity, top, r, parts)
     if top == 0:
         return (1,)
-    weights = quantity_weights(quantity, top, r)
-    if backend == "series":
-        return euler_product(weights, top)
-    return restricted_partition_row(enumerate(weights.weights, start=1), top)
+    if backend == "dp":
+        return restricted_partition_row(_pairs(quantity, top, r, parts), top)
+    if quantity == "p_a":
+        return euler_product(_pa_weight_function(parts, top), top)
+    return euler_product(quantity_weights(quantity, top, r), top)

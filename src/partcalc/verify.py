@@ -25,7 +25,6 @@ from . import diagrams, dispatch, formulas, series, stirling
 from .sequences import (
     FAMILIES,
     WeightSequence,
-    quantity_weights,
     seq_pp,
     seq_strict,
 )
@@ -175,9 +174,8 @@ def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[Ch
     for quantity in FAMILIES:
         res = CheckResult(f"series-vs-dp[{quantity}]")
         for r in _r_values(quantity):
-            weights = quantity_weights(quantity, top, r)
-            series_row = series.euler_product(weights, top)
-            dp_row = series.restricted_partition_row(enumerate(weights.weights, start=1), top)
+            series_row = series.oracle_row(quantity, top, r=r, backend="series")
+            dp_row = series.oracle_row(quantity, top, r=r)
             for n in range(top + 1):
                 res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
         out.append(res)
@@ -203,7 +201,7 @@ def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[Ch
     # The theorem walk over A_n with every multiplicity 1 adds 1 per leaf,
     # so it counts the vectors without listing them.
     res = CheckResult("vector-count-vs-p")
-    p_row = series.restricted_partition_row(enumerate([1] * top, start=1), top)
+    p_row = series.oracle_row("p", top)
     for n in range(1, top + 1):
         if p_row[n] > formulas.VECTOR_LIMIT:
             break

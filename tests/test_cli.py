@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,14 @@ def test_verify_guard_refusal_exits_3(capsys, monkeypatch):
     assert "cost guard: too many points" in err
 
 
+def test_verify_oracle_rows_pass_the_work_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle-consistency", "--max-n", "20000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert "cost guard: the series oracle needs at least" in err
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["verify", "--suite", "everything"])
@@ -319,12 +328,14 @@ def test_long_values_print_in_full(capsys):
 
 
 def test_dp_guard_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(series, "DP_PART_LIMIT", 1000)
+    # A limit at the series' estimate refuses the DP, which estimates more.
+    limit = series.oracle_cost("series", "P_r", 50, r=100)[0]
+    monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", limit)
     args = ("compute", "--quantity", "P_r", "--n", "50", "--r", "100")
     code, out, err = run_cli(capsys, *args, "--method", "oracle-dp")
     assert code == 3
     assert out == ""
-    assert "cost guard" in err and "--method oracle-series" in err
+    assert "cost guard: the DP oracle needs at least" in err
     value = oracle_value("P_r", 50, r=100, backend="series")
     for method in ("oracle-series", "auto"):
         code, out, _ = run_cli(capsys, *args, "--method", method)

@@ -100,7 +100,7 @@ def _best_times(requests, samples):
         for route, req in requests.items():
             formulas._count_to_limit.cache_clear()
             sequences.quantity_weights.cache_clear()
-            series._part_sequence.cache_clear()
+            series._part_pairs.cache_clear()
             start = time.perf_counter()
             compute(req)
             best[route] = min(best[route], time.perf_counter() - start)
@@ -185,7 +185,7 @@ def test_p_a_guard_admits_what_the_estimates_admit(monkeypatch):
     # The guard admits a p_a request at once when a ceiling of both estimates
     # is within the limit; it must never admit what an estimate refuses.
     monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", 2000)
-    for parts in ((1,), (7,), (2, 5), (3, 3, 6, 6, 12), PARTS_25):
+    for parts in ((1,), (7,), (2, 5), (3, 3, 6, 6, 12), PARTS_25, (2,) * 20 + (5,) * 14):
         for n in range(0, 90, 3):
             for backend in ("dp", "series"):
                 refused = series.oracle_cost(backend, "p_a", n, parts=parts)[1] is not None

@@ -20,7 +20,6 @@ from partcalc.sequences import (
 
 def test_seq_pp():
     assert seq_pp(3).parts == (1, 2, 2, 3, 3, 3)
-    assert seq_pp(3).runs() == [(1, 1), (2, 2), (3, 3)]
     assert seq_pp(1).parts == (1,)
     assert seq_pp(4).length == 10
     with pytest.raises(ValueError):

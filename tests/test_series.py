@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from partcalc import formulas, series
 from partcalc.sequences import (
+    QUANTITIES,
     WeightFunction,
     WeightSequence,
     quantity_weights,
@@ -185,6 +188,8 @@ def test_oracle_value_argument_errors():
     with pytest.raises(ValueError):
         oracle_value("p_a", 3)
     with pytest.raises(ValueError):
+        oracle_value("p_a", 3, parts=(0, 1), backend="series")
+    with pytest.raises(ValueError):
         oracle_value("nope", 3)
     with pytest.raises(ValueError):
         oracle_value("pp", -1)
@@ -225,20 +230,59 @@ def test_weight_function_expansion_matches_series():
 
 
 def test_dp_guard_counts_the_parts_before_expanding(monkeypatch):
-    # pp(5) expands into 1 + 2 + 3 + 4 + 5 = 15 parts, pp(6) into 21.
-    monkeypatch.setattr(series, "DP_PART_LIMIT", 15)
+    # A limit at the DP's estimate of pp(5) admits pp(5) and refuses pp(6),
+    # whose series row estimates less.
+    monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", series.oracle_cost("dp", "pp", 5)[0])
     assert oracle_value("pp", 5) == PP_ROW[5]
-    with pytest.raises(series.CostGuardExceeded, match="--method oracle-series"):
+    with pytest.raises(series.CostGuardExceeded, match="the DP oracle needs at least"):
         oracle_value("pp", 6)
     assert oracle_value("pp", 6, backend="series") == PP_ROW[6]
-    # P_r at r = 1000 passes the limit at part 1; nothing is expanded.
-    expanded = []
-    monkeypatch.setattr(WeightFunction, "expand", lambda self: expanded.append(self))
-    with pytest.raises(series.CostGuardExceeded):
-        oracle_value("P_r", 50, r=1000)
-    assert expanded == []
     assert formulas.CostGuardExceeded is series.CostGuardExceeded
 
 
 def test_dp_guard_admits_pp_at_2000():
-    assert series.DP_PART_LIMIT >= 2000 * 2001 // 2
+    work, refusal = series.oracle_cost("dp", "pp", 2000)
+    assert refusal is None and work <= series.ORACLE_WORK_LIMIT
+
+
+def test_dp_work_prices_each_signed_term_by_its_binomial():
+    # m <= 12: m stride steps a cell; above, 2 units a term and one more per
+    # further 64 bits of C(m, j), at most min(j * bits(m), m) bits.
+    assert series.dp_work([(2, 3)], 10) == 10 + series.ROW_COST + 9 * 3
+    # m = 40 has 6 bits: 10 terms at n = 10, j <= 6 of 6 j bits and the 4
+    # others of 40, 286 bits in all, 5 words.
+    assert series.dp_work([(1, 40)], 10) == 10 + series.ROW_COST + 10 * (2 * 10 + 5)
+    # Part 2 at n = 20 has 10 terms and takes 19 cells.
+    assert series.dp_work([(2, 40)], 20) == 20 + series.ROW_COST + 19 * (2 * 10 + 5)
+    # Parts above top cost only their set-up.
+    assert series.dp_work([(30, 1), (40, 50)], 20) == 20 + 2 * series.ROW_COST
+
+
+def test_oracles_read_pairs_without_expanding(monkeypatch):
+    want = {}
+    cases = [(q, 3 if q in ("pp_r", "P_r") else None, (1, 1, 2, 5) if q == "p_a" else None)
+             for q in QUANTITIES]
+    for q, r, parts in cases:
+        want[q] = [oracle_value(q, n, r=r, parts=parts, backend="series") for n in range(13)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle expanded its weights")
+
+    monkeypatch.setattr(WeightFunction, "expand", refuse)
+    monkeypatch.setattr(WeightSequence, "__init__", refuse)
+    series._part_pairs.cache_clear()
+    for q, r, parts in cases:
+        for backend in ("dp", "series"):
+            assert list(series.oracle_row(q, 12, r=r, parts=parts, backend=backend)) == want[q]
+            assert [oracle_value(q, n, r=r, parts=parts, backend=backend)
+                    for n in range(13)] == want[q]
+    assert series._part_pairs((5, 1, 2, 1)) == ((1, 2), (2, 1), (5, 1))
+
+
+def test_dp_guard_prices_multiplicity_not_copies():
+    # 150,000 copies of each part, but about 3e5 units of work.
+    assert oracle_value("P_r", 100, r=150_000) == oracle_value("P_r", 100, r=150_000, backend="series")
+    start = time.perf_counter()
+    with pytest.raises(series.CostGuardExceeded, match="the DP oracle needs at least"):
+        oracle_value("P_r", 1500, r=1000)
+    assert time.perf_counter() - start < 1
