@@ -6,8 +6,10 @@ where part k appears w(k) times — by different algorithms, and the test
 suite holds them equal.  Both read part k with its multiplicity w(k) and
 never list the w(k) copies.  The series route (euler_product) fills the
 whole row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in
-O(N^2) exact steps; the DP route divides the row by (1 - z^k)^m once per distinct
-part k of multiplicity m.  dp_work and series_work estimate their work in
+O(N^2) exact steps; the DP route multiplies the row by
+(1 - z^k)^(-m) = sum_j C(m + j - 1, j) z^(jk) once per distinct part k of
+multiplicity m, by m stride passes or by one C-level pass per j, whichever
+_passes prices lower.  dp_work and series_work estimate their work in
 big-integer multiply-adds, the unit the route choice compares, and both
 oracles refuse a request whose estimate is above ORACLE_WORK_LIMIT.  A
 truncated series is a plain sequence of its coefficients, a tuple from
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Sequence
-from itertools import compress, groupby
-from math import comb
-from operator import mul
+from itertools import compress, groupby, repeat
+from math import exp, expm1, log, log1p, log2, sqrt
+from operator import add, itemgetter, mul
 
 from .sequences import (
     QUANTITIES,
@@ -31,14 +33,9 @@ from .sequences import (
     quantity_weights,
 )
 
-# A part of multiplicity m up to this takes m stride passes; above it one pass
-# of the signed recurrence is cheaper (the two cross between m = 12 and 14
-# for P_r at n = 100..300).
-STRIDE_PASSES_UP_TO = 12
-
 # Most big-integer multiply-adds an oracle may take on one request or one
 # table row, by its estimate (dp_work, series_work); read at call time.
-# pp(2000) takes about 3.3e7 by the DP and 2.0e6 by the series.
+# pp(2000) takes about 7.6e6 by the DP and 2.0e6 by the series.
 ORACLE_WORK_LIMIT = 10**8
 
 # Multiply-adds that one coefficient of the series' row costs besides its
@@ -47,6 +44,19 @@ ORACLE_WORK_LIMIT = 10**8
 # Measured on pp, p, pps and P_r at n = 3..160 on a shared 2-core VM: about
 # 0.56 us a coefficient, against 0.10 us a recurrence pair.
 ROW_COST = 5
+
+# Multiply-adds that one binomial pass of the DP costs to set up besides its
+# cells: its coefficient, two slices and the map objects.  Measured on
+# passes of 3..100 cells on a shared 2-core VM: about 1.5 us a pass, against
+# 0.07 us a cell.
+PASS_COST = 20
+
+# Bits squared of a coefficient-by-entry product on a binomial pass that
+# cost one unit more than its multiply-add; calibrated on DP rows from pp(100)
+# to P_r(1000; r = 10^8), from 1-bit to 20,000-bit operands.
+PRODUCT_BITS = 100_000
+
+_LN2 = log(2)
 
 
 class CostGuardExceeded(RuntimeError):
@@ -90,21 +100,15 @@ def restricted_partition_row(pairs: Iterable[tuple[int, int]], top: int) -> list
     """Numbers of solutions of sum a_i x_i = n with x_i >= 0, for n = 0..top,
     where each (k, m) of pairs puts part k into the a_i m times.
 
-    The row is prod (1 - z^k)^(-m) mod z^(top+1), divided out one pair at a
-    time.  A small m takes m stride passes g[i] += g[i - k]; a larger one
-    takes one pass of g[i] = f[i] - sum_{j=1..J} (-1)^j C(m, j) g[i - jk],
-    J = min(m, top // k), from (1 - z^k)^m = sum_j (-1)^j C(m, j) z^(jk).
+    The row is prod (1 - z^k)^(-m) mod z^(top+1), multiplied in one pair at
+    a time by the branch that _passes prices lower: m stride passes
+    g[i] += g[i - k], or one binomial pass.
     """
     table = [0] * (top + 1)
     table[0] = 1
-    for k, m in pairs:
-        if m > STRIDE_PASSES_UP_TO:
-            terms = min(m, top // k)
-            coeffs = [comb(m, j) if j % 2 else -comb(m, j) for j in range(1, terms + 1)]
-            reach = (terms + 1) * k
-            for i in range(k, top + 1):
-                stop = i - reach
-                table[i] += sum(map(mul, coeffs, table[i - k:stop if stop >= 0 else None:-k]))
+    for k, m, _, binomial in _passes(pairs, top):
+        if binomial:
+            _binomial_pass(table, k, m)
             continue
         cells = range(k, top + 1)
         while m > 0:
@@ -112,6 +116,127 @@ def restricted_partition_row(pairs: Iterable[tuple[int, int]], top: int) -> list
                 table[i] += table[i - k]
             m -= 1
     return table
+
+
+def _binomial_pass(table: list[int], k: int, m: int) -> None:
+    """Multiply table by (1 - z^k)^(-m) = sum_j C(m + j - 1, j) z^(jk): for each
+    j, one C-level pass adds C(m + j - 1, j) times the row as it was to the
+    row shifted by jk."""
+    src = table[:]
+    coeff = 1
+    for j, shift in enumerate(range(k, len(table), k), start=1):
+        coeff = coeff * (m + j - 1) // j
+        table[shift:] = map(add, table[shift:], map(mul, repeat(coeff), src))
+
+
+def _passes(pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, int, int, bool]]:
+    """(k, m, units, binomial) of multiplying a row to top by (1 - z^k)^(-m),
+    for each pair with 1 <= k <= top and m >= 1, by the cheaper of two
+    branches; the other pairs take no pass.
+
+    m stride passes cost m (top - k + 1) units, one an add.  The binomial
+    pass costs, for each j <= top // k, PASS_COST and top - jk + 1
+    multiply-adds, each priced by size (_sized_units).  A tie goes to the
+    stride passes.
+    """
+    passes = []
+    some_binomial = False
+    for k, m in pairs:
+        cells = top - k + 1
+        if cells <= 0 or not m:
+            continue
+        strides = m * cells
+        # The binomial pass costs at least its first pass.
+        if strides <= cells + PASS_COST:
+            passes.append((k, m, strides, False))
+            continue
+        terms = top // k
+        units = terms * (top + 1 + PASS_COST) - k * terms * (terms + 1) // 2
+        if units < strides:
+            passes.append((k, m, units, True))
+            some_binomial = True
+        else:
+            passes.append((k, m, strides, False))
+    # Sizes only add to a binomial pass's price, so they are read only when
+    # some part takes that pass without them.
+    if some_binomial:
+        bits = _entry_bits([(k, m) for k, m, _, _ in passes], top)
+        if bits:
+            for i, (k, m, units, binomial) in enumerate(passes):
+                if binomial:
+                    strides = m * (top - k + 1)
+                    units = _sized_units(k, m, top, bits, units, strides)
+                    passes[i] = (k, m, units, True) if units < strides else (k, m, strides, False)
+    return passes
+
+
+def _sized_units(k: int, m: int, top: int, bits: float, units: int, limit: int) -> int:
+    """The binomial pass's units with each of its multiply-adds priced one
+    more unit per PRODUCT_BITS of the product of the bits of C(m + j - 1, j)
+    and of the entry it multiplies, taken as bits * (top - jk) / top (bits:
+    _entry_bits); units is its price without sizes.  Counting stops at
+    limit."""
+    # C(m + j - 1, j) has at most min(j, m - 1) * bits(m + j - 1) bits.
+    terms = top // k
+    if min(terms, m - 1) * (m + terms - 1).bit_length() * bits < PRODUCT_BITS:
+        return units
+    log_coeff = 0.0
+    for j in range(1, terms + 1):
+        log_coeff += log2(m + j - 1) - log2(j)
+        rest = top - j * k
+        units += (rest + 1) * int(log_coeff * bits * rest / top // PRODUCT_BITS)
+        if units >= limit:
+            break
+    return units
+
+
+def _entry_bits(pairs: list[tuple[int, int]], top: int) -> float:
+    """Bits of the largest entry of the row to top by the saddle-point
+    bound, or 0 where a coarser bound already leaves every price of
+    _sized_units unmoved.
+
+    Every entry is below (c + top)^top for c copies of parts in all, and
+    C(m + j - 1, j) below (m + top)^min(top, m - 1).  For every t > 0 each
+    entry is also at most e^(top t) prod (1 - e^(-kt))^(-m); from
+    -ln(1 - e^(-x)) <= 1/x that is at most 2 sqrt(top sum m/k) nats, at
+    t = sqrt(sum m/k / top).  When neither coarse bound can move a price,
+    0; else the saddle-point bound is taken where the derivative of its log
+    vanishes, by Newton steps on ln t.  A multiplicity above 2^64 is read as
+    2^64 here, so the bound then falls short, but such a part's own
+    coefficients already price its pass.
+    """
+    counts = [m for _, m in pairs]
+    most = max(counts, default=1)
+    if top * (sum(counts) + top).bit_length() * min(top, most - 1) * (most + top).bit_length() < PRODUCT_BITS:
+        return 0.0
+    widest, spread = 0, 0.0
+    for k, m in pairs:
+        terms = top // k
+        widest = max(widest, min(terms, m - 1) * (m + terms - 1).bit_length())
+        spread += min(m, 1 << 64) / k
+    t = sqrt(spread / top)
+    if widest * 2 * top * t / _LN2 < PRODUCT_BITS:
+        return 0.0
+    weighted = [(k, float(min(m, 1 << 64))) for k, m in pairs]
+    t = min(t, 100 / min(k for k, _ in weighted))
+    for _ in range(40):
+        slope, curve = top, 0.0
+        for k, m in weighted:
+            x = k * t
+            if x < 100:
+                q = 1 / expm1(x)
+                slope -= m * k * q
+                curve += m * k * k * q * (1 + q)
+        # Newton on ln t for F = ln of the bound: dF/d(ln t) = t F' and
+        # d2F/d(ln t)2 = t F' + t^2 F''; where that is not positive, F' < 0
+        # and t grows.
+        bend = slope + t * curve
+        step = -slope / bend if bend > 0 else 2.0
+        t *= exp(max(-2.0, min(2.0, step)))
+        if abs(step) < 0.01:
+            break
+    log_bound = top * t - sum(m * log1p(-exp(-k * t)) for k, m in weighted if k * t < 100)
+    return log_bound / _LN2
 
 
 # A p_a request's estimates and its oracle read one grouping of its parts.
@@ -131,27 +256,10 @@ def restricted_partition_dp(a: WeightSequence, n: int) -> int:
 
 def dp_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
     """Estimated multiply-adds of restricted_partition_row(pairs, top): a
-    cell per entry of its row, ROW_COST per pair to set up its pass, and for
-    each part k <= top of multiplicity m, top - k + 1 cells of m stride steps
-    when m <= STRIDE_PASSES_UP_TO, else of min(m, top // k) signed terms.
-    The j-th term multiplies by C(m, j), which has at most
-    min(j * bits(m), m) bits, so it counts 2 units, for its add and its
-    multiply's first word, and one more per further 64 bits."""
-    total = top
-    for k, m in pairs:
-        total += ROW_COST
-        if k > top:
-            continue
-        if m <= STRIDE_PASSES_UP_TO:
-            units = m
-        else:
-            terms = min(m, top // k)
-            bits = m.bit_length()
-            short = min(terms, m // bits)  # the terms below m bits
-            size = bits * short * (short + 1) // 2 + (terms - short) * m
-            units = 2 * terms + -(-size // 64)
-        total += (top - k + 1) * units
-    return total
+    cell per entry of its row, ROW_COST per pair to set up its pass, and the
+    units _passes prices for the branch the row takes."""
+    pairs = tuple(pairs)
+    return top + ROW_COST * len(pairs) + sum(map(itemgetter(2), _passes(pairs, top)))
 
 
 def series_work(parts: Iterable[int], top: int) -> int:
@@ -237,8 +345,8 @@ def _admit(
     backend: str, quantity: str, n: int, r: int | None, parts: tuple[int, ...] | None
 ) -> None:
     """Validate an oracle request and raise CostGuardExceeded when
-    oracle_cost refuses it; a p_a request within the limit by a ceiling of
-    both estimates is admitted in O(1)."""
+    oracle_cost refuses it; a request within the limit by a ceiling of both
+    estimates is admitted without pricing its passes."""
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     if n < 0:
@@ -249,14 +357,15 @@ def _admit(
         raise ValueError(f"quantity {quantity!r} requires r")
     if quantity == "p_a" and (not parts or min(parts) < 1):
         raise ValueError("quantity 'p_a' requires positive parts")
-    if quantity == "p_a":
-        # Either estimate is at most this sum: every k <= n a pair of the
-        # series; for the DP, ROW_COST a part, and on each cell at most
-        # 3 m + m * m / 64 units for a part of multiplicity m, so at most
-        # 3 L + L * L / 64 for all L parts.
-        count = len(parts)
-        units = 3 * count + -(-count * count // 64)
-        if n * (n + 1) // 2 + (ROW_COST + 1) * n + ROW_COST * count + n * units <= ORACLE_WORK_LIMIT:
+    # Either estimate is at most this sum for L copies of parts in all: n(n+1)/2
+    # pairs and ROW_COST a coefficient for the series; for the DP, a cell an
+    # entry, ROW_COST a part and at most m units a cell for a part of
+    # multiplicity m, the price of its stride passes.  A family's pattern is
+    # read only once its series row is within the limit.
+    row = n * (n + 1) // 2 + (ROW_COST + 1) * n
+    if row <= ORACLE_WORK_LIMIT:
+        copies = len(parts) if quantity == "p_a" else sum(quantity_weights(quantity, n, r).weights) if n else 0
+        if row + (ROW_COST + n) * copies <= ORACLE_WORK_LIMIT:
             return
     refusal = oracle_cost(backend, quantity, n, r=r, parts=parts)[1]
     if refusal:

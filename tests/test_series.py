@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from math import comb, log2
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,6 @@ from partcalc.sequences import (
     spp_multiplicity,
 )
 from partcalc.series import (
-    STRIDE_PASSES_UP_TO,
     euler_product,
     oracle_value,
     restricted_partition_dp,
@@ -90,9 +90,16 @@ def test_known_rows():
 
 
 def _coin_row(pairs, top):
-    """The restricted-partition row by one plain coin pass per copy of each part."""
+    """The restricted-partition row by one plain coin pass per copy of each
+    part; a part of more copies than 40, the largest top drawn below, is
+    multiplied in by a plain convolution with its series
+    sum_j C(m + j - 1, j) z^(jk) instead."""
     row = [1] + [0] * top
     for k, m in pairs:
+        if m > 40:
+            factor = [comb(m + i // k - 1, i // k) if i % k == 0 else 0 for i in range(top + 1)]
+            row = [sum(row[i] * factor[n - i] for i in range(n + 1)) for n in range(top + 1)]
+            continue
         for _ in range(m):
             for i in range(k, top + 1):
                 row[i] += row[i - k]
@@ -100,15 +107,15 @@ def _coin_row(pairs, top):
 
 
 @given(
-    st.lists(
-        st.tuples(st.integers(1, 30), st.integers(0, 3 * STRIDE_PASSES_UP_TO)),
-        max_size=6,
-    ),
+    st.lists(st.tuples(st.integers(1, 30), st.integers(0, 36)), max_size=6),
     st.integers(0, 40),
 )
-@example([(1, STRIDE_PASSES_UP_TO + 1)], 0)
-@example([(2, STRIDE_PASSES_UP_TO), (3, STRIDE_PASSES_UP_TO + 1)], 40)
-@example([(1, 0), (41, 50), (7, 3 * STRIDE_PASSES_UP_TO)], 40)
+@example([(1, 13)], 0)
+@example([(2, 12), (3, 13)], 40)
+@example([(1, 0), (41, 50), (7, 36)], 40)
+@example([(1, 10**8), (3, 10**8), (2, 5)], 40)
+@example([(25, 3), (21, 2), (1, 1)], 40)
+@example([(2, 0), (5, 0)], 10)
 @settings(max_examples=80)
 def test_restricted_partition_row_equals_coin_passes(pairs, top):
     assert restricted_partition_row(pairs, top) == _coin_row(pairs, top)
@@ -230,13 +237,13 @@ def test_weight_function_expansion_matches_series():
 
 
 def test_dp_guard_counts_the_parts_before_expanding(monkeypatch):
-    # A limit at the DP's estimate of pp(5) admits pp(5) and refuses pp(6),
+    # A limit at the DP's estimate of pp(8) admits pp(8) and refuses pp(9),
     # whose series row estimates less.
-    monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", series.oracle_cost("dp", "pp", 5)[0])
-    assert oracle_value("pp", 5) == PP_ROW[5]
+    monkeypatch.setattr(series, "ORACLE_WORK_LIMIT", series.oracle_cost("dp", "pp", 8)[0])
+    assert oracle_value("pp", 8) == PP_ROW[8]
     with pytest.raises(series.CostGuardExceeded, match="the DP oracle needs at least"):
-        oracle_value("pp", 6)
-    assert oracle_value("pp", 6, backend="series") == PP_ROW[6]
+        oracle_value("pp", 9)
+    assert oracle_value("pp", 9, backend="series") == PP_ROW[9]
     assert formulas.CostGuardExceeded is series.CostGuardExceeded
 
 
@@ -245,17 +252,58 @@ def test_dp_guard_admits_pp_at_2000():
     assert refusal is None and work <= series.ORACLE_WORK_LIMIT
 
 
-def test_dp_work_prices_each_signed_term_by_its_binomial():
-    # m <= 12: m stride steps a cell; above, 2 units a term and one more per
-    # further 64 bits of C(m, j), at most min(j * bits(m), m) bits.
-    assert series.dp_work([(2, 3)], 10) == 10 + series.ROW_COST + 9 * 3
-    # m = 40 has 6 bits: 10 terms at n = 10, j <= 6 of 6 j bits and the 4
-    # others of 40, 286 bits in all, 5 words.
-    assert series.dp_work([(1, 40)], 10) == 10 + series.ROW_COST + 10 * (2 * 10 + 5)
-    # Part 2 at n = 20 has 10 terms and takes 19 cells.
-    assert series.dp_work([(2, 40)], 20) == 20 + series.ROW_COST + 19 * (2 * 10 + 5)
-    # Parts above top cost only their set-up.
-    assert series.dp_work([(30, 1), (40, 50)], 20) == 20 + 2 * series.ROW_COST
+def test_dp_work_prices_each_part_by_its_cheaper_branch():
+    # Part 1, m = 3, at top 10: 3 * 10 stride adds against 10 binomial
+    # passes of 10 + 9 + ... + 1 multiply-adds and PASS_COST each.
+    assert series.dp_work([(1, 3)], 10) == 10 + series.ROW_COST + 30
+    # Part 4, m = 10: 10 * 7 = 70 against 2 passes, 7 + 3 + 2 PASS_COST.
+    assert series.dp_work([(4, 10)], 10) == 10 + series.ROW_COST + 10 + 2 * series.PASS_COST
+    # A part above top / 2 takes one binomial pass; a tie goes to the stride
+    # passes: part 9 of 2 cells, m = 11, prices 22 either way.
+    m = series.PASS_COST // 2 + 1
+    assert series._passes([(9, m), (8, m)], 10) == [
+        (9, m, 2 * m, False), (8, m, 3 + series.PASS_COST, True)]
+    # A part above top, or of multiplicity 0, takes no pass: only its set-up.
+    assert series.dp_work([(30, 1), (40, 50), (3, 0)], 20) == 20 + 3 * series.ROW_COST
+    # Each binomial term prices one more unit per PRODUCT_BITS of the bits
+    # of C(m + j - 1, j) times bits * (top - jk) / top.
+    bits, unsized = 20_000.0, sum(41 - j + series.PASS_COST for j in range(1, 41))
+    want = unsized + sum((41 - j) * int(log2(comb(10**8 + j - 1, j)) * bits * (40 - j) / 40
+                                        // series.PRODUCT_BITS) for j in range(1, 41))
+    assert series._sized_units(1, 10**8, 40, bits, unsized, 40 * 10**8) == want
+    assert want > 41 * 40 // 2 * 10
+    assert series._passes([(1, 10**8)], 40)[0][2:] == (series._sized_units(
+        1, 10**8, 40, series._entry_bits([(1, 10**8)], 40), unsized, 40 * 10**8), True)
+
+
+def test_dp_runs_the_branch_dp_work_priced(monkeypatch):
+    priced, run = [], []
+    passes, binomial_pass = series._passes, series._binomial_pass
+
+    def spy_passes(pairs, top):
+        result = passes(pairs, top)
+        priced.append(result)
+        return result
+
+    def spy_pass(table, k, m):
+        run.append((k, m))
+        return binomial_pass(table, k, m)
+
+    monkeypatch.setattr(series, "_passes", spy_passes)
+    monkeypatch.setattr(series, "_binomial_pass", spy_pass)
+    branches = set()
+    for quantity, n, r in [("pp", 60, None), ("ppso", 45, None), ("P_r", 40, 10**8), ("P_r", 300, 4)]:
+        pairs = list(series._pairs(quantity, n, r, None))
+        priced.clear()
+        run.clear()
+        work = series.dp_work(pairs, n)
+        assert series.restricted_partition_row(pairs, n)[n] == oracle_value(quantity, n, r=r, backend="series")
+        costs, again = priced
+        assert again == costs
+        assert run == [(k, m) for k, m, _, binomial in costs if binomial]
+        assert work == n + sum(series.ROW_COST + units for _, _, units, _ in costs)
+        branches |= {binomial for *_, binomial in costs}
+    assert branches == {False, True}
 
 
 def test_oracles_read_pairs_without_expanding(monkeypatch):
@@ -284,5 +332,5 @@ def test_dp_guard_prices_multiplicity_not_copies():
     assert oracle_value("P_r", 100, r=150_000) == oracle_value("P_r", 100, r=150_000, backend="series")
     start = time.perf_counter()
     with pytest.raises(series.CostGuardExceeded, match="the DP oracle needs at least"):
-        oracle_value("P_r", 1500, r=1000)
+        oracle_value("P_r", 4000, r=1000)
     assert time.perf_counter() - start < 1
