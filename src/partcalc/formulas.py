@@ -14,7 +14,6 @@ its time grows with p(n) = |A_n|, which VECTOR_LIMIT bounds.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable
 
@@ -207,27 +206,35 @@ def multipartition_formula(n: int, r: int) -> int:
 
 
 def ppr_inclusion_exclusion(n: int, r: int, pr_values: Callable[[int], int]) -> int:
-    """pp_r(n) as an alternating sum of multipartition counts.
+    """pp_r(n) as an alternating sum of multipartition counts,
+    sum_k c_k P_r(n - k), with c = _shift_coefficients(n, r).
 
-    pr_values(k) must supply P_r(k) for 0 <= k <= n (arguments below zero are
-    treated as zero).  Each shift pattern (t_1..t_{r-1}) with 0 <= t_j <= r-j
-    contributes sign (-1)^sum(t) times prod_j C(r-j, t_j).
+    pr_values(k) must supply P_r(k) for 0 <= k <= n; it is read once for
+    each k whose c_k is nonzero, and never otherwise.
     """
     if r < 1:
         raise ValueError("ppr_inclusion_exclusion requires r >= 1")
     if n < 0:
         return 0
-    total = 0
-    for ts in itertools.product(*(range(r - j + 1) for j in range(1, r))):
-        shift = sum(j * t for j, t in enumerate(ts, start=1))
-        if shift > n:
-            continue
-        coeff = 1
-        for j, t in enumerate(ts, start=1):
-            coeff *= binomial(r - j, t)
-        value = coeff * pr_values(n - shift)
-        total += -value if sum(ts) % 2 else value
-    return total
+    return sum(c * pr_values(n - k) for k, c in enumerate(_shift_coefficients(n, r)) if c)
+
+
+def _shift_coefficients(n: int, r: int) -> list[int]:
+    """Coefficients of z^0..z^n in prod_{j=1}^{r-1} (1 - z^j)^(r-j), the
+    factor that turns the generating function of P_r into that of pp_r.
+
+    The product is cut off after z^n and multiplied out from the terms
+    (-1)^t C(r-j, t) z^(jt) of the factors with j <= n, in O(n^2 log n)
+    steps whatever r is.
+    """
+    coeffs = [1] + [0] * n
+    for j in range(1, min(r - 1, n) + 1):
+        terms = [(-1) ** t * binomial(r - j, t) for t in range(1, min(r - j, n // j) + 1)]
+        # From the top down, so that coeffs[i - j*t] still holds the product
+        # without this factor.
+        for i in range(n, j - 1, -1):
+            coeffs[i] += sum(c * coeffs[i - j * t] for t, c in enumerate(terms[: i // j], start=1))
+    return coeffs
 
 
 def ppr_via_multipartition_formula(n: int, r: int) -> int:
@@ -235,16 +242,9 @@ def ppr_via_multipartition_formula(n: int, r: int) -> int:
     counts wherever the formula hypothesis holds and A_k is within
     VECTOR_LIMIT, and the DP oracle elsewhere."""
 
-    cache: dict[int, int] = {}
-
     def pr(k: int) -> int:
-        if k < 0:
-            return 0
-        if k not in cache:
-            if FAMILIES["P_r"].holds(k, r) and within_vector_limit(k):
-                cache[k] = multipartition_formula(k, r)
-            else:
-                cache[k] = oracle_value("P_r", k, r=r)
-        return cache[k]
+        if FAMILIES["P_r"].holds(k, r) and within_vector_limit(k):
+            return multipartition_formula(k, r)
+        return oracle_value("P_r", k, r=r)
 
     return ppr_inclusion_exclusion(n, r, pr)

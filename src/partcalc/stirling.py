@@ -8,7 +8,9 @@ D = lcm(a),
                  c(r, k+1) (-1)^(k-m) C(k, m) D^(-k) S^(k-m) n^m
 
 with S the weighted sum of the box point and c the unsigned Stirling numbers
-of the first kind.  The regrouped variants walk a much smaller box indexed by
+of the first kind.  The box depends on n only through n mod D, so
+restricted_row_stirling reads p_a(0..top) from one box walk per residue.
+The regrouped variants walk a much smaller box indexed by
 part value, weighting each point by the number of expanded configurations
 that collapse onto it.  All intermediate arithmetic is exact rational; the
 final value is asserted to be an integer.
@@ -17,7 +19,7 @@ final value is asserted to be an integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .combinat import lcm_range, stirling_first_unsigned
@@ -72,6 +74,10 @@ class StirlingKernel:
             raise ValueError("Stirling table must match the kernel length")
 
     def value(self, weighted_sum: int) -> Fraction:
+        return Fraction(self.scaled(weighted_sum), self.modulus ** (self.length - 1))
+
+    def scaled(self, weighted_sum: int) -> int:
+        """value(weighted_sum) times D^(length-1), an integer."""
         r, d, n = self.length, self.modulus, self.target
         spow = [1] * r
         npow = [1] * r
@@ -90,7 +96,7 @@ class StirlingKernel:
                     * d ** (r - 1 - k)
                 )
                 num += -term if (k - m) % 2 else term
-        return Fraction(num, d ** (r - 1))
+        return num
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,14 @@ def box_weight_histogram(
     return hist
 
 
+def _check_box_size(box: CongruenceBox) -> None:
+    size = math.prod(b + 1 for b in box.bounds)
+    if size > DEFAULT_BOX_LIMIT:
+        raise CostGuardExceeded(
+            f"congruence box has {size} points, above the limit of {DEFAULT_BOX_LIMIT}"
+        )
+
+
 def regrouped_partial_sums(
     box: CongruenceBox,
     kernel: StirlingKernel,
@@ -204,11 +218,7 @@ def regrouped_partial_sums(
 
     Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
     """
-    size = math.prod(b + 1 for b in box.bounds)
-    if size > DEFAULT_BOX_LIMIT:
-        raise CostGuardExceeded(
-            f"congruence box has {size} points, above the limit of {DEFAULT_BOX_LIMIT}"
-        )
+    _check_box_size(box)
     norm = math.factorial(kernel.length - 1)
     hist = box_weight_histogram(box, coeff_tables)
     return {
@@ -252,6 +262,30 @@ def restricted_count_stirling(a: WeightSequence, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     return regrouped_sum(*generic_setup(a, n))
+
+
+def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
+    """p_a(0..top) by the generic congruence-box sum.
+
+    Every n with the same residue mod D shares one box, so the box is walked
+    once per residue that occurs in 0..top and the kernel is evaluated for
+    each n over that histogram; each total is asserted to be an integer.
+    Every residue's box has the same number of points, so the guard is
+    checked once, before any walk.
+    """
+    if top < 0:
+        raise ValueError("top must be >= 0")
+    box, kernel = generic_setup(a, 0)
+    _check_box_size(box)
+    denominator = math.factorial(kernel.length - 1) * kernel.modulus ** (kernel.length - 1)
+    row = [0] * (top + 1)
+    for residue in range(min(kernel.modulus, top + 1)):
+        hist = box_weight_histogram(replace(box, residue=residue))
+        for n in range(residue, top + 1, kernel.modulus):
+            at_n = replace(kernel, target=n)
+            total = sum(mass * at_n.scaled(sw) for sw, mass in hist.items())
+            row[n] = _as_integer(Fraction(total, denominator))
+    return row
 
 
 def _pattern_setup(

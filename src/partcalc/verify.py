@@ -9,9 +9,13 @@ sequences.FAMILIES.  Suites:
   cross-method       closed-form evaluators vs the oracles
   stirling           congruence-sum engine and its regrouped variants
 
-Every suite takes counts, the run's reader of diagrams.diagram_counts: it
-lists each n once for the run, and every diagram kind and every r is read
-from that one listing.
+Every suite takes two readers that go with its run.  counts reads
+diagrams.diagram_counts: it lists each n once for the run, and every
+diagram kind and every r is read from that one listing.  rows reads
+series.oracle_row: each oracle row is built once for the run, and a check
+reads every n from it.  The stirling suite walks each congruence box once
+per residue (stirling.restricted_row_stirling) and compares that row with
+one DP row.
 """
 
 from __future__ import annotations
@@ -53,12 +57,19 @@ class CheckResult:
                 self.failures[-1] = "... further mismatches suppressed"
 
 
-def _dp(quantity, n, r=None, parts=None):
-    return series.oracle_value(quantity, n, r=r, parts=parts)
+def _row_reader():
+    """A reader of oracle rows for one run: rows(quantity, top, r, parts,
+    backend) is series.oracle_row, built on its first read and kept for the
+    run."""
+    built = {}
 
+    def rows(quantity, top, r=None, parts=None, backend="dp"):
+        key = (quantity, top, r, parts, backend)
+        if key not in built:
+            built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
+        return built[key]
 
-def _series(quantity, n, r=None, parts=None):
-    return series.oracle_value(quantity, n, r=r, parts=parts, backend="series")
+    return rows
 
 
 def _cap(max_n) -> float:
@@ -75,14 +86,17 @@ def _label(quantity, n, r=None) -> str:
     return f"{quantity}({n})" if r is None else f"{quantity}({n}, r={r})"
 
 
-def _route_values(counts, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
-    """quantity at (n, r) by every route that serves the case: both oracles,
-    diagram enumeration (read from counts) for 1 <= n <= 8, the theorem sum
-    in the family's stated range and within VECTOR_LIMIT, the Stirling sum
-    in the stated range when with_stirling, and for pp_r the alternating
-    sum."""
+def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
+    """quantity at (n, r) by every route that serves the case: both oracles
+    (read from their rows to top), diagram enumeration (read from counts)
+    for 1 <= n <= 8, the theorem sum in the family's stated range and within
+    VECTOR_LIMIT, the Stirling sum in the stated range when with_stirling,
+    and for pp_r the alternating sum."""
     family = FAMILIES[quantity]
-    values = {"series": _series(quantity, n, r=r), "dp": _dp(quantity, n, r=r)}
+    values = {
+        "series": rows(quantity, top, r, backend="series")[n],
+        "dp": rows(quantity, top, r)[n],
+    }
     if family.diagram is not None and 1 <= n <= 8:
         values["enum"] = counts(n).count(family.diagram, r=1 if quantity == "p" else r)
     if family.stem is not None and family.holds(n, r):
@@ -119,21 +133,27 @@ EXAMPLE_CHECKS = (
     "pp", "pp_r", "pps", "ppso", "symmetric-diagrams", "P_r", "p_a",
     "multiplicity-vectors", "block-coefficients",
 )
+# The top of the suite's oracle rows: the largest n of KNOWN_VALUES and KNOWN_ROWS.
+EXAMPLES_TOP = max(
+    *(n for _, n, _, _ in KNOWN_VALUES), *(len(row) - 1 for _, _, row in KNOWN_ROWS)
+)
 
 
-def _suite_examples(counts, max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckResult]:
     cap = _cap(max_n)
+    top = min(EXAMPLES_TOP, cap)
     checks = {name: CheckResult(f"known-values[{name}]") for name in EXAMPLE_CHECKS}
 
     for quantity, n, r, want in KNOWN_VALUES:
         if n <= cap:
-            for route, got in _route_values(counts, quantity, n, r, with_stirling=True).items():
+            values = _route_values(counts, rows, top, quantity, n, r, with_stirling=True)
+            for route, got in values.items():
                 checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via {route}")
     for quantity, r, row in KNOWN_ROWS:
+        series_row = rows(quantity, top, r, backend="series")
         for n, want in enumerate(row):
             if n <= cap:
-                got = _series(quantity, n, r=r)
-                checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via series")
+                checks[quantity].expect(series_row[n], want, f"{_label(quantity, n, r)} via series")
 
     if 3 <= cap:
         res = checks["symmetric-diagrams"]
@@ -142,7 +162,7 @@ def _suite_examples(counts, max_n=None, long_running=False) -> list[CheckResult]
     res = checks["p_a"]
     for parts, n, want in (((1, 2, 3), 6, 7), ((1,), 5, 1), (seq_strict(3).parts, 3, 4)):
         if n <= cap:
-            res.expect(_dp("p_a", n, parts=parts), want, f"p_a({n}; parts={parts}) via dp")
+            res.expect(rows("p_a", n, parts=parts)[n], want, f"p_a({n}; parts={parts}) via dp")
     if 6 <= cap:
         got = stirling.restricted_count_stirling(WeightSequence((1, 2, 3)), 6)
         res.expect(got, 7, "p_a(6; parts=(1, 2, 3)) via stirling")
@@ -167,15 +187,15 @@ def _suite_examples(counts, max_n=None, long_running=False) -> list[CheckResult]
 # --- oracle consistency -----------------------------------------------------
 
 
-def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> list[CheckResult]:
     top = 40 if max_n is None else max_n
     out = []
 
     for quantity in FAMILIES:
         res = CheckResult(f"series-vs-dp[{quantity}]")
         for r in _r_values(quantity):
-            series_row = series.oracle_row(quantity, top, r=r, backend="series")
-            dp_row = series.oracle_row(quantity, top, r=r)
+            series_row = rows(quantity, top, r, backend="series")
+            dp_row = rows(quantity, top, r)
             for n in range(top + 1):
                 res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
         out.append(res)
@@ -188,7 +208,7 @@ def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[Ch
             for r in range(1, n + 1) if FAMILIES[quantity].takes_r else (None,):
                 res.expect(
                     counts(n).count(kind, r=r),
-                    _series(quantity, n, r=r),
+                    rows(quantity, enum_top, r, backend="series")[n],
                     _label(quantity, n, r),
                 )
         out.append(res)
@@ -201,7 +221,7 @@ def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[Ch
     # The theorem walk over A_n with every multiplicity 1 adds 1 per leaf,
     # so it counts the vectors without listing them.
     res = CheckResult("vector-count-vs-p")
-    p_row = series.oracle_row("p", top)
+    p_row = rows("p", top)
     for n in range(1, top + 1):
         if p_row[n] > formulas.VECTOR_LIMIT:
             break
@@ -209,23 +229,25 @@ def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[Ch
     out.append(res)
 
     res = CheckResult("dp-permutation-invariance")
+    parts_top = min(20, _cap(max_n))
     for parts in [(1, 2, 3), (3, 1, 2), (2, 2, 5), (5, 2, 2)]:
         a = WeightSequence.from_parts(parts)
-        for n in range(min(20, _cap(max_n)) + 1):
+        for n in range(parts_top + 1):
             res.expect(
                 series.restricted_partition_dp(a, n),
-                _dp("p_a", n, parts=parts),
+                rows("p_a", parts_top, parts=parts)[n],
                 f"parts={parts} n={n}",
             )
     out.append(res)
 
     res = CheckResult("monotone[pp_r-in-r]")
-    for n in range(0, min(12, top) + 1):
-        values = [_dp("pp_r", n, r=r) for r in range(1, n + 2)]
+    monotone_top = min(12, top)
+    for n in range(0, monotone_top + 1):
+        values = [rows("pp_r", monotone_top, r)[n] for r in range(1, n + 2)]
         for r, (lo, hi) in enumerate(zip(values, values[1:]), start=1):
             res.expect(lo <= hi, True, f"pp_r({n}, r={r}) <= pp_r({n}, r={r + 1})")
         if n >= 1:
-            res.expect(values[-1], _dp("pp", n), f"pp_r({n}, r={n + 1}) == pp({n})")
+            res.expect(values[-1], rows("pp", monotone_top)[n], f"pp_r({n}, r={n + 1}) == pp({n})")
     out.append(res)
 
     return out
@@ -234,7 +256,7 @@ def _suite_oracle_consistency(counts, max_n=None, long_running=False) -> list[Ch
 # --- cross-method -----------------------------------------------------------
 
 
-def _suite_cross_method(counts, max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[CheckResult]:
     top = 12 if max_n is None else max_n
     out = []
 
@@ -242,7 +264,7 @@ def _suite_cross_method(counts, max_n=None, long_running=False) -> list[CheckRes
         res = CheckResult(f"cross-method[{quantity}]")
         for r in _r_values(quantity):
             for n in range(top + 1):
-                values = _route_values(counts, quantity, n, r)
+                values = _route_values(counts, rows, top, quantity, n, r)
                 for route, got in values.items():
                     res.expect(got, values["dp"], f"{_label(quantity, n, r)} via {route}")
         out.append(res)
@@ -254,7 +276,7 @@ def _suite_cross_method(counts, max_n=None, long_running=False) -> list[CheckRes
             for n in range(1, min(5, top) + 1):
                 if not family.holds(n, r):
                     got = formulas._vector_sum(n, family.pattern(n, r))
-                    res.expect(got, _dp(quantity, n, r=r), _label(quantity, n, r))
+                    res.expect(got, rows(quantity, top, r)[n], _label(quantity, n, r))
     out.append(res)
 
     direct = CheckResult("block-poly[direct-vs-closed]")
@@ -290,19 +312,17 @@ ENGINE_SEQUENCES = (
 )
 
 
-def _suite_stirling(counts, max_n=None, long_running=False) -> list[CheckResult]:
+def _suite_stirling(counts, rows, max_n=None, long_running=False) -> list[CheckResult]:
     cap = _cap(max_n)
     out = []
 
+    engine_top = min(60, cap)
     for parts in ENGINE_SEQUENCES:
-        a = WeightSequence(tuple(parts))
         res = CheckResult(f"stirling-engine-vs-dp[parts={','.join(map(str, parts))}]")
-        for n in range(min(60, cap) + 1):
-            res.expect(
-                stirling.restricted_count_stirling(a, n),
-                series.restricted_partition_dp(a, n),
-                f"n={n}",
-            )
+        engine_row = stirling.restricted_row_stirling(WeightSequence(tuple(parts)), engine_top)
+        dp_row = rows("p_a", engine_top, parts=tuple(parts))
+        for n in range(engine_top + 1):
+            res.expect(engine_row[n], dp_row[n], f"n={n}")
         out.append(res)
 
     wrapper_top = min(5 if long_running else 4, cap)
@@ -313,7 +333,7 @@ def _suite_stirling(counts, max_n=None, long_running=False) -> list[CheckResult]
         for n in range(family.min_n, wrapper_top + 1):
             for r in range(2, n) if family.takes_r else (None,):
                 got = dispatch.wrapper_value(family, "stirling", n, r)
-                res.expect(got, _dp(quantity, n, r=r), _label(quantity, n, r))
+                res.expect(got, rows(quantity, wrapper_top, r)[n], _label(quantity, n, r))
         out.append(res)
 
     res = CheckResult("stirling[partial-sum-denominators]")
@@ -347,6 +367,8 @@ def run_suite(name: str, *, max_n: int | None = None, long_running: bool = False
         raise ValueError(f"unknown suite {name!r}")
     if max_n is not None and max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    # The reader goes with this call, so each run lists as a fresh process would.
+    # The readers go with this call, so each run lists and builds rows as a
+    # fresh process would.
     counts = functools.cache(diagrams.diagram_counts)
-    return _SUITE_FUNCTIONS[name](counts, max_n=max_n, long_running=long_running)
+    rows = _row_reader()
+    return _SUITE_FUNCTIONS[name](counts, rows, max_n=max_n, long_running=long_running)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from partcalc import formulas
+from partcalc.combinat import binomial
 from partcalc.formulas import (
     VECTOR_LIMIT,
     CostGuardExceeded,
@@ -211,6 +214,48 @@ def test_parametric_formulas_match_oracle(r, n):
 def test_alternating_sum_recovers_ppr(r, n):
     pr = lambda k: oracle_value("P_r", k, r=r) if k >= 0 else 0
     assert ppr_inclusion_exclusion(n, r, pr) == oracle_value("pp_r", n, r=r)
+
+
+def _shift_pattern_coefficients(n, r):
+    """The coefficients c_0..c_n of the alternating sum by enumeration: each
+    shift pattern (t_1..t_{r-1}) with 0 <= t_j <= r-j and shift
+    sum j t_j <= n adds (-1)^sum(t) prod_j C(r-j, t_j) at its shift."""
+    coeffs = [0] * (n + 1)
+    for ts in itertools.product(*(range(r - j + 1) for j in range(1, r))):
+        shift = sum(j * t for j, t in enumerate(ts, start=1))
+        if shift <= n:
+            term = math.prod(binomial(r - j, t) for j, t in enumerate(ts, start=1))
+            coeffs[shift] += -term if sum(ts) % 2 else term
+    return coeffs
+
+
+def test_shift_coefficients_equal_the_pattern_enumeration():
+    for r in range(1, 8):
+        for n in range(26):
+            assert formulas._shift_coefficients(n, r) == _shift_pattern_coefficients(n, r), (n, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 9, 40])
+def test_alternating_sum_reads_each_k_at_most_once(r):
+    n = 12
+    read = []
+
+    def pr(k):
+        read.append(k)
+        return oracle_value("P_r", k, r=r)
+
+    assert ppr_inclusion_exclusion(n, r, pr) == oracle_value("pp_r", n, r=r)
+    assert len(read) == len(set(read))
+    assert set(read) <= set(range(n + 1))
+
+
+def test_alternating_sum_at_large_r():
+    # Only the factors (1 - z^j)^(r-j) with j <= n reach z^n, so r does not
+    # multiply the work; the enumeration of (r-1)! shift patterns took about
+    # 5 s at r = 10.
+    started = time.perf_counter()
+    assert ppr_via_multipartition_formula(5, 50) == oracle_value("pp_r", 5, r=50) == 24
+    assert time.perf_counter() - started < 1
 
 
 def test_alternating_sum_edge_cases():

@@ -25,7 +25,9 @@ from partcalc.stirling import (
     regrouped_partial_sums,
     regrouped_sum,
     restricted_count_stirling,
+    restricted_row_stirling,
 )
+from partcalc.verify import ENGINE_SEQUENCES
 
 SEQUENCES = [
     (1,),
@@ -129,6 +131,42 @@ def test_cost_guard(monkeypatch):
         restricted_count_stirling(a, 5)
     with pytest.raises(CostGuardExceeded):
         pp_stirling(4)
+
+
+@pytest.mark.parametrize("parts", ENGINE_SEQUENCES)
+def test_row_equals_the_count_at_each_n(parts):
+    a = WeightSequence(tuple(parts))
+    assert restricted_row_stirling(a, 60) == [restricted_count_stirling(a, n) for n in range(61)]
+
+
+@pytest.mark.parametrize("parts, top", [((1, 2, 3), 60), ((1, 2, 3), 3), ((2, 3, 4), 0), ((4, 6), 11)])
+def test_row_walks_each_residue_once(monkeypatch, parts, top):
+    walked = []
+    real = stirling.box_weight_histogram
+
+    def spy(box, coeff_tables=None):
+        walked.append(box.residue)
+        return real(box, coeff_tables)
+
+    monkeypatch.setattr(stirling, "box_weight_histogram", spy)
+    a = WeightSequence(parts)
+    row = restricted_row_stirling(a, top)
+    assert row == [restricted_partition_dp(a, n) for n in range(top + 1)]
+    assert sorted(walked) == list(range(min(a.lcm, top + 1)))
+
+
+def test_row_guard_refuses_before_any_walk(monkeypatch):
+    walked = []
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 10)
+    monkeypatch.setattr(stirling, "box_weight_histogram", lambda *args: walked.append(args))
+    with pytest.raises(CostGuardExceeded):
+        restricted_row_stirling(seq_pp(4), 60)
+    assert walked == []
+
+
+def test_row_errors():
+    with pytest.raises(ValueError):
+        restricted_row_stirling(WeightSequence((1, 2)), -1)
 
 
 def test_partial_sums_clear_denominators():

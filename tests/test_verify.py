@@ -2,10 +2,90 @@ from __future__ import annotations
 
 import pytest
 
-from partcalc import formulas, stirling, verify
+from partcalc import formulas, series, stirling, verify
 from partcalc.sequences import FAMILIES
 
 STEMS = [family.stem for family in FAMILIES.values() if family.stem is not None]
+
+
+# Every check of the default suites, with its number of cases.
+DEFAULT_CHECKS = {
+    "examples": {
+        "known-values[pp]": 16, "known-values[pp_r]": 14, "known-values[pps]": 10,
+        "known-values[ppso]": 4, "known-values[symmetric-diagrams]": 1,
+        "known-values[P_r]": 10, "known-values[p_a]": 4,
+        "known-values[multiplicity-vectors]": 2, "known-values[block-coefficients]": 4,
+    },
+    "cross-method": {
+        "cross-method[p]": 34, "cross-method[pp]": 44, "cross-method[pp_r]": 322,
+        "cross-method[pps]": 44, "cross-method[ppso]": 36, "cross-method[P_r]": 195,
+        "vector-sum-below-range": 55, "block-poly[direct-vs-closed]": 425,
+        "block-poly[reciprocity]": 410, "block-poly[mass]": 15,
+    },
+    "oracle-consistency": {
+        "series-vs-dp[p]": 41, "series-vs-dp[pp]": 41, "series-vs-dp[pp_r]": 246,
+        "series-vs-dp[pps]": 41, "series-vs-dp[ppso]": 41, "series-vs-dp[P_r]": 246,
+        "enum-vs-series[all]": 8, "enum-vs-series[strict]": 8,
+        "enum-vs-series[max-rows]": 36, "enum[symmetric-vs-strict-odd]": 8,
+        "vector-count-vs-p": 40, "dp-permutation-invariance": 84,
+        "monotone[pp_r-in-r]": 90,
+    },
+    "stirling": {
+        **{f"stirling-engine-vs-dp[parts={','.join(map(str, parts))}]": 61
+           for parts in verify.ENGINE_SEQUENCES},
+        "stirling-wrapper[pp]": 2, "stirling-wrapper[pp_r]": 3, "stirling-wrapper[pps]": 2,
+        "stirling-wrapper[ppso]": 2, "stirling-wrapper[P_r]": 2,
+        "stirling[partial-sum-denominators]": 11,
+    },
+}
+
+
+def test_default_suites_keep_every_check_and_case():
+    totals = {}
+    for suite, checks in DEFAULT_CHECKS.items():
+        results = verify.run_suite(suite)
+        assert all(res.ok for res in results), suite
+        assert {res.name: res.cases for res in results} == checks
+        totals[suite] = sum(res.cases for res in results)
+    assert totals == {"examples": 65, "cross-method": 1580, "oracle-consistency": 930, "stirling": 388}
+
+
+@pytest.mark.parametrize("suite", ["examples", "cross-method", "oracle-consistency", "stirling"])
+def test_a_run_builds_each_oracle_row_once(monkeypatch, suite):
+    real = series.oracle_row
+    built = []
+
+    def spy(quantity, top, **kwargs):
+        built.append((quantity, top, tuple(sorted(kwargs.items()))))
+        return real(quantity, top, **kwargs)
+
+    # The alternating sum reads P_r values of its own, one row each; those
+    # are not the suite's rows.
+    monkeypatch.setattr(formulas, "oracle_value", lambda quantity, n, **kwargs: real(quantity, n, **kwargs)[n])
+    monkeypatch.setattr(series, "oracle_row", spy)
+    results = verify.run_suite(suite)
+    assert all(res.ok for res in results)
+    assert built
+    assert len(built) == len(set(built))
+    if suite in ("examples", "cross-method"):
+        # Every read of a (quantity, r, parts, backend) comes from one row.
+        keys = [(quantity, kwargs) for quantity, _, kwargs in built]
+        assert len(keys) == len(set(keys))
+
+
+def test_a_wrong_stirling_row_fails_its_suite(monkeypatch):
+    real = stirling.restricted_row_stirling
+
+    def off_by_one(a, top):
+        row = real(a, top)
+        row[min(17, top)] += 1
+        return row
+
+    monkeypatch.setattr(stirling, "restricted_row_stirling", off_by_one)
+    results = verify.run_suite("stirling")
+    failing = [res.name for res in results if not res.ok]
+    assert failing == [f"stirling-engine-vs-dp[parts={','.join(map(str, parts))}]"
+                       for parts in verify.ENGINE_SEQUENCES]
 
 
 def test_oracle_consistency_lists_no_large_vector_set(monkeypatch):
