@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 from .combinat import binomial
 from .sequences import FAMILIES
-from .series import CostGuardExceeded, oracle_value, restricted_partition_row
+from .series import CostGuardExceeded, oracle_row, restricted_partition_row
 
 # Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
 # within, p(61) = 1,121,505 is not.
@@ -240,11 +240,13 @@ def _shift_coefficients(n: int, r: int) -> list[int]:
 def ppr_via_multipartition_formula(n: int, r: int) -> int:
     """pp_r(n) by the alternating sum, with formula-backed multipartition
     counts wherever the formula hypothesis holds and A_k is within
-    VECTOR_LIMIT, and the DP oracle elsewhere."""
+    VECTOR_LIMIT, and the DP oracle elsewhere: one P_r row to n, read on
+    the first k that needs it and never built when none does."""
+    oracle = functools.cache(lambda: oracle_row("P_r", n, r=r))
 
     def pr(k: int) -> int:
         if FAMILIES["P_r"].holds(k, r) and within_vector_limit(k):
             return multipartition_formula(k, r)
-        return oracle_value("P_r", k, r=r)
+        return oracle()[k]
 
     return ppr_inclusion_exclusion(n, r, pr)

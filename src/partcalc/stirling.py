@@ -10,10 +10,11 @@ D = lcm(a),
 with S the weighted sum of the box point and c the unsigned Stirling numbers
 of the first kind.  The box depends on n only through n mod D, so
 restricted_row_stirling reads p_a(0..top) from one box walk per residue.
-The regrouped variants walk a much smaller box indexed by
-part value, weighting each point by the number of expanded configurations
-that collapse onto it.  All intermediate arithmetic is exact rational; the
-final value is asserted to be an integer.
+Like the regrouped family variants, the generic engine walks one coordinate
+per distinct part value, weighting each point by the number of expanded
+configurations that collapse onto it, so the histogram is the expanded
+box's; its guard still counts the expanded box.  All intermediate
+arithmetic is exact rational; the final value is asserted to be an integer.
 """
 
 from __future__ import annotations
@@ -151,14 +152,14 @@ class BlockPolynomial:
 
 
 def box_weight_histogram(
-    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...], ...] | None = None
+    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None
 ) -> dict[int, int]:
     """Coefficient mass per weighted sum over the box.
 
-    coeff_tables[t][v] weights coordinate t at value v (None means weight 1
-    everywhere); a zero coefficient prunes the whole subtree.  The first
-    coordinate is never looped: its admissible values are solved from the
-    congruence.
+    coeff_tables[t][v] weights coordinate t at value v (coeff_tables or
+    coeff_tables[t] None means weight 1 everywhere); a zero coefficient
+    prunes the whole subtree.  The first coordinate is never looped: its
+    admissible values are solved from the congruence.
     """
     if coeff_tables is not None and len(coeff_tables) != len(box.bounds):
         raise ValueError("need one coefficient table per coordinate")
@@ -201,8 +202,7 @@ def box_weight_histogram(
     return hist
 
 
-def _check_box_size(box: CongruenceBox) -> None:
-    size = math.prod(b + 1 for b in box.bounds)
+def _check_box_size(size: int) -> None:
     if size > DEFAULT_BOX_LIMIT:
         raise CostGuardExceeded(
             f"congruence box has {size} points, above the limit of {DEFAULT_BOX_LIMIT}"
@@ -212,13 +212,13 @@ def _check_box_size(box: CongruenceBox) -> None:
 def regrouped_partial_sums(
     box: CongruenceBox,
     kernel: StirlingKernel,
-    coeff_tables: tuple[tuple[int, ...], ...] | None = None,
+    coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None,
 ) -> dict[int, Fraction]:
     """Per-weighted-sum contributions, already divided by (length-1)!.
 
     Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
     """
-    _check_box_size(box)
+    _check_box_size(math.prod(b + 1 for b in box.bounds))
     norm = math.factorial(kernel.length - 1)
     hist = box_weight_histogram(box, coeff_tables)
     return {
@@ -235,26 +235,47 @@ def _as_integer(total: Fraction) -> int:
 def regrouped_sum(
     box: CongruenceBox,
     kernel: StirlingKernel,
-    coeff_tables: tuple[tuple[int, ...], ...] | None = None,
+    coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None,
 ) -> int:
     partials = regrouped_partial_sums(box, kernel, coeff_tables)
     return _as_integer(sum(partials.values(), Fraction(0)))
 
 
-def generic_setup(a: WeightSequence, n: int) -> tuple[CongruenceBox, StirlingKernel]:
-    """Box 0 <= j_t < D/a_t with sum a_t j_t = n (mod D), and the kernel of
-    the generic sum for p_a(n), D = lcm(a)."""
+def generic_setup(
+    a: WeightSequence, n: int
+) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
+    """Box, kernel and coefficient tables of the generic sum for p_a(n),
+    D = lcm(a).
+
+    The expanded box is 0 <= j_t < D/a_t, one coordinate per part, with
+    sum a_t j_t = n (mod D).  The m copies of a part k are walked as one
+    coordinate of weight k and bound m(D/k - 1), whose table at value v counts
+    the (j_1..j_m) with j_i <= D/k - 1 summing to v: the coefficients of
+    (1 + z + ... + z^(D/k-1))^m.  A part that occurs once keeps table None,
+    so it walks as in the expanded box, and the histogram is the expanded
+    box's.  The guard counts the expanded box, prod_t D/a_t: above
+    DEFAULT_BOX_LIMIT it raises CostGuardExceeded before any table is built.
+    """
     d = a.lcm
+    # (part k, copies m, largest j of one copy D/k - 1) per distinct part.
+    runs = [(k, a.parts.count(k), d // k - 1) for k in dict.fromkeys(a.parts)]
+    _check_box_size(math.prod((x + 1) ** m for _, m, x in runs))
     box = CongruenceBox(
-        bounds=tuple(d // part - 1 for part in a.parts),
-        weights=a.parts,
+        bounds=tuple(m * x for _, m, x in runs),
+        weights=tuple(k for k, _, _ in runs),
         modulus=d,
         residue=n % d,
     )
+    tables = tuple(None if m == 1 else _block_table(m, x, m * x) for _, m, x in runs)
     kernel = StirlingKernel(
         length=a.length, modulus=d, target=n, table=stirling_first_unsigned(a.length)
     )
-    return box, kernel
+    return box, kernel, tables
+
+
+def _block_table(copies: int, limit: int, top: int) -> tuple[int, ...]:
+    """bounded_composition_count(v, copies, limit) for v = 0..top."""
+    return tuple(bounded_composition_count(v, copies, limit) for v in range(top + 1))
 
 
 def restricted_count_stirling(a: WeightSequence, n: int) -> int:
@@ -268,19 +289,19 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     """p_a(0..top) by the generic congruence-box sum.
 
     Every n with the same residue mod D shares one box, so the box is walked
-    once per residue that occurs in 0..top and the kernel is evaluated for
-    each n over that histogram; each total is asserted to be an integer.
-    Every residue's box has the same number of points, so the guard is
-    checked once, before any walk.
+    once per residue that occurs in 0..top, with the tables generic_setup
+    builds once for the row, and the kernel is evaluated for each n over that
+    histogram; each total is asserted to be an integer.  Every residue's box
+    has the same number of points, so the guard is checked once, before any
+    walk.
     """
     if top < 0:
         raise ValueError("top must be >= 0")
-    box, kernel = generic_setup(a, 0)
-    _check_box_size(box)
+    box, kernel, tables = generic_setup(a, 0)
     denominator = math.factorial(kernel.length - 1) * kernel.modulus ** (kernel.length - 1)
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):
-        hist = box_weight_histogram(replace(box, residue=residue))
+        hist = box_weight_histogram(replace(box, residue=residue), tables)
         for n in range(residue, top + 1, kernel.modulus):
             at_n = replace(kernel, target=n)
             total = sum(mass * at_n.scaled(sw) for sw, mass in hist.items())
@@ -305,10 +326,7 @@ def _pattern_setup(
     box = CongruenceBox(
         bounds=bounds, weights=tuple(range(1, n + 1)), modulus=d, residue=n % d
     )
-    tables = tuple(
-        tuple(bounded_composition_count(v, m, d // s - 1) for v in range(d - m + 1))
-        for s, m in enumerate(pattern, start=1)
-    )
+    tables = tuple(_block_table(m, d // s - 1, d - m) for s, m in enumerate(pattern, start=1))
     length = sum(pattern)
     kernel = StirlingKernel(
         length=length, modulus=d, target=n, table=stirling_first_unsigned(length)

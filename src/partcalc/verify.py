@@ -14,8 +14,9 @@ diagrams.diagram_counts: it lists each n once for the run, and every
 diagram kind and every r is read from that one listing.  rows reads
 series.oracle_row: each oracle row is built once for the run, and a check
 reads every n from it.  The stirling suite walks each congruence box once
-per residue (stirling.restricted_row_stirling) and compares that row with
-one DP row.
+per residue (stirling.restricted_row_stirling), one coordinate per distinct
+part, and compares that row with one DP row; partial-sum-denominators reads
+the same grouped box from stirling.generic_setup.
 """
 
 from __future__ import annotations

@@ -258,6 +258,22 @@ def test_alternating_sum_at_large_r():
     assert time.perf_counter() - started < 1
 
 
+# (12, 3) reads P_3 at 12, 11, 9 and 8, all by the formula, so it builds no
+# row; (6, 3) reads P_3(3) and P_3(2) from the row.
+@pytest.mark.parametrize("n, r, rows", [(120, 200, 1), (6, 3, 1), (62, 2, 1), (0, 4, 1), (12, 3, 0)])
+def test_alternating_sum_builds_at_most_one_pr_row(monkeypatch, n, r, rows):
+    built = []
+    real = formulas.oracle_row
+
+    def spy(quantity, top, **kwargs):
+        built.append((quantity, top))
+        return real(quantity, top, **kwargs)
+
+    monkeypatch.setattr(formulas, "oracle_row", spy)
+    assert ppr_via_multipartition_formula(n, r) == oracle_value("pp_r", n, r=r)
+    assert built == [("P_r", n)] * rows
+
+
 def test_alternating_sum_edge_cases():
     assert ppr_inclusion_exclusion(-1, 3, lambda k: 1) == 0
     with pytest.raises(ValueError):

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partcalc import stirling
+from partcalc import formulas, series, stirling
 from partcalc.combinat import stirling_first_unsigned
 from partcalc.formulas import HypothesisError
 from partcalc.sequences import WeightSequence, seq_pp, seq_strict
@@ -162,6 +163,72 @@ def test_row_guard_refuses_before_any_walk(monkeypatch):
     with pytest.raises(CostGuardExceeded):
         restricted_row_stirling(seq_pp(4), 60)
     assert walked == []
+
+
+def _expanded_box(a, residue):
+    """The generic box with one coordinate per copy of a part."""
+    return CongruenceBox(tuple(a.lcm // part - 1 for part in a.parts), a.parts, a.lcm, residue)
+
+
+@pytest.mark.parametrize(
+    "parts", [(1, 1, 2, 2), seq_pp(3).parts, seq_pp(4).parts, (3, 3, 6, 6, 12), (5, 5, 5, 9, 10)]
+)
+def test_grouped_walk_equals_the_expanded_walk(parts):
+    a = WeightSequence(parts)
+    box, _, tables = generic_setup(a, 0)
+    assert len(box.bounds) == len(set(parts))
+    for residue in range(a.lcm):
+        grouped = box_weight_histogram(replace(box, residue=residue), tables)
+        assert grouped == box_weight_histogram(_expanded_box(a, residue)), residue
+
+
+def test_grouped_box_of_seq_pp_4():
+    box, _, tables = generic_setup(seq_pp(4), 5)
+    assert box.weights == (1, 2, 3, 4)
+    assert box.bounds == (11, 10, 9, 8)
+    assert tables[0] is None
+    # The walk loops every coordinate but the first: 11 * 10 * 9 partial
+    # points, where the expanded box loops 186,624.
+    assert math.prod(b + 1 for b in box.bounds[1:]) == 990
+    assert tables[3] == stirling.BlockPolynomial(4, 12).coefficients()
+
+
+@pytest.mark.parametrize("parts", [(1,), (1, 2, 3), (2, 3, 5), (4, 6), (2, 3, 7, 11)])
+def test_distinct_parts_get_no_tables(parts):
+    box, _, tables = generic_setup(WeightSequence(parts), 7)
+    assert tables == (None,) * len(parts)
+    assert box == _expanded_box(WeightSequence(parts), 7 % box.modulus)
+
+
+def test_guard_counts_the_expanded_box(monkeypatch):
+    a = seq_pp(4)
+    box, _, _ = generic_setup(a, 0)
+    grouped = math.prod(b + 1 for b in box.bounds)
+    expanded = math.prod(a.lcm // part for part in a.parts)
+    assert (grouped, expanded) == (11_880, 2_239_488)
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 100_000)
+    message = f"congruence box has {expanded} points, above the limit of 100000"
+    with pytest.raises(CostGuardExceeded, match=message):
+        restricted_count_stirling(a, 5)
+    with pytest.raises(CostGuardExceeded, match=message):
+        restricted_row_stirling(a, 30)
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", expanded)
+    assert restricted_count_stirling(a, 5) == restricted_partition_dp(a, 5)
+
+
+def test_generic_sum_reads_no_oracle(monkeypatch):
+    sequences = [WeightSequence(parts) for parts in ((1, 1, 2, 2), (3, 3, 6, 6, 12), (2, 2, 2, 5))]
+    want = [[restricted_partition_dp(a, n) for n in range(25)] for a in sequences]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Stirling sum read an oracle")
+
+    for module in (series, formulas):
+        for name in ("restricted_partition_row", "oracle_row"):
+            monkeypatch.setattr(module, name, refuse)
+    for a, row in zip(sequences, want):
+        assert restricted_row_stirling(a, 24) == row
+        assert [restricted_count_stirling(a, n) for n in range(25)] == row
 
 
 def test_row_errors():

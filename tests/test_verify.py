@@ -59,9 +59,9 @@ def test_a_run_builds_each_oracle_row_once(monkeypatch, suite):
         built.append((quantity, top, tuple(sorted(kwargs.items()))))
         return real(quantity, top, **kwargs)
 
-    # The alternating sum reads P_r values of its own, one row each; those
-    # are not the suite's rows.
-    monkeypatch.setattr(formulas, "oracle_value", lambda quantity, n, **kwargs: real(quantity, n, **kwargs)[n])
+    # The alternating sum reads a P_r row of its own through formulas'
+    # binding of oracle_row, which this spy leaves alone; those are not the
+    # suite's rows.
     monkeypatch.setattr(series, "oracle_row", spy)
     results = verify.run_suite(suite)
     assert all(res.ok for res in results)
