@@ -7,8 +7,13 @@ Every counting family reduces to
 where m_s is the family's multiplicity pattern.  C(l + m - 1, l) counts the
 ways to split l copies of part s among m indistinguishable-slot variables,
 which is exactly the coefficient extraction the generating function performs.
-The sum walks A_n depth first, so it holds one path of the walk at a time;
-its time grows with p(n) = |A_n|, which VECTOR_LIMIT bounds.
+The sum walks A_n depth first over the coordinates l_n..l_3, so it holds one
+path of the walk at a time.  Parts 1 and 2 are closed together: one table
+per sum, built from the same binomials, gives the sum over (l_1, l_2) for
+every remainder R, so each branch of the walk ends in one table read that
+covers R // 2 + 1 vectors.  The table covers parts 1 and 2 only and reads
+no oracle, so the walk stays an algorithm of its own.  Its time still grows with p(n) = |A_n|, which
+VECTOR_LIMIT bounds.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from .series import CostGuardExceeded, oracle_row, restricted_partition_row
 # within, p(61) = 1,121,505 is not.
 VECTOR_LIMIT = 10**6
 
-# Multiply-adds of the series oracle that one leaf of the theorem walk costs:
-# measured on pp, pps and ppso at n = 3..25 on a shared 2-core VM, about
-# 0.40 us a leaf against 0.10 us a recurrence pair of the series.
+# Multiply-adds of the series oracle that one vector of the theorem walk is
+# priced at.  Calibrated when each vector was one call, on pp, pps and ppso at
+# n = 3..25 on a shared 2-core VM: about 0.40 us a vector against 0.10 us a
+# recurrence pair of the series.  With parts 1 and 2 closed from one table the
+# same sums take about 0.13 us a vector, so this price is now about 3x high;
+# it stays, so that auto keeps choosing the routes it chose.
 LEAF_COST = 4
 
 
@@ -124,9 +132,9 @@ def count_to_limit(count, n: int, limit: int) -> tuple[int, int]:
 
 
 def vector_work(n: int) -> int:
-    """The theorem route's leaves: p(n), the vectors of its walk over A_n,
-    or a p(k) with k < n once that passes VECTOR_LIMIT.  A leaf costs about
-    LEAF_COST multiply-adds."""
+    """The theorem route's work: p(n), the vectors its walk over A_n covers,
+    or a p(k) with k < n once that passes VECTOR_LIMIT.  A vector is priced
+    at LEAF_COST multiply-adds."""
     return _count_to_limit(n, VECTOR_LIMIT)[1]
 
 
@@ -147,23 +155,55 @@ def _vector_sum(n: int, pattern: list[int]) -> int:
         raise CostGuardExceeded(
             f"A_{n} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
         )
-    return _walk(n, n, pattern)
+    tail = _tail_table(n, pattern)
+    return tail[n] if n < 3 else _walk(n, n, pattern, tail)
 
 
-def _walk(s: int, remaining: int, pattern: list[int]) -> int:
-    """sum of prod_t C(l_t + m_t - 1, l_t) over (l_1..l_s) with
-    sum t*l_t = remaining; callers keep s <= remaining.
+def _tail_table(n: int, pattern: list[int]) -> list[int]:
+    """T[R] for R = 0..n: the sum over (l_1, l_2) with l_1 + 2 l_2 = R of
+    C(l_1 + m_1 - 1, l_1) * C(l_2 + m_2 - 1, l_2), the theorem's factors of
+    parts 1 and 2, where C(l + m - 1, l) is 1 at l = 0 whatever m is.
 
-    Each call chooses l_s and jumps to part min(s - 1, rest), so no branch
-    dead-ends; part 1 takes whatever remains, so every call at s < 2 is one
-    leaf, one vector of A_n.  C(l + m - 1, l) is carried from l - 1 by an
-    exact division.  A zero factor (m_s = 0) prunes every larger l_s.
+    With m_1 = 1 the first factor is 1, and T[R] = C(R // 2 + m_2, m_2) by
+    the hockey-stick identity.  Otherwise T starts as the row of part 1's
+    factor, and each l_2 >= 1 adds its factor times that row shifted by
+    2 l_2.  Both factors are carried from l - 1 as in _walk, which also
+    gives 0 for l > 0 when m = 0.
     """
-    if s < 2:
-        return math.comb(remaining + pattern[0] - 1, remaining) if s else 1
+    m1 = pattern[0]
+    m2 = pattern[1] if n > 1 else 0
+    if m1 == 1:
+        return [math.comb(R // 2 + m2, m2) for R in range(n + 1)]
+    ones = [1] * (n + 1)
+    for l in range(1, n + 1):
+        ones[l] = ones[l - 1] * (m1 + l - 1) // l
+    table = ones[:]
+    c = 1
+    for l in range(1, n // 2 + 1):
+        c = c * (m2 + l - 1) // l
+        if not c:
+            break
+        for R in range(2 * l, n + 1):
+            table[R] += c * ones[R - 2 * l]
+    return table
+
+
+def _walk(s: int, remaining: int, pattern: list[int], tail: list[int]) -> int:
+    """sum of prod_t C(l_t + m_t - 1, l_t) over (l_1..l_s) with
+    sum t*l_t = remaining; callers keep 3 <= s <= remaining, and tail is
+    _tail_table of the sum.
+
+    Each call chooses l_s and goes on to part min(s - 1, rest), so no branch
+    dead-ends.  Where that part is 2 or less the branch ends in one read of
+    tail[rest], which closes parts 1 and 2 at once and covers rest // 2 + 1
+    vectors of A_n.  C(l + m - 1, l) is carried from l - 1 by an exact
+    division.  A zero factor (m_s = 0) prunes every larger l_s.  tail is
+    passed down rather than closed over: a closure that calls itself is a
+    reference cycle.
+    """
     m = pattern[s - 1]
     below = s - 1
-    total = _walk(below, remaining, pattern)
+    total = tail[remaining] if below < 3 else _walk(below, remaining, pattern, tail)
     c = 1
     l = 0
     rest = remaining - s
@@ -172,7 +212,10 @@ def _walk(s: int, remaining: int, pattern: list[int]) -> int:
         c = c * (m + l - 1) // l
         if not c:
             break
-        total += c * _walk(below if below < rest else rest, rest, pattern)
+        if below < 3 or rest < 3:
+            total += c * tail[rest]
+        else:
+            total += c * _walk(below if below < rest else rest, rest, pattern, tail)
         rest -= s
     return total
 

@@ -13,15 +13,21 @@ restricted_row_stirling reads p_a(0..top) from one box walk per residue.
 Like the regrouped family variants, the generic engine walks one coordinate
 per distinct part value, weighting each point by the number of expanded
 configurations that collapse onto it, so the histogram is the expanded
-box's; its guard still counts the expanded box.  All intermediate
-arithmetic is exact rational; the final value is asserted to be an integer.
+box's; its guard still counts the expanded box.  The kernel is a polynomial
+of degree r-1 in S, so the row reduces each residue's histogram to its
+power moments sum mass * S^e and evaluates every n from those, in exact
+integers over the common denominator (r-1)! D^(r-1), asserting each total
+is an integer.  The single-n sums and their per-weighted-sum partials stay
+exact rationals (Fraction), and their totals are asserted to be integers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .combinat import lcm_range, stirling_first_unsigned
 from .formulas import CostGuardExceeded, bounded_composition_count, stated_pattern
@@ -79,25 +85,35 @@ class StirlingKernel:
 
     def scaled(self, weighted_sum: int) -> int:
         """value(weighted_sum) times D^(length-1), an integer."""
-        r, d, n = self.length, self.modulus, self.target
-        spow = [1] * r
-        npow = [1] * r
-        for i in range(1, r):
-            spow[i] = spow[i - 1] * weighted_sum
-            npow[i] = npow[i - 1] * n
-        # Accumulate over the common denominator D^(r-1).
         num = 0
-        for m in range(r):
-            for k in range(m, r):
-                term = (
-                    self.table[k]
-                    * math.comb(k, m)
-                    * spow[k - m]
-                    * npow[m]
-                    * d ** (r - 1 - k)
-                )
-                num += -term if (k - m) % 2 else term
+        for w in reversed(self.moment_weights):
+            num = num * weighted_sum + w
         return num
+
+    @cached_property
+    def moment_weights(self) -> tuple[int, ...]:
+        """w_0..w_(length-1) with scaled(S) == sum_e w_e * S^e for every S.
+
+        The kernel over the common denominator D^(r-1) is the double sum
+        sum_{m<=k<r} (-1)^(k-m) c(r, k+1) C(k, m) S^(k-m) n^m D^(r-1-k);
+        setting e = k - m gives
+        w_e = (-1)^e sum_{k>=e} c(r, k+1) C(k, e) n^(k-e) D^(r-1-k),
+        so a histogram enters only through its power moments sum mass * S^e.
+        """
+        r, d, n = self.length, self.modulus, self.target
+        npow = [1] * r
+        dpow = [1] * r
+        for i in range(1, r):
+            npow[i] = npow[i - 1] * n
+            dpow[i] = dpow[i - 1] * d
+        weights = []
+        for e in range(r):
+            w = sum(
+                self.table[k] * math.comb(k, e) * npow[k - e] * dpow[r - 1 - k]
+                for k in range(e, r)
+            )
+            weights.append(-w if e % 2 else w)
+        return tuple(weights)
 
 
 @dataclass(frozen=True)
@@ -290,22 +306,28 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
 
     Every n with the same residue mod D shares one box, so the box is walked
     once per residue that occurs in 0..top, with the tables generic_setup
-    builds once for the row, and the kernel is evaluated for each n over that
-    histogram; each total is asserted to be an integer.  Every residue's box
-    has the same number of points, so the guard is checked once, before any
-    walk.
+    builds once for the row.  Each residue's histogram is reduced once to
+    its power moments sum mass * S^e, e < length, and each n reads the
+    kernel through StirlingKernel.moment_weights, in O(length^2) integer
+    operations however many weighted sums the histogram holds; each total
+    is asserted to be an integer.  Every residue's box has the same number
+    of points, so the guard is checked once, before any walk.
     """
     if top < 0:
         raise ValueError("top must be >= 0")
     box, kernel, tables = generic_setup(a, 0)
-    denominator = math.factorial(kernel.length - 1) * kernel.modulus ** (kernel.length - 1)
+    length = kernel.length
+    denominator = math.factorial(length - 1) * kernel.modulus ** (length - 1)
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):
-        hist = box_weight_histogram(replace(box, residue=residue), tables)
+        moments = [0] * length
+        for sw, mass in box_weight_histogram(replace(box, residue=residue), tables).items():
+            for e in range(length):
+                moments[e] += mass
+                mass *= sw
         for n in range(residue, top + 1, kernel.modulus):
-            at_n = replace(kernel, target=n)
-            total = sum(mass * at_n.scaled(sw) for sw, mass in hist.items())
-            row[n] = _as_integer(Fraction(total, denominator))
+            weights = replace(kernel, target=n).moment_weights
+            row[n] = _as_integer(Fraction(sum(map(operator.mul, weights, moments)), denominator))
     return row
 
 

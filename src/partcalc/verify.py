@@ -13,10 +13,14 @@ Every suite takes two readers that go with its run.  counts reads
 diagrams.diagram_counts: it lists each n once for the run, and every
 diagram kind and every r is read from that one listing.  rows reads
 series.oracle_row: each oracle row is built once for the run, and a check
-reads every n from it.  The stirling suite walks each congruence box once
-per residue (stirling.restricted_row_stirling), one coordinate per distinct
-part, and compares that row with one DP row; partial-sum-denominators reads
-the same grouped box from stirling.generic_setup.
+reads every n from it.  vector-count-vs-p counts A_n by the theorem walk
+itself, which closes parts 1 and 2 from one table per sum.  The stirling
+suite walks each congruence box once per residue
+(stirling.restricted_row_stirling), one coordinate per distinct part,
+reads the kernel at each n through that residue's power moments, and
+compares the row with one DP row; partial-sum-denominators reads the same
+grouped box from stirling.generic_setup and checks every per-weighted-sum
+partial as an exact fraction.
 """
 
 from __future__ import annotations
@@ -219,8 +223,9 @@ def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> l
         res.expect(counts(n).symmetric, counts(n).strict_odd, f"n={n}")
     out.append(res)
 
-    # The theorem walk over A_n with every multiplicity 1 adds 1 per leaf,
-    # so it counts the vectors without listing them.
+    # With every multiplicity 1 each vector of A_n adds 1 to the theorem sum,
+    # so the walk counts the vectors without listing them; its table for
+    # parts 1 and 2 reads floor(R/2) + 1 at remainder R.
     res = CheckResult("vector-count-vs-p")
     p_row = rows("p", top)
     for n in range(1, top + 1):

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partcalc import formulas
+from partcalc import formulas, series
 from partcalc.combinat import binomial
 from partcalc.formulas import (
     VECTOR_LIMIT,
@@ -74,19 +74,59 @@ def test_vector_sum_walk_matches_listed_vectors(data, n):
 
 
 def test_vector_sum_walk_has_one_leaf_per_vector(monkeypatch):
-    walk = formulas._walk
-    leaves = 0
+    # Each branch of the walk ends in one read of the table that closes
+    # parts 1 and 2; a read at remainder R covers R // 2 + 1 vectors (l_2 =
+    # 0..R // 2, l_1 the rest), one where part 2 is out of reach (R < 2).
+    # Together the reads cover each vector of A_n once.
+    covered = 0
 
-    def counting_walk(s, remaining, pattern):
-        nonlocal leaves
-        leaves += s < 2
-        return walk(s, remaining, pattern)
+    class CountingTable(list):
+        def __getitem__(self, R):
+            nonlocal covered
+            covered += R // 2 + 1
+            return super().__getitem__(R)
 
-    monkeypatch.setattr(formulas, "_walk", counting_walk)
+    table = formulas._tail_table
+    monkeypatch.setattr(formulas, "_tail_table", lambda n, pattern: CountingTable(table(n, pattern)))
     for n in range(1, 21):
-        leaves = 0
-        formulas._vector_sum(n, FAMILIES["pp"].pattern(n))
-        assert leaves == oracle_value("p", n), n
+        # pp has m_1 = 1 (the hockey-stick table); P_r with r = 3 has m_1 = 3.
+        for quantity, r in (("pp", None), ("P_r", 3)):
+            covered = 0
+            got = formulas._vector_sum(n, FAMILIES[quantity].pattern(n, r))
+            assert got == oracle_value(quantity, n, r=r)
+            assert covered == oracle_value("p", n), (quantity, n)
+
+
+def test_theorem_walk_uses_neither_the_dp_nor_the_series(monkeypatch):
+    wrappers = {
+        "pp": pp_formula,
+        "pp_r": ppr_formula,
+        "pps": pps_formula,
+        "ppso": ppso_formula,
+        "P_r": multipartition_formula,
+    }
+    cases = [
+        (quantity, n, r)
+        for quantity in wrappers
+        for n in range(3, 21)
+        for r in ((2, 3, 4) if FAMILIES[quantity].takes_r else (None,))
+        if FAMILIES[quantity].holds(n, r)
+    ]
+    want = [oracle_value(quantity, n, r=r) for quantity, n, r in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the theorem route must not call this")
+
+    # The guard's p(n) row is the only oracle read the route makes.
+    monkeypatch.setattr(formulas, "_count_to_limit", lambda n, limit: (n, 0))
+    for module in (formulas, series):
+        monkeypatch.setattr(module, "restricted_partition_row", refuse)
+    monkeypatch.setattr(formulas, "oracle_row", refuse)
+    monkeypatch.setattr(series, "euler_product", refuse)
+    got = [
+        wrappers[quantity](n) if r is None else wrappers[quantity](n, r) for quantity, n, r in cases
+    ]
+    assert got == want
 
 
 def test_vector_sum_builds_no_vector_list():

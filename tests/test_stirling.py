@@ -134,7 +134,37 @@ def test_cost_guard(monkeypatch):
         pp_stirling(4)
 
 
-@pytest.mark.parametrize("parts", ENGINE_SEQUENCES)
+def _kernel_double_sum(kernel, s):
+    """The kernel over D^(r-1), term by term as in the module docstring."""
+    r, d, n = kernel.length, kernel.modulus, kernel.target
+    total = 0
+    for m in range(r):
+        for k in range(m, r):
+            term = kernel.table[k] * math.comb(k, m) * s ** (k - m) * n**m * d ** (r - 1 - k)
+            total += -term if (k - m) % 2 else term
+    return total
+
+
+@given(
+    st.integers(1, 10),
+    st.integers(1, 60),
+    st.integers(0, 10**4),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=5),
+)
+@settings(max_examples=60)
+def test_moment_weights_equal_the_kernel_double_sum(length, modulus, n, sums):
+    kernel = StirlingKernel(length, modulus, n, stirling_first_unsigned(length))
+    weights = kernel.moment_weights
+    assert len(weights) == length
+    for s in sums:
+        expected = _kernel_double_sum(kernel, s)
+        assert sum(w * s**e for e, w in enumerate(weights)) == expected, s
+        assert kernel.scaled(s) == expected, s
+        assert kernel.value(s) == Fraction(expected, modulus ** (length - 1)), s
+
+
+# ENGINE_SEQUENCES, then one more list with a repeated part.
+@pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5)])
 def test_row_equals_the_count_at_each_n(parts):
     a = WeightSequence(tuple(parts))
     assert restricted_row_stirling(a, 60) == [restricted_count_stirling(a, n) for n in range(61)]
