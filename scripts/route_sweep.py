@@ -14,9 +14,9 @@ takes r, parts 1,2,3 for p_a) by every method, as `compute` at each n and
 as `table --from 0 --to 9`: 1,650 requests.  The random grid draws
 RANDOM_COUNT = 400 requests from --seed: a quantity, a method, `compute` at
 n = 0..60 or a `table` of at most 8 rows below 61, r = 1..12, and for p_a
-1..4 parts of 1..6.  Family Stirling requests are drawn at n <= 4 and enumeration
-requests at n <= 12, because the Stirling wrappers build tables of lcm(1..n)
-entries before their guard and pp(5) alone takes seconds.
+1..4 parts of 1..6.  Family Stirling requests and enumeration requests are
+drawn at n <= 12: the box guard refuses every family Stirling sum above
+n = 5, so a larger n would add only more of the same refusal.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ GRID_R = range(1, 11)
 GRID_PARTS = "1,2,3"
 RANDOM_COUNT = 400
 RANDOM_TOP = 60
-STIRLING_TOP = 4
+STIRLING_TOP = 12
 ENUM_TOP = 12
 
 

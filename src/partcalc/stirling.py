@@ -8,17 +8,26 @@ D = lcm(a),
                  c(r, k+1) (-1)^(k-m) C(k, m) D^(-k) S^(k-m) n^m
 
 with S the weighted sum of the box point and c the unsigned Stirling numbers
-of the first kind.  The box depends on n only through n mod D, so
-restricted_row_stirling reads p_a(0..top) from one box walk per residue.
-Like the regrouped family variants, the generic engine walks one coordinate
-per distinct part value, weighting each point by the number of expanded
-configurations that collapse onto it, so the histogram is the expanded
-box's; its guard still counts the expanded box.  The kernel is a polynomial
-of degree r-1 in S, so the row reduces each residue's histogram to its
-power moments sum mass * S^e and evaluates every n from those, in exact
-integers over the common denominator (r-1)! D^(r-1), asserting each total
-is an integer.  The single-n sums and their per-weighted-sum partials stay
-exact rationals (Fraction), and their totals are asserted to be integers.
+of the first kind.  The kernel is a polynomial of degree r-1 in S, so a sum
+over a histogram of weighted sums needs only its power moments
+sum mass * S^e; those are evaluated in exact integers over the common
+denominator (r-1)! D^(r-1), and each total is asserted to be an integer.
+
+The family wrappers (pp, pp_r, pps, ppso, P_r) sum over a box with one
+coordinate per part s, weighted by its block table.  Their histogram is the
+coefficient list of prod_s B_s(z^s), with B_s that table, and they read it
+off one Kronecker-packed big-int product (packed_histogram) instead of
+walking the box: on a shared 2-core VM, pp(5) takes about 1.3 ms where
+the walk took 8.8 s.
+
+The generic engine still walks its box.  The box depends on n only through
+n mod D, so restricted_row_stirling reads p_a(0..top) from one walk per
+residue.  The walk takes one coordinate per distinct part value, weighting
+each point by the number of expanded configurations that collapse onto it,
+so the histogram is the expanded box's; its guard still counts the expanded
+box.  The single-n sums and their per-weighted-sum partials
+(regrouped_partial_sums) stay exact rationals (Fraction), and their totals
+are asserted to be integers.
 """
 
 from __future__ import annotations
@@ -307,28 +316,77 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     Every n with the same residue mod D shares one box, so the box is walked
     once per residue that occurs in 0..top, with the tables generic_setup
     builds once for the row.  Each residue's histogram is reduced once to
-    its power moments sum mass * S^e, e < length, and each n reads the
-    kernel through StirlingKernel.moment_weights, in O(length^2) integer
-    operations however many weighted sums the histogram holds; each total
-    is asserted to be an integer.  Every residue's box has the same number
-    of points, so the guard is checked once, before any walk.
+    its power moments, and each n reads the kernel through
+    StirlingKernel.moment_weights, in O(length^2) integer operations however
+    many weighted sums the histogram holds.  Every residue's box has the
+    same number of points, so the guard is checked once, before any walk.
     """
     if top < 0:
         raise ValueError("top must be >= 0")
     box, kernel, tables = generic_setup(a, 0)
-    length = kernel.length
-    denominator = math.factorial(length - 1) * kernel.modulus ** (length - 1)
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):
-        moments = [0] * length
-        for sw, mass in box_weight_histogram(replace(box, residue=residue), tables).items():
-            for e in range(length):
-                moments[e] += mass
-                mass *= sw
+        hist = box_weight_histogram(replace(box, residue=residue), tables)
+        moments = _power_moments(hist, kernel.length)
         for n in range(residue, top + 1, kernel.modulus):
-            weights = replace(kernel, target=n).moment_weights
-            row[n] = _as_integer(Fraction(sum(map(operator.mul, weights, moments)), denominator))
+            row[n] = _moment_sum(replace(kernel, target=n), moments)
     return row
+
+
+def _power_moments(hist: dict[int, int], length: int) -> list[int]:
+    """M_e = sum mass * S^e over the histogram, for e < length."""
+    moments = [0] * length
+    for sw, mass in hist.items():
+        for e in range(length):
+            moments[e] += mass
+            mass *= sw
+    return moments
+
+
+def _moment_sum(kernel: StirlingKernel, moments: list[int]) -> int:
+    """The kernel summed over a histogram with these power moments.
+
+    sum_e w_e M_e is the sum scaled by (length-1)! D^(length-1); the
+    quotient is asserted to be an integer.
+    """
+    scale = math.factorial(kernel.length - 1) * kernel.modulus ** (kernel.length - 1)
+    scaled = sum(map(operator.mul, kernel.moment_weights, moments))
+    total, rest = divmod(scaled, scale)
+    if rest:
+        raise ArithmeticError(f"formula sum is not an integer: {scaled}/{scale}")
+    return total
+
+
+def packed_histogram(
+    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...], ...]
+) -> dict[int, int]:
+    """box_weight_histogram(box, coeff_tables), read off one polynomial product.
+
+    Coordinate t is the polynomial sum_{v <= bounds[t]} coeff_tables[t][v]
+    z^(weights[t] v), and the product of these is the histogram of weighted
+    sums over the whole box; the entries at S = residue (mod modulus) are
+    kept, with their nonzero masses.  The product is one big-int multiply
+    per coordinate by Kronecker substitution: coefficient k of a factor
+    sits in bytes [k w, (k+1) w) of one int.  Every coefficient is >= 0 and
+    at most the product of the table sums, so w bytes that hold that bound
+    never carry into the next slot.
+    """
+    if len(coeff_tables) != len(box.bounds):
+        raise ValueError("need one coefficient table per coordinate")
+    tables = [table[: b + 1] for table, b in zip(coeff_tables, box.bounds)]
+    width = (math.prod(map(sum, tables)).bit_length() + 7) // 8
+    product = 1
+    for weight, table in zip(box.weights, tables):
+        gap = bytes(width * (weight - 1))
+        product *= int.from_bytes(gap.join(c.to_bytes(width, "little") for c in table), "little")
+    slots = 1 + sum(w * b for w, b in zip(box.weights, box.bounds))
+    data = product.to_bytes(slots * width, "little")
+    hist = {}
+    for sw in range(box.residue, slots, box.modulus):
+        mass = int.from_bytes(data[sw * width : (sw + 1) * width], "little")
+        if mass:
+            hist[sw] = mass
+    return hist
 
 
 def _pattern_setup(
@@ -341,10 +399,14 @@ def _pattern_setup(
     x_i <= D/s - 1 summing to l.  The bound D - m_s covers every point whose
     weighted sum can reach the target; points it cuts off would hit the
     kernel only where the kernel vanishes, so truncation does not change the
-    sum.
+    sum.  The guard counts this box, prod_s (D - m_s + 1) points: above
+    DEFAULT_BOX_LIMIT it raises CostGuardExceeded before any table is built.
+    The family sums multiply the tables (packed_histogram) rather than walk
+    the box; the guard still counts the box, so it refuses the same requests.
     """
     d = lcm_range(n)
     bounds = tuple(d - m for m in pattern)
+    _check_box_size(math.prod(b + 1 for b in bounds))
     box = CongruenceBox(
         bounds=bounds, weights=tuple(range(1, n + 1)), modulus=d, residue=n % d
     )
@@ -357,7 +419,8 @@ def _pattern_setup(
 
 
 def _regrouped_count(n: int, pattern: list[int]) -> int:
-    return regrouped_sum(*_pattern_setup(n, pattern))
+    box, kernel, tables = _pattern_setup(n, pattern)
+    return _moment_sum(kernel, _power_moments(packed_histogram(box, tables), kernel.length))
 
 
 def pp_stirling(n: int) -> int:

@@ -7,10 +7,7 @@ budget; the pytest verdict per test is the authoritative per-criterion line.
 
 from __future__ import annotations
 
-import os
 import time
-
-import pytest
 
 from partcalc.diagrams import count_diagrams
 from partcalc.dispatch import ComputationRequest, compute
@@ -39,8 +36,6 @@ from partcalc.stirling import (
     ppso_stirling,
     restricted_count_stirling,
 )
-
-LONG_RUNNING = os.environ.get("PARTCALC_LONG_RUNNING") == "1"
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
 A4 = ((4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1))
@@ -261,9 +256,6 @@ def test_criterion_5_stirling_engine_and_wrappers():
     _finish("criterion 5 (congruence-sum engine and wrappers)", 300.0, started, failures)
 
 
-@pytest.mark.skipif(
-    not LONG_RUNNING, reason="set PARTCALC_LONG_RUNNING=1 to run the n=5 wrappers"
-)
 def test_criterion_5_wrappers_extend_to_n5():
     started = time.perf_counter()
     failures: list[str] = []
@@ -283,7 +275,7 @@ def test_criterion_5_wrappers_extend_to_n5():
             oracle_value("P_r", 5, r=r),
             f"P_r wrapper, n=5, r={r}",
         )
-    _finish("criterion 5 (wrappers at n=5, long-running)", 300.0, started, failures)
+    _finish("criterion 5 (wrappers at n=5)", 10.0, started, failures)
 
 
 def test_criterion_6_block_polynomial_properties():

@@ -128,6 +128,16 @@ def test_cost_guard_exit_code(capsys):
     assert "cost guard" in err
 
 
+@pytest.mark.parametrize("n", ["16", "30"])
+def test_family_stirling_guard_exits_before_building_tables(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "compute", "--quantity", "pp", "--n", n, "--method", "stirling")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "cost guard: congruence box has" in err
+
+
 def test_theorem_guard_exit_code(capsys):
     code, out, _ = run_cli(capsys, "compute", "--quantity", "pp", "--n", "100", "--format", "json")
     assert code == 0

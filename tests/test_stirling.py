@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from partcalc import formulas, series, stirling
 from partcalc.combinat import stirling_first_unsigned
 from partcalc.formulas import HypothesisError
-from partcalc.sequences import WeightSequence, seq_pp, seq_strict
+from partcalc.sequences import FAMILIES, WeightSequence, seq_pp, seq_strict
 from partcalc.series import oracle_value, restricted_partition_dp
 from partcalc.stirling import (
     CongruenceBox,
@@ -19,6 +19,7 @@ from partcalc.stirling import (
     box_weight_histogram,
     generic_setup,
     multipartition_stirling,
+    packed_histogram,
     pp_stirling,
     ppr_stirling,
     pps_stirling,
@@ -90,6 +91,9 @@ def test_histogram_unit_weights_counts_box_points():
     hist = box_weight_histogram(box)
     # Points with x + y even: sums 0, 2, 4, 6 with multiplicities 1, 3, 3, 1.
     assert hist == {0: 1, 2: 3, 4: 3, 6: 1}
+    assert packed_histogram(box, ((1,) * 4, (1,) * 4)) == hist
+    with pytest.raises(ValueError):
+        packed_histogram(box, ((1,) * 4,))
 
 
 def test_histogram_zero_coefficients_prune():
@@ -281,6 +285,56 @@ def test_regrouped_sum_rejects_non_integer_totals():
     kernel = StirlingKernel(2, 3, 1, stirling_first_unsigned(2))
     with pytest.raises(ArithmeticError):
         regrouped_sum(box, kernel)
+
+
+def test_moment_sum_rejects_non_integer_totals():
+    # One point at S = 0: the kernel there is (1/3 + 1) = 4/3.
+    kernel = StirlingKernel(2, 3, 1, stirling_first_unsigned(2))
+    with pytest.raises(ArithmeticError, match="formula sum is not an integer: 4/3"):
+        stirling._moment_sum(kernel, [1, 0])
+    assert stirling._moment_sum(kernel, [3, 0]) == 4
+
+
+def _family_cases(top):
+    """(quantity, n, r) for every family case in its stated range at n <= top."""
+    for quantity, family in FAMILIES.items():
+        if family.stem is None:
+            continue
+        for n in range(family.min_n, top + 1):
+            for r in range(2, n) if family.takes_r else (None,):
+                yield quantity, n, r
+
+
+@pytest.mark.parametrize("quantity, n, r", list(_family_cases(4)))
+def test_packed_product_equals_the_walk(quantity, n, r):
+    box, _, tables = stirling._pattern_setup(n, FAMILIES[quantity].pattern(n, r))
+    for residue in range(box.modulus):
+        at = replace(box, residue=residue)
+        assert packed_histogram(at, tables) == box_weight_histogram(at, tables), residue
+
+
+def test_family_sums_call_neither_an_oracle_nor_the_theorem_walk(monkeypatch):
+    want = (oracle_value("pp", 5), oracle_value("P_r", 5, r=3))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family Stirling sum left its own route")
+
+    for name in ("restricted_partition_row", "oracle_row", "euler_product"):
+        monkeypatch.setattr(series, name, refuse)
+    monkeypatch.setattr(formulas, "_walk", refuse)
+    assert (pp_stirling(5), multipartition_stirling(5, 3)) == want
+
+
+@pytest.mark.parametrize("n", [6, 16, 30])
+def test_family_guard_refuses_before_any_table(monkeypatch, n):
+    def build(*args):
+        raise AssertionError("a block table was built before the guard")
+
+    monkeypatch.setattr(stirling, "_block_table", build)
+    d = stirling.lcm_range(n)
+    size = math.prod(d - s + 1 for s in range(1, n + 1))
+    with pytest.raises(CostGuardExceeded, match=f"congruence box has {size} points"):
+        pp_stirling(n)
 
 
 def test_wrapper_hypothesis_gates():
