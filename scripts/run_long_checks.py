@@ -21,7 +21,7 @@ def main(argv: list[str] | None = None) -> int:
         "--long-running",
         dest="long_running",
         action="store_true",
-        help="include the slow sweeps (n=5 congruence-sum wrappers)",
+        help="also count diagrams to n=16 and run the congruence-sum wrappers at n=5",
     )
     args = parser.parse_args(argv)
 

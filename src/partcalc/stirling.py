@@ -8,26 +8,22 @@ D = lcm(a),
                  c(r, k+1) (-1)^(k-m) C(k, m) D^(-k) S^(k-m) n^m
 
 with S the weighted sum of the box point and c the unsigned Stirling numbers
-of the first kind.  The kernel is a polynomial of degree r-1 in S, so a sum
-over a histogram of weighted sums needs only its power moments
-sum mass * S^e; those are evaluated in exact integers over the common
-denominator (r-1)! D^(r-1), and each total is asserted to be an integer.
+of the first kind.  The family wrappers (pp, pp_r, pps, ppso, P_r) evaluate
+the same sum over a box with one coordinate per part s of 1..n.
 
-The family wrappers (pp, pp_r, pps, ppso, P_r) sum over a box with one
-coordinate per part s, weighted by its block table.  Their histogram is the
-coefficient list of prod_s B_s(z^s), with B_s that table, and they read it
-off one Kronecker-packed big-int product (packed_histogram) instead of
-walking the box: on a shared 2-core VM, pp(5) takes about 1.3 ms where
-the walk took 8.8 s.
-
-The generic engine still walks its box.  The box depends on n only through
-n mod D, so restricted_row_stirling reads p_a(0..top) from one walk per
-residue.  The walk takes one coordinate per distinct part value, weighting
-each point by the number of expanded configurations that collapse onto it,
-so the histogram is the expanded box's; its guard still counts the expanded
-box.  The single-n sums and their per-weighted-sum partials
-(regrouped_partial_sums) stay exact rationals (Fraction), and their totals
-are asserted to be integers.
+Every sum takes one setup and one evaluation step.  The setup turns
+(part, copies, bound) runs into a CongruenceBox, a StirlingKernel and one
+block table per coordinate, after the guard has counted the box.  The step
+takes the histogram of weighted sums over the box (mass per S), reduces it
+to its power moments sum mass * S^e, reads the kernel through
+StirlingKernel.moment_weights in exact integers over the common denominator
+(r-1)! D^(r-1), and asserts that the total is an integer.  The sums differ
+only in how they build the histogram: the generic engine walks its box
+(box_weight_histogram), and the family sums multiply the block tables
+(packed_histogram).  The box depends on n only through n mod D, so
+restricted_row_stirling walks once per residue and reads each n from that
+residue's moments.  regrouped_partial_sums keeps the per-weighted-sum view
+as exact fractions, for verify.
 """
 
 from __future__ import annotations
@@ -90,18 +86,15 @@ class StirlingKernel:
             raise ValueError("Stirling table must match the kernel length")
 
     def value(self, weighted_sum: int) -> Fraction:
-        return Fraction(self.scaled(weighted_sum), self.modulus ** (self.length - 1))
-
-    def scaled(self, weighted_sum: int) -> int:
-        """value(weighted_sum) times D^(length-1), an integer."""
+        """The kernel at one weighted sum S: sum_e w_e S^e / D^(length-1)."""
         num = 0
         for w in reversed(self.moment_weights):
             num = num * weighted_sum + w
-        return num
+        return Fraction(num, self.modulus ** (self.length - 1))
 
     @cached_property
     def moment_weights(self) -> tuple[int, ...]:
-        """w_0..w_(length-1) with scaled(S) == sum_e w_e * S^e for every S.
+        """w_0..w_(length-1) with value(S) * D^(length-1) == sum_e w_e * S^e.
 
         The kernel over the common denominator D^(r-1) is the double sum
         sum_{m<=k<r} (-1)^(k-m) c(r, k+1) C(k, m) S^(k-m) n^m D^(r-1-k);
@@ -251,19 +244,51 @@ def regrouped_partial_sums(
     }
 
 
-def _as_integer(total: Fraction) -> int:
-    if total.denominator != 1:
-        raise ArithmeticError(f"formula sum is not an integer: {total}")
-    return int(total)
-
-
 def regrouped_sum(
     box: CongruenceBox,
     kernel: StirlingKernel,
     coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None,
 ) -> int:
-    partials = regrouped_partial_sums(box, kernel, coeff_tables)
-    return _as_integer(sum(partials.values(), Fraction(0)))
+    """The kernel summed over the walked box, through its power moments.
+
+    Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
+    """
+    _check_box_size(math.prod(b + 1 for b in box.bounds))
+    hist = box_weight_histogram(box, coeff_tables)
+    return _moment_sum(kernel, _power_moments(hist, kernel.length))
+
+
+def _setup(
+    runs: list[tuple[int, int, int]], modulus: int, target: int, guard: int
+) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
+    """Box, kernel and coefficient tables of a congruence sum for target.
+
+    runs holds one (part k, copies m, bound b) per coordinate: weight k,
+    values 0..b, and at value v the number of (x_1..x_m) with
+    x_i <= modulus/k - 1 summing to v, the coefficients of
+    (1 + z + ... + z^(modulus/k - 1))^m.  A table that would be all ones
+    (one copy, bound modulus/k - 1) is None.  guard is the number of points
+    the caller charges for the sum: above DEFAULT_BOX_LIMIT it raises
+    CostGuardExceeded before any table is built.
+    """
+    _check_box_size(guard)
+    box = CongruenceBox(
+        bounds=tuple(b for _, _, b in runs),
+        weights=tuple(k for k, _, _ in runs),
+        modulus=modulus,
+        residue=target % modulus,
+    )
+    tables = tuple(
+        None
+        if m == 1 and b == modulus // k - 1
+        else tuple(bounded_composition_count(v, m, modulus // k - 1) for v in range(b + 1))
+        for k, m, b in runs
+    )
+    length = sum(m for _, m, _ in runs)
+    kernel = StirlingKernel(
+        length=length, modulus=modulus, target=target, table=stirling_first_unsigned(length)
+    )
+    return box, kernel, tables
 
 
 def generic_setup(
@@ -274,33 +299,16 @@ def generic_setup(
 
     The expanded box is 0 <= j_t < D/a_t, one coordinate per part, with
     sum a_t j_t = n (mod D).  The m copies of a part k are walked as one
-    coordinate of weight k and bound m(D/k - 1), whose table at value v counts
-    the (j_1..j_m) with j_i <= D/k - 1 summing to v: the coefficients of
-    (1 + z + ... + z^(D/k-1))^m.  A part that occurs once keeps table None,
-    so it walks as in the expanded box, and the histogram is the expanded
-    box's.  The guard counts the expanded box, prod_t D/a_t: above
-    DEFAULT_BOX_LIMIT it raises CostGuardExceeded before any table is built.
+    coordinate of weight k and bound m(D/k - 1), whose table counts the
+    (j_1..j_m) with j_i <= D/k - 1 summing to each value, so the histogram
+    is the expanded box's.  A part that occurs once walks as in the
+    expanded box, with table None.  The guard counts the expanded box,
+    prod_t D/a_t.
     """
     d = a.lcm
-    # (part k, copies m, largest j of one copy D/k - 1) per distinct part.
     runs = [(k, a.parts.count(k), d // k - 1) for k in dict.fromkeys(a.parts)]
-    _check_box_size(math.prod((x + 1) ** m for _, m, x in runs))
-    box = CongruenceBox(
-        bounds=tuple(m * x for _, m, x in runs),
-        weights=tuple(k for k, _, _ in runs),
-        modulus=d,
-        residue=n % d,
-    )
-    tables = tuple(None if m == 1 else _block_table(m, x, m * x) for _, m, x in runs)
-    kernel = StirlingKernel(
-        length=a.length, modulus=d, target=n, table=stirling_first_unsigned(a.length)
-    )
-    return box, kernel, tables
-
-
-def _block_table(copies: int, limit: int, top: int) -> tuple[int, ...]:
-    """bounded_composition_count(v, copies, limit) for v = 0..top."""
-    return tuple(bounded_composition_count(v, copies, limit) for v in range(top + 1))
+    guard = math.prod((x + 1) ** m for _, m, x in runs)
+    return _setup([(k, m, m * x) for k, m, x in runs], d, n, guard)
 
 
 def restricted_count_stirling(a: WeightSequence, n: int) -> int:
@@ -315,11 +323,9 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
 
     Every n with the same residue mod D shares one box, so the box is walked
     once per residue that occurs in 0..top, with the tables generic_setup
-    builds once for the row.  Each residue's histogram is reduced once to
-    its power moments, and each n reads the kernel through
-    StirlingKernel.moment_weights, in O(length^2) integer operations however
-    many weighted sums the histogram holds.  Every residue's box has the
-    same number of points, so the guard is checked once, before any walk.
+    builds once for the row, and each n reads the kernel through that
+    residue's power moments.  Every residue's box has the same number of
+    points, so the guard is checked once, before any walk.
     """
     if top < 0:
         raise ValueError("top must be >= 0")
@@ -358,22 +364,26 @@ def _moment_sum(kernel: StirlingKernel, moments: list[int]) -> int:
 
 
 def packed_histogram(
-    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...], ...]
+    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...]
 ) -> dict[int, int]:
     """box_weight_histogram(box, coeff_tables), read off one polynomial product.
 
     Coordinate t is the polynomial sum_{v <= bounds[t]} coeff_tables[t][v]
-    z^(weights[t] v), and the product of these is the histogram of weighted
-    sums over the whole box; the entries at S = residue (mod modulus) are
-    kept, with their nonzero masses.  The product is one big-int multiply
-    per coordinate by Kronecker substitution: coefficient k of a factor
-    sits in bytes [k w, (k+1) w) of one int.  Every coefficient is >= 0 and
-    at most the product of the table sums, so w bytes that hold that bound
-    never carry into the next slot.
+    z^(weights[t] v), with a None table read as all ones, and the product
+    of these is the histogram of weighted sums over the whole box; the
+    entries at S = residue (mod modulus) are kept, with their nonzero
+    masses.  The product is one big-int multiply per coordinate by
+    Kronecker substitution: coefficient k of a factor sits in bytes
+    [k w, (k+1) w) of one int.  Every coefficient is >= 0 and at most the
+    product of the table sums, so w bytes that hold that bound never carry
+    into the next slot.
     """
     if len(coeff_tables) != len(box.bounds):
         raise ValueError("need one coefficient table per coordinate")
-    tables = [table[: b + 1] for table, b in zip(coeff_tables, box.bounds)]
+    tables = [
+        (1,) * (b + 1) if table is None else table[: b + 1]
+        for table, b in zip(coeff_tables, box.bounds)
+    ]
     width = (math.prod(map(sum, tables)).bit_length() + 7) // 8
     product = 1
     for weight, table in zip(box.weights, tables):
@@ -391,31 +401,19 @@ def packed_histogram(
 
 def _pattern_setup(
     n: int, pattern: list[int]
-) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...], ...]]:
-    """Box, kernel and per-coordinate coefficient tables for a regrouped sum.
+) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
+    """Box, kernel and per-coordinate coefficient tables for a family sum.
 
     Coordinate s collapses the m_s = pattern[s-1] expanded variables of part
-    s; its coefficient at value l counts the (x_1..x_{m_s}) with
-    x_i <= D/s - 1 summing to l.  The bound D - m_s covers every point whose
+    s, with D = lcm(1..n).  The bound D - m_s covers every point whose
     weighted sum can reach the target; points it cuts off would hit the
     kernel only where the kernel vanishes, so truncation does not change the
-    sum.  The guard counts this box, prod_s (D - m_s + 1) points: above
-    DEFAULT_BOX_LIMIT it raises CostGuardExceeded before any table is built.
-    The family sums multiply the tables (packed_histogram) rather than walk
-    the box; the guard still counts the box, so it refuses the same requests.
+    sum.  The guard counts this box, prod_s (D - m_s + 1) points, though the
+    family sums multiply the tables (packed_histogram) rather than walk it.
     """
     d = lcm_range(n)
-    bounds = tuple(d - m for m in pattern)
-    _check_box_size(math.prod(b + 1 for b in bounds))
-    box = CongruenceBox(
-        bounds=bounds, weights=tuple(range(1, n + 1)), modulus=d, residue=n % d
-    )
-    tables = tuple(_block_table(m, d // s - 1, d - m) for s, m in enumerate(pattern, start=1))
-    length = sum(pattern)
-    kernel = StirlingKernel(
-        length=length, modulus=d, target=n, table=stirling_first_unsigned(length)
-    )
-    return box, kernel, tables
+    runs = [(s, m, d - m) for s, m in enumerate(pattern, start=1)]
+    return _setup(runs, d, n, math.prod(d - m + 1 for m in pattern))
 
 
 def _regrouped_count(n: int, pattern: list[int]) -> int:
