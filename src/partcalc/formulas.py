@@ -7,13 +7,17 @@ Every counting family reduces to
 where m_s is the family's multiplicity pattern.  C(l + m - 1, l) counts the
 ways to split l copies of part s among m indistinguishable-slot variables,
 which is exactly the coefficient extraction the generating function performs.
-The sum walks A_n depth first over the coordinates l_n..l_3, so it holds one
-path of the walk at a time.  Parts 1 and 2 are closed together: one table
-per sum, built from the same binomials, gives the sum over (l_1, l_2) for
-every remainder R, so each branch of the walk ends in one table read that
-covers R // 2 + 1 vectors.  The table covers parts 1 and 2 only and reads
-no oracle, so the walk stays an algorithm of its own.  Its time still grows with p(n) = |A_n|, which
-VECTOR_LIMIT bounds.
+One walk to a top serves every n <= top.  It visits each partial vector
+(l_3..l_top) of weight w = sum s*l_s <= top once, depth first, holding one
+path at a time, and adds its product of binomials to hist[w].  Parts 1 and
+2 are closed together: one table, built from the same binomials, gives the
+sum over (l_1, l_2) for every remainder R, so the sum at n is
+sum_w hist[w] * tail[n - w].  The walk loops parts top..4, and part 3,
+whose choices are the same for every partial vector of one weight, is
+folded into hist once per weight.  _vector_row reads every n off one walk,
+and _vector_sum reads one.  The table and the fold cover parts 1 to 3 only
+and read no oracle, so the walk stays an algorithm of its own.  Its time
+still grows with p(top) = |A_top|, which VECTOR_LIMIT bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
+from operator import mul
 
 from .combinat import binomial
 from .sequences import FAMILIES
@@ -104,9 +109,18 @@ def _fill_vectors(s: int, remaining: int, vec: list[int], out: list) -> None:
         _fill_vectors(s + 1, remaining - s * l, vec, out)
 
 
+# With VECTOR_LIMIT below p(64), guards read p(k) only at k <= 64
+# (count_to_limit), so one row to 64 serves every guard of the process.
+@functools.cache
+def _counts_to_64() -> list[int]:
+    return restricted_partition_row(enumerate([1] * 64, start=1), 64)
+
+
 def vector_count(n: int) -> int:
     """|A_n| = p(n), from the restricted-partition row with each part 1..n
-    once."""
+    once, or for n <= 64 from the one row to 64."""
+    if n <= 64:
+        return _counts_to_64()[n]
     return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
 
 
@@ -143,20 +157,70 @@ def within_vector_limit(n: int) -> bool:
     return vector_work(n) <= VECTOR_LIMIT
 
 
+def _vector_top(n: int) -> int:
+    """The largest k <= n whose A_k is within VECTOR_LIMIT (p is
+    nondecreasing, so every k below it is within too)."""
+    if within_vector_limit(n):
+        return n
+    k = 0
+    while within_vector_limit(k + 1):
+        k += 1
+    return k
+
+
 def _vector_sum(n: int, pattern: list[int]) -> int:
-    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1].
+    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1]:
+    the histogram walk to n, read at n.
 
     Raises CostGuardExceeded up front when A_n has more than VECTOR_LIMIT
     vectors.
     """
-    k, count = _count_to_limit(n, VECTOR_LIMIT)
+    hist, tail = _vector_histogram(n, pattern)
+    return sum(map(mul, hist, reversed(tail)))
+
+
+def _vector_row(top: int, pattern: list[int]) -> list[int]:
+    """_vector_sum(n, pattern[:n]) for n = 0..top, from one walk: entry n is
+    sum_w hist[w] * tail[n - w].
+
+    Raises CostGuardExceeded up front when A_top has more than VECTOR_LIMIT
+    vectors.
+    """
+    hist, tail = _vector_histogram(top, pattern)
+    return [sum(map(mul, hist[: n + 1], tail[n::-1])) for n in range(top + 1)]
+
+
+def _vector_histogram(top: int, pattern: list[int]) -> tuple[list[int], list[int]]:
+    """(hist, tail) of the theorem sums to top.  hist[w] sums
+    prod_{s>=3} C(l_s + m_s - 1, l_s) over the partial vectors (l_3..l_top)
+    of weight sum s*l_s = w, and tail is _tail_table(top, pattern), which
+    closes parts 1 and 2 for every remainder.  The guard counts A_top.
+
+    The walk covers (l_4..l_top).  Every partial vector of weight w takes
+    the same choices of l_3, so part 3 is folded in once per weight
+    afterwards: the walk's mass at w adds C(l + m_3 - 1, l) times itself to
+    hist[w + 3l] for each l >= 1.  The weights go from the top down, so
+    every mass is still the walk's when it is read.
+    """
+    k, count = _count_to_limit(top, VECTOR_LIMIT)
     if count > VECTOR_LIMIT:
-        at_least = "" if k == n else f"at least p({k}) = "
+        at_least = "" if k == top else f"at least p({k}) = "
         raise CostGuardExceeded(
-            f"A_{n} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
+            f"A_{top} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
         )
-    tail = _tail_table(n, pattern)
-    return tail[n] if n < 3 else _walk(n, n, pattern, tail)
+    hist = [0] * (top + 1)
+    if top < 4:
+        hist[0] = 1
+    else:
+        _fill_histogram(top, 0, 1, pattern, hist)
+    if top >= 3:
+        threes = _factor_row(pattern[2], top // 3)
+        for w in range(top - 3, -1, -1):
+            mass = hist[w]
+            if mass:
+                for l in range(1, (top - w) // 3 + 1):
+                    hist[w + 3 * l] += threes[l] * mass
+    return hist, _tail_table(top, pattern)
 
 
 def _tail_table(n: int, pattern: list[int]) -> list[int]:
@@ -167,16 +231,13 @@ def _tail_table(n: int, pattern: list[int]) -> list[int]:
     With m_1 = 1 the first factor is 1, and T[R] = C(R // 2 + m_2, m_2) by
     the hockey-stick identity.  Otherwise T starts as the row of part 1's
     factor, and each l_2 >= 1 adds its factor times that row shifted by
-    2 l_2.  Both factors are carried from l - 1 as in _walk, which also
-    gives 0 for l > 0 when m = 0.
+    2 l_2, carried from l - 1 as in _factor_row.
     """
-    m1 = pattern[0]
+    m1 = pattern[0] if n > 0 else 1
     m2 = pattern[1] if n > 1 else 0
     if m1 == 1:
         return [math.comb(R // 2 + m2, m2) for R in range(n + 1)]
-    ones = [1] * (n + 1)
-    for l in range(1, n + 1):
-        ones[l] = ones[l - 1] * (m1 + l - 1) // l
+    ones = _factor_row(m1, n)
     table = ones[:]
     c = 1
     for l in range(1, n // 2 + 1):
@@ -188,36 +249,49 @@ def _tail_table(n: int, pattern: list[int]) -> list[int]:
     return table
 
 
-def _walk(s: int, remaining: int, pattern: list[int], tail: list[int]) -> int:
-    """sum of prod_t C(l_t + m_t - 1, l_t) over (l_1..l_s) with
-    sum t*l_t = remaining; callers keep 3 <= s <= remaining, and tail is
-    _tail_table of the sum.
+def _factor_row(m: int, most: int) -> list[int]:
+    """C(l + m - 1, l) for l = 0..most, each carried from l - 1 by an exact
+    division, which also gives 0 for every l > 0 when m = 0."""
+    row = [1] * (most + 1)
+    for l in range(1, most + 1):
+        row[l] = row[l - 1] * (m + l - 1) // l
+    return row
 
-    Each call chooses l_s and goes on to part min(s - 1, rest), so no branch
-    dead-ends.  Where that part is 2 or less the branch ends in one read of
-    tail[rest], which closes parts 1 and 2 at once and covers rest // 2 + 1
-    vectors of A_n.  C(l + m - 1, l) is carried from l - 1 by an exact
-    division.  A zero factor (m_s = 0) prunes every larger l_s.  tail is
-    passed down rather than closed over: a closure that calls itself is a
-    reference cycle.
+
+def _fill_histogram(s: int, weight: int, coeff: int, pattern: list[int], hist: list[int]) -> None:
+    """Add coeff * prod_{4<=t<=s} C(l_t + m_t - 1, l_t) to hist[weight +
+    sum t*l_t] for every (l_4..l_s) that keeps that index in hist; callers
+    keep 4 <= s <= len(hist) - 1 - weight.
+
+    Each call chooses l_s and goes on to part min(s - 1, room), the largest
+    part that still fits, so no branch dead-ends; a partial vector with
+    room below 4, or with no part above 3 left, ends its branch in one add.
+    C(l + m - 1, l) is carried from l - 1 by an exact division, and a zero
+    factor (m_s = 0) prunes every larger l_s.  A module function rather
+    than a closure: a closure that calls itself is a reference cycle.
     """
+    top = len(hist) - 1
     m = pattern[s - 1]
     below = s - 1
-    total = tail[remaining] if below < 3 else _walk(below, remaining, pattern, tail)
+    if below < 4:
+        hist[weight] += coeff
+    else:
+        room = top - weight
+        _fill_histogram(below if below < room else room, weight, coeff, pattern, hist)
     c = 1
     l = 0
-    rest = remaining - s
-    while rest >= 0:
+    w = weight + s
+    while w <= top:
         l += 1
         c = c * (m + l - 1) // l
         if not c:
             break
-        if below < 3 or rest < 3:
-            total += c * tail[rest]
+        room = top - w
+        if below < 4 or room < 4:
+            hist[w] += coeff * c
         else:
-            total += c * _walk(below if below < rest else rest, rest, pattern, tail)
-        rest -= s
-    return total
+            _fill_histogram(below if below < room else room, w, coeff * c, pattern, hist)
+        w += s
 
 
 def pp_formula(n: int) -> int:
@@ -283,13 +357,20 @@ def _shift_coefficients(n: int, r: int) -> list[int]:
 def ppr_via_multipartition_formula(n: int, r: int) -> int:
     """pp_r(n) by the alternating sum, with formula-backed multipartition
     counts wherever the formula hypothesis holds and A_k is within
-    VECTOR_LIMIT, and the DP oracle elsewhere: one P_r row to n, read on
-    the first k that needs it and never built when none does."""
-    oracle = functools.cache(lambda: oracle_row("P_r", n, r=r))
+    VECTOR_LIMIT, and the DP oracle elsewhere.  Each side is one P_r row,
+    built on the first k that reads it and never when none does: the
+    theorem row to _vector_top(n), and the oracle row to n."""
+    family = FAMILIES["P_r"]
+    top = _vector_top(n)
+    rows = {}
 
     def pr(k: int) -> int:
-        if FAMILIES["P_r"].holds(k, r) and within_vector_limit(k):
-            return multipartition_formula(k, r)
-        return oracle()[k]
+        theorem = k <= top and family.holds(k, r)
+        if theorem not in rows:
+            if theorem:
+                rows[theorem] = _vector_row(top, family.pattern(top, r))
+            else:
+                rows[theorem] = oracle_row("P_r", n, r=r)
+        return rows[theorem][k]
 
     return ppr_inclusion_exclusion(n, r, pr)

@@ -13,23 +13,25 @@ the same sum over a box with one coordinate per part s of 1..n.
 
 Every sum takes one setup and one evaluation step.  The setup turns
 (part, copies, bound) runs into a CongruenceBox, a StirlingKernel and one
-block table per coordinate, after the guard has counted the box.  The step
-takes the histogram of weighted sums over the box (mass per S), reduces it
-to its power moments sum mass * S^e, reads the kernel through
-StirlingKernel.moment_weights in exact integers over the common denominator
-(r-1)! D^(r-1), and asserts that the total is an integer.  The sums differ
-only in how they build the histogram: the generic engine walks its box
-(box_weight_histogram), and the family sums multiply the block tables
-(packed_histogram).  The box depends on n only through n mod D, so
-restricted_row_stirling walks once per residue and reads each n from that
-residue's moments.  regrouped_partial_sums keeps the per-weighted-sum view
-as exact fractions, for verify.
+block table per coordinate, after the guard has counted the box.  The box
+depends on n only through n mod D, so on one residue class the sum is a
+polynomial in n of degree r-1 (Sylvester's wave).  The step takes the
+histogram of weighted sums over the box (mass per S), reduces it to its
+power moments sum mass * S^e, builds that polynomial's coefficients in
+exact integers over the common denominator (r-1)! D^(r-1) (_polynomial),
+evaluates it at n by Horner's rule, and asserts that the value is an
+integer (_evaluate).  The sums differ only in how they build the
+histogram: the generic engine walks its box (box_weight_histogram), and
+the family sums multiply the block tables (packed_histogram).
+restricted_row_stirling walks once per residue, builds that residue's
+polynomial once, and evaluates it at every n of the class.
+regrouped_partial_sums keeps the per-weighted-sum view as exact fractions,
+for verify.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -249,13 +251,14 @@ def regrouped_sum(
     kernel: StirlingKernel,
     coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None,
 ) -> int:
-    """The kernel summed over the walked box, through its power moments.
+    """The kernel summed over the walked box: the box's polynomial in n,
+    evaluated at the kernel's target.
 
     Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
     """
     _check_box_size(math.prod(b + 1 for b in box.bounds))
     hist = box_weight_histogram(box, coeff_tables)
-    return _moment_sum(kernel, _power_moments(hist, kernel.length))
+    return _evaluate(_polynomial(kernel, hist), kernel, kernel.target)
 
 
 def _setup(
@@ -323,9 +326,9 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
 
     Every n with the same residue mod D shares one box, so the box is walked
     once per residue that occurs in 0..top, with the tables generic_setup
-    builds once for the row, and each n reads the kernel through that
-    residue's power moments.  Every residue's box has the same number of
-    points, so the guard is checked once, before any walk.
+    builds once for the row.  Each residue's polynomial in n is built once,
+    and each n of the class evaluates it.  Every residue's box has the same
+    number of points, so the guard is checked once, before any walk.
     """
     if top < 0:
         raise ValueError("top must be >= 0")
@@ -333,9 +336,9 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):
         hist = box_weight_histogram(replace(box, residue=residue), tables)
-        moments = _power_moments(hist, kernel.length)
+        poly = _polynomial(kernel, hist)
         for n in range(residue, top + 1, kernel.modulus):
-            row[n] = _moment_sum(replace(kernel, target=n), moments)
+            row[n] = _evaluate(poly, kernel, n)
     return row
 
 
@@ -349,14 +352,39 @@ def _power_moments(hist: dict[int, int], length: int) -> list[int]:
     return moments
 
 
-def _moment_sum(kernel: StirlingKernel, moments: list[int]) -> int:
-    """The kernel summed over a histogram with these power moments.
+def _polynomial(kernel: StirlingKernel, hist: dict[int, int]) -> list[int]:
+    """q_0..q_(L-1), L = kernel.length, with the kernel summed over the
+    histogram equal to sum_m q_m n^m / ((L-1)! D^(L-1)) at every target n
+    of the histogram's residue class.
 
-    sum_e w_e M_e is the sum scaled by (length-1)! D^(length-1); the
-    quotient is asserted to be an integer.
+    Grouping StirlingKernel.moment_weights by the power of n gives
+    q_m = sum_e (-1)^e M_e c(L, m+e+1) C(m+e, e) D^(L-1-m-e) over the
+    power moments M_e = sum mass * S^e (Sylvester's wave of the residue
+    class as a quasi-polynomial in n).  The target of kernel is not read.
     """
+    length, d, table = kernel.length, kernel.modulus, kernel.table
+    moments = _power_moments(hist, length)
+    for e in range(1, length, 2):
+        moments[e] = -moments[e]
+    dpow = [1] * length
+    for i in range(1, length):
+        dpow[i] = dpow[i - 1] * d
+    return [
+        sum(
+            moments[e] * table[m + e] * math.comb(m + e, e) * dpow[length - 1 - m - e]
+            for e in range(length - m)
+        )
+        for m in range(length)
+    ]
+
+
+def _evaluate(poly: list[int], kernel: StirlingKernel, n: int) -> int:
+    """sum_m poly[m] n^m / ((L-1)! D^(L-1)) by Horner's rule, with L and D
+    those of kernel; the quotient is asserted to be an integer."""
+    scaled = 0
+    for q in reversed(poly):
+        scaled = scaled * n + q
     scale = math.factorial(kernel.length - 1) * kernel.modulus ** (kernel.length - 1)
-    scaled = sum(map(operator.mul, kernel.moment_weights, moments))
     total, rest = divmod(scaled, scale)
     if rest:
         raise ArithmeticError(f"formula sum is not an integer: {scaled}/{scale}")
@@ -418,7 +446,7 @@ def _pattern_setup(
 
 def _regrouped_count(n: int, pattern: list[int]) -> int:
     box, kernel, tables = _pattern_setup(n, pattern)
-    return _moment_sum(kernel, _power_moments(packed_histogram(box, tables), kernel.length))
+    return _evaluate(_polynomial(kernel, packed_histogram(box, tables)), kernel, n)
 
 
 def pp_stirling(n: int) -> int:

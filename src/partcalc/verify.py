@@ -14,10 +14,11 @@ diagrams.diagram_counts: it lists each n once for the run, and every
 diagram kind and every r is read from that one listing.  rows reads
 series.oracle_row: each oracle row is built once for the run, and a check
 reads every n from it.  vector-count-vs-p counts A_n by the theorem walk
-itself, which closes parts 1 and 2 from one table per sum.  The stirling
-suite walks each congruence box once per residue
+itself: one walk with every multiplicity 1 (formulas._vector_row) reads
+|A_n| for every n up to the last within VECTOR_LIMIT.  The stirling suite
+walks each congruence box once per residue
 (stirling.restricted_row_stirling), one coordinate per distinct part,
-reads the kernel at each n through that residue's power moments, and
+evaluates that residue's polynomial in n at each n of the class, and
 compares the row with one DP row.  partial-sum-denominators sums the
 per-weighted-sum partials of the same grouped box, exact fractions from
 stirling.regrouped_partial_sums, and compares the total with the DP.
@@ -225,13 +226,14 @@ def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> l
 
     # With every multiplicity 1 each vector of A_n adds 1 to the theorem sum,
     # so the walk counts the vectors without listing them; its table for
-    # parts 1 and 2 reads floor(R/2) + 1 at remainder R.
+    # parts 1 and 2 reads floor(R/2) + 1 at remainder R.  One walk gives
+    # every n up to the last within VECTOR_LIMIT.
     res = CheckResult("vector-count-vs-p")
     p_row = rows("p", top)
-    for n in range(1, top + 1):
-        if p_row[n] > formulas.VECTOR_LIMIT:
-            break
-        res.expect(formulas._vector_sum(n, [1] * n), p_row[n], f"n={n}")
+    counted = next((n - 1 for n in range(top + 1) if p_row[n] > formulas.VECTOR_LIMIT), top)
+    vector_row = formulas._vector_row(counted, [1] * counted)
+    for n in range(1, counted + 1):
+        res.expect(vector_row[n], p_row[n], f"n={n}")
     out.append(res)
 
     res = CheckResult("dp-permutation-invariance")

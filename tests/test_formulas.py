@@ -27,7 +27,7 @@ from partcalc.formulas import (
     within_vector_limit,
 )
 from partcalc.sequences import FAMILIES
-from partcalc.series import oracle_value
+from partcalc.series import oracle_row, oracle_value
 from partcalc.stirling import BlockPolynomial
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
@@ -73,28 +73,37 @@ def test_vector_sum_walk_matches_listed_vectors(data, n):
     assert formulas._vector_sum(n, pattern) == want
 
 
-def test_vector_sum_walk_has_one_leaf_per_vector(monkeypatch):
-    # Each branch of the walk ends in one read of the table that closes
-    # parts 1 and 2; a read at remainder R covers R // 2 + 1 vectors (l_2 =
-    # 0..R // 2, l_1 the rest), one where part 2 is out of reach (R < 2).
-    # Together the reads cover each vector of A_n once.
-    covered = 0
+def test_vector_sum_walk_has_one_leaf_per_vector():
+    # With every multiplicity 1 each partial vector (l_3..l_top) adds 1 to
+    # hist at its weight w, so hist[w] counts the leaves there: the vectors
+    # of A_w with l_1 = l_2 = 0.  A leaf at w covers the (n - w) // 2 + 1
+    # vectors of A_n that parts 1 and 2 complete it to, so the leaves below
+    # n cover A_n once.
+    top = 20
+    hist, tail = formulas._vector_histogram(top, [1] * top)
+    assert tail == [R // 2 + 1 for R in range(top + 1)]
+    leaves = [1] + [sum(not any(v[:2]) for v in multiplicity_vectors(w)) for w in range(1, top + 1)]
+    assert hist == leaves
+    for n in range(top + 1):
+        covered = sum(hist[w] * ((n - w) // 2 + 1) for w in range(n + 1))
+        assert covered == oracle_value("p", n), n
 
-    class CountingTable(list):
-        def __getitem__(self, R):
-            nonlocal covered
-            covered += R // 2 + 1
-            return super().__getitem__(R)
 
-    table = formulas._tail_table
-    monkeypatch.setattr(formulas, "_tail_table", lambda n, pattern: CountingTable(table(n, pattern)))
-    for n in range(1, 21):
-        # pp has m_1 = 1 (the hockey-stick table); P_r with r = 3 has m_1 = 3.
-        for quantity, r in (("pp", None), ("P_r", 3)):
-            covered = 0
-            got = formulas._vector_sum(n, FAMILIES[quantity].pattern(n, r))
-            assert got == oracle_value(quantity, n, r=r)
-            assert covered == oracle_value("p", n), (quantity, n)
+@given(st.data(), st.integers(0, 22))
+@settings(max_examples=40, deadline=None)
+def test_vector_row_reads_every_n_off_one_walk(data, top):
+    pattern = data.draw(st.lists(st.integers(0, 4), min_size=top, max_size=top))
+    row = formulas._vector_row(top, pattern)
+    assert row == [formulas._vector_sum(n, pattern[:n]) for n in range(top + 1)]
+
+
+def test_vector_row_of_every_family():
+    top = 25
+    for quantity, family in FAMILIES.items():
+        for r in range(1, 26) if family.takes_r else (None,):
+            row = formulas._vector_row(top, family.pattern(top, r))
+            assert row == [formulas._vector_sum(n, family.pattern(n, r)) for n in range(top + 1)]
+            assert row == list(oracle_row(quantity, top, r=r)), (quantity, r)
 
 
 def test_theorem_walk_uses_neither_the_dp_nor_the_series(monkeypatch):
@@ -139,6 +148,22 @@ def test_vector_count_is_p():
     assert [vector_count(n) for n in range(25)] == [oracle_value("p", n) for n in range(25)]
 
 
+def test_vector_counts_to_64_share_one_row(monkeypatch):
+    built = []
+    real = formulas.restricted_partition_row
+
+    def spy(pairs, top):
+        built.append(top)
+        return real(pairs, top)
+
+    formulas._counts_to_64.cache_clear()
+    monkeypatch.setattr(formulas, "restricted_partition_row", spy)
+    assert [vector_count(n) for n in range(65)] == list(oracle_row("p", 64))
+    assert built == [64]
+    assert vector_count(70) == oracle_value("p", 70)
+    assert built == [64, 70]
+
+
 def test_vector_guard_bounds_the_walk():
     assert vector_count(60) <= VECTOR_LIMIT < vector_count(61)
     assert within_vector_limit(60) and not within_vector_limit(61)
@@ -150,6 +175,27 @@ def test_vector_guard_bounds_the_walk():
 def test_alternating_sum_takes_dp_above_the_vector_limit():
     # Shifts 0 and 1 need P_2(62) and P_2(61), both above the limit.
     assert ppr_via_multipartition_formula(62, 2) == oracle_value("pp_r", 62, r=2)
+
+
+# The P_r theorem row stops at 60, the last n within VECTOR_LIMIT.  (80, 3)
+# reads P_3 at 80, 79, 77 and 76 only, all from the DP, and (120, 200) has
+# no k in the formula's range (r < k), so neither walks; (64, 3) reads
+# P_3(60) off the row, and (80, 12) reads P_12 at k = 13..60 off it.
+@pytest.mark.parametrize(
+    "n, r, tops", [(80, 3, []), (120, 200, []), (64, 3, [60]), (80, 12, [60])]
+)
+def test_alternating_sum_row_stays_within_the_vector_limit(monkeypatch, n, r, tops):
+    walked = []
+    real = formulas._vector_row
+
+    def spy(top, pattern):
+        walked.append(top)
+        return real(top, pattern)
+
+    monkeypatch.setattr(formulas, "_vector_row", spy)
+    assert ppr_via_multipartition_formula(n, r) == oracle_value("pp_r", n, r=r)
+    assert walked == tops
+    assert all(vector_count(top) <= VECTOR_LIMIT for top in walked)
 
 
 def test_bounded_composition_count_small():

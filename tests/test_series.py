@@ -134,7 +134,7 @@ def test_dp_uses_neither_the_series_nor_the_theorem_walk(monkeypatch):
         raise AssertionError("the DP route must not call this")
 
     monkeypatch.setattr(series, "euler_product", refuse)
-    monkeypatch.setattr(formulas, "_walk", refuse)
+    monkeypatch.setattr(formulas, "_vector_histogram", refuse)
     assert [oracle_value(q, 80, r=r) for q, r in cases] == want
 
 

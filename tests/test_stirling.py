@@ -290,8 +290,48 @@ def test_moment_sum_rejects_non_integer_totals():
     # One point at S = 0: the kernel there is (1/3 + 1) = 4/3.
     kernel = StirlingKernel(2, 3, 1, stirling_first_unsigned(2))
     with pytest.raises(ArithmeticError, match="formula sum is not an integer: 4/3"):
-        stirling._moment_sum(kernel, [1, 0])
-    assert stirling._moment_sum(kernel, [3, 0]) == 4
+        stirling._evaluate(stirling._polynomial(kernel, {0: 1}), kernel, 1)
+    assert stirling._evaluate(stirling._polynomial(kernel, {0: 3}), kernel, 1) == 4
+
+
+@given(
+    st.integers(1, 8),
+    st.integers(1, 60),
+    st.integers(0, 10**4),
+    st.dictionaries(st.integers(0, 10**3), st.integers(1, 10**3), min_size=1, max_size=5),
+)
+@settings(max_examples=60)
+def test_polynomial_equals_the_moment_weights(length, modulus, n, hist):
+    # Summing kernel.moment_weights against the power moments at the target
+    # n is what the polynomial gathers by powers of n.
+    kernel = StirlingKernel(length, modulus, n, stirling_first_unsigned(length))
+    poly = stirling._polynomial(replace(kernel, target=0), hist)
+    want = sum(
+        mass * sum(w * s**e for e, w in enumerate(kernel.moment_weights)) for s, mass in hist.items()
+    )
+    assert sum(q * n**m for m, q in enumerate(poly)) == want
+
+
+# Each parts list has gcd g: the box's points spread evenly over the
+# residues that g divides, so the leading coefficient there is
+# g/((L-1)! prod a_t), and 0 elsewhere (1/((L-1)! prod a_t) when g = 1).
+@pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5), (3, 3, 6, 6, 12)])
+def test_leading_coefficient_at_every_residue(parts):
+    a = WeightSequence(tuple(parts))
+    box, kernel, tables = generic_setup(a, 0)
+    g = math.gcd(*parts)
+    scale = math.factorial(a.length - 1) * a.lcm ** (a.length - 1)
+    for residue in range(a.lcm):
+        poly = stirling._polynomial(kernel, box_weight_histogram(replace(box, residue=residue), tables))
+        want = Fraction(g, math.factorial(a.length - 1) * math.prod(parts)) if residue % g == 0 else 0
+        assert Fraction(poly[-1], scale) == want, residue
+
+
+@pytest.mark.parametrize("n", [10**12, 10**100])
+def test_generic_sum_at_huge_n(n):
+    assert restricted_count_stirling(WeightSequence((1, 2)), n) == n // 2 + 1
+    # round((n + 3)^2 / 12); (n + 3)^2 is never 6 mod 12, so no tie.
+    assert restricted_count_stirling(WeightSequence((1, 2, 3)), n) == ((n + 3) ** 2 + 6) // 12
 
 
 def _family_cases(top):
@@ -331,7 +371,7 @@ def test_family_sums_call_neither_an_oracle_nor_the_theorem_walk(monkeypatch):
 
     for name in ("restricted_partition_row", "oracle_row", "euler_product"):
         monkeypatch.setattr(series, name, refuse)
-    monkeypatch.setattr(formulas, "_walk", refuse)
+    monkeypatch.setattr(formulas, "_vector_histogram", refuse)
     assert (pp_stirling(5), multipartition_stirling(5, 3)) == want
 
 

@@ -134,6 +134,20 @@ def test_vector_count_stops_at_the_vector_limit(monkeypatch):
     assert counted.cases == 10
 
 
+def test_vector_count_walks_once_per_run(monkeypatch):
+    walked = []
+    real = formulas._vector_histogram
+
+    def spy(top, pattern):
+        walked.append(top)
+        return real(top, pattern)
+
+    monkeypatch.setattr(formulas, "_vector_histogram", spy)
+    results = verify.run_suite("oracle-consistency")
+    assert all(res.ok for res in results)
+    assert walked == [40]
+
+
 def test_vector_sum_below_range_is_checked():
     results = verify.run_suite("cross-method", max_n=5)
     below = next(res for res in results if res.name == "vector-sum-below-range")
