@@ -3,6 +3,10 @@
 
 Example:
     python scripts/make_tables.py --to 20 --r 2,3,4 --format markdown
+
+Values print in full, however many digits they have.  Exit codes are the
+CLI's: 1 for a usage error, 3 when a cost guard refuses a value, with the
+CLI's message on stderr and no table.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from partcalc.dispatch import ComputationRequest, compute
+from partcalc.cli import Parser, digits, run
+from partcalc.dispatch import METHODS, ComputationRequest, compute
 
 
 def parse_r_list(text: str) -> tuple[int, ...]:
@@ -38,19 +43,22 @@ def build_columns(r_values: tuple[int, ...]) -> list[tuple[str, str, int | None]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--from", dest="n_from", type=int, default=0)
     parser.add_argument("--to", dest="n_to", type=int, default=20)
     parser.add_argument(
         "--r", type=parse_r_list, default=(2, 3), metavar="r1,r2,...",
         help="r values for the row-bounded and multipartition columns",
     )
-    parser.add_argument("--method", default="auto")
+    parser.add_argument("--method", default="auto", choices=METHODS)
     parser.add_argument("--format", choices=("csv", "markdown"), default="csv")
     args = parser.parse_args(argv)
     if args.n_from < 0 or args.n_from > args.n_to:
         parser.error("need 0 <= --from <= --to")
+    return run(lambda: print_table(args))
 
+
+def print_table(args: argparse.Namespace) -> int:
     columns = build_columns(args.r)
     rows = []
     for n in range(args.n_from, args.n_to + 1):
@@ -67,11 +75,11 @@ def main(argv: list[str] | None = None) -> int:
         print("| " + " | ".join(header) + " |")
         print("|" + "|".join("---" for _ in header) + "|")
         for row in rows:
-            print("| " + " | ".join(str(v) for v in row) + " |")
+            print("| " + " | ".join(map(digits, row)) + " |")
     else:
         print(",".join(header))
         for row in rows:
-            print(",".join(str(v) for v in row))
+            print(",".join(map(digits, row)))
     return 0
 
 

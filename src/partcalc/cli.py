@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from .dispatch import METHODS, ComputationRequest, compute, compute_table
 from .formulas import CostGuardExceeded
@@ -24,7 +25,7 @@ FORMATS = ("plain", "json", "csv")
 _CHUNK = 10**600
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; usage errors are 1 here.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -49,7 +50,7 @@ class _SuiteNames:
         return iter(_verify().SUITES)
 
 
-def _digits(value: int) -> str:
+def digits(value: int) -> str:
     """The decimal digits of value >= 0, however many.  Python 3.11 refuses
     int to str above 4,300 digits by default, so the digits are converted in
     chunks of 600, below 640, the least limit the interpreter accepts."""
@@ -71,22 +72,26 @@ def _parts(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _add_route_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--method", default="auto", choices=METHODS)
+    parser.add_argument("--format", default="plain", choices=FORMATS)
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="error out instead of falling back when a formula hypothesis fails",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="partcalc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = Parser(prog="partcalc", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     compute_p = sub.add_parser("compute", help="compute a single value")
     compute_p.add_argument("--quantity", required=True, choices=QUANTITIES)
     compute_p.add_argument("--n", required=True, type=int)
     compute_p.add_argument("--r", type=int)
     compute_p.add_argument("--parts", type=_parts, metavar="a1,a2,...")
-    compute_p.add_argument("--method", default="auto", choices=METHODS)
-    compute_p.add_argument("--format", default="plain", choices=FORMATS)
-    compute_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="error out instead of falling back when a formula hypothesis fails",
-    )
+    _add_route_options(compute_p)
     compute_p.set_defaults(func=cmd_compute)
 
     table_p = sub.add_parser("table", help="compute a value table over an n range")
@@ -94,13 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     table_p.add_argument("--from", dest="n_from", required=True, type=int)
     table_p.add_argument("--to", dest="n_to", required=True, type=int)
     table_p.add_argument("--r", type=int)
-    table_p.add_argument("--method", default="auto", choices=METHODS)
-    table_p.add_argument("--format", default="plain", choices=FORMATS)
-    table_p.add_argument(
-        "--strict",
-        action="store_true",
-        help="error out instead of falling back when a formula hypothesis fails",
-    )
+    _add_route_options(table_p)
     table_p.set_defaults(func=cmd_table)
 
     verify_p = sub.add_parser("verify", help="run a cross-validation suite")
@@ -130,7 +129,7 @@ def _json_row(quantity: str, n: int, r, parts, value: int, used: str) -> dict:
         "r": r,
         "parts": None if parts is None else list(parts),
         "method": used,
-        "value": _digits(value),
+        "value": digits(value),
     }
 
 
@@ -148,9 +147,9 @@ def cmd_compute(args) -> int:
         print(json.dumps(_json_row(req.quantity, req.n, req.r, req.parts, value, used)))
     elif args.format == "csv":
         print("n,value")
-        print(f"{req.n},{_digits(value)}")
+        print(f"{req.n},{digits(value)}")
     else:
-        print(f"{_label(req)} = {_digits(value)}  (method: {used})")
+        print(f"{_label(req)} = {digits(value)}  (method: {used})")
     return EXIT_OK
 
 
@@ -170,10 +169,10 @@ def cmd_table(args) -> int:
     elif args.format == "csv":
         print("n,value")
         for n, value, _ in rows:
-            print(f"{n},{_digits(value)}")
+            print(f"{n},{digits(value)}")
     else:
         for n, value, _ in rows:
-            print(f"{n} {_digits(value)}")
+            print(f"{n} {digits(value)}")
     return EXIT_OK
 
 
@@ -195,17 +194,22 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failing else EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(command: Callable[[], int]) -> int:
+    """command()'s exit code, or, when it raises, EXIT_COST for a cost-guard
+    refusal and EXIT_USAGE for a bad request, with the message on stderr."""
     try:
-        return args.func(args)
+        return command()
     except CostGuardExceeded as exc:
         print(f"partcalc: cost guard: {exc}", file=sys.stderr)
         return EXIT_COST
     except ValueError as exc:  # RequestError and HypothesisError among them
         print(f"partcalc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(lambda: args.func(args))
 
 
 if __name__ == "__main__":

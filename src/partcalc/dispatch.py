@@ -16,7 +16,6 @@ from .sequences import (
     Family,
     Value,
     WeightSequence,
-    quantity_sequence,
 )
 
 METHODS = ("auto", "oracle-series", "oracle-dp", "oracle-enum", "theorem", "stirling")
@@ -102,7 +101,7 @@ def _path(req: ComputationRequest) -> Callable[[], int] | None:
     if family.stem is None:  # p has no closed form; its Stirling sum is the generic engine
         if not stirling_route:
             return None
-        return lambda: _stirling().restricted_count_stirling(quantity_sequence(q, n), n)
+        return lambda: _stirling().partition_count_stirling(n)
     if stirling_route:
         return lambda: wrapper_value(family, "stirling", n, r)
     return lambda: wrapper_value(family, "formula", n, r)
@@ -143,11 +142,11 @@ def _oracle(req: ComputationRequest, route: str) -> int:
 
 def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
     """The route with the least estimated work, in multiply-adds, among those
-    whose guard admits req: the theorem walk when theorem is set, then
-    oracle-dp, then oracle-series, in the order that breaks a tie.  On a
-    family the DP does more work than the series at every n >= 1 (see
-    series.oracle_cost), so it is a candidate there only at n = 0, where
-    neither works.  Raises CostGuardExceeded when every candidate is
+    whose guard admits req: the theorem walk when theorem is set and n is
+    within formulas.vector_reach(), then oracle-dp, then oracle-series, in
+    the order that breaks a tie.  On a family the DP does more work than the
+    series at every n >= 1 (see series.oracle_cost), so it is a candidate
+    there only at n = 0, where neither works.  Raises CostGuardExceeded when every candidate is
     refused."""
     best = None
     refusals = []
@@ -161,10 +160,9 @@ def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
             refusals.append(refusal)
         elif best is None or work < best[0]:
             best = (work, f"oracle-{backend}")
-    if theorem:
-        leaves = formulas.vector_work(req.n)
-        work = formulas.LEAF_COST * leaves
-        if leaves <= formulas.VECTOR_LIMIT and (best is None or work <= best[0]):
+    if theorem and req.n <= formulas.vector_reach():
+        work = formulas.LEAF_COST * formulas.vector_count(req.n)
+        if best is None or work <= best[0]:
             best = (work, "theorem")
     if best is None:
         raise formulas.CostGuardExceeded("; ".join(refusals))

@@ -17,7 +17,8 @@ whose choices are the same for every partial vector of one weight, is
 folded into hist once per weight.  _vector_row reads every n off one walk,
 and _vector_sum reads one.  The table and the fold cover parts 1 to 3 only
 and read no oracle, so the walk stays an algorithm of its own.  Its time
-still grows with p(top) = |A_top|, which VECTOR_LIMIT bounds.
+still grows with p(top) = |A_top|, which VECTOR_LIMIT bounds: every guard,
+wrapper and estimate reads the one reach, vector_reach().
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections.abc import Callable
 from operator import mul
 
 from .combinat import binomial
-from .sequences import FAMILIES
+from .sequences import FAMILIES, Family
 from .series import CostGuardExceeded, oracle_row, restricted_partition_row
 
 # Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
@@ -48,13 +49,13 @@ class HypothesisError(ValueError):
     """An evaluator was called outside its validity range."""
 
 
-def stated_pattern(quantity: str, wrapper: str, n: int, r: int | None = None) -> list[int]:
-    """The family's multiplicities of parts 1..n, or HypothesisError naming
-    the wrapper when (n, r) lies outside the family's stated range."""
+def stated_family(quantity: str, kind: str, n: int, r: int | None = None) -> Family:
+    """FAMILIES[quantity], or HypothesisError naming the wrapper
+    <stem>_<kind> when (n, r) lies outside the family's stated range."""
     family = FAMILIES[quantity]
     if not family.holds(n, r):
-        raise HypothesisError(f"{wrapper} requires {family.stated_range}")
-    return family.pattern(n, r)
+        raise HypothesisError(f"{family.stem}_{kind} requires {family.stated_range}")
+    return family
 
 
 def bounded_composition_count(total: int, copies: int, limit: int) -> int:
@@ -74,7 +75,7 @@ def bounded_composition_count(total: int, copies: int, limit: int) -> int:
         rest = total - i * (limit + 1)
         if rest < 0:
             break
-        term = binomial(copies, i) * binomial(rest + copies - 1, copies - 1)
+        term = math.comb(copies, i) * math.comb(rest + copies - 1, copies - 1)
         out += term if i % 2 == 0 else -term
     return out
 
@@ -124,13 +125,6 @@ def vector_count(n: int) -> int:
     return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
 
 
-# The route choice reads p(n), and the walk it picks reads it again for its
-# guard: the last answer is kept for that second read.
-@functools.lru_cache(maxsize=1)
-def _count_to_limit(n: int, limit: int) -> tuple[int, int]:
-    return count_to_limit(vector_count, n, limit)
-
-
 def count_to_limit(count, n: int, limit: int) -> tuple[int, int]:
     """(n, count(n)), or (k, count(k)) for the first k of 64, 128, 256, ...
     below n with count(k) above limit; for a nondecreasing count, count(n)
@@ -145,47 +139,44 @@ def count_to_limit(count, n: int, limit: int) -> tuple[int, int]:
     return n, count(n)
 
 
-def vector_work(n: int) -> int:
-    """The theorem route's work: p(n), the vectors its walk over A_n covers,
-    or a p(k) with k < n once that passes VECTOR_LIMIT.  A vector is priced
-    at LEAF_COST multiply-adds."""
-    return _count_to_limit(n, VECTOR_LIMIT)[1]
+def vector_reach() -> int:
+    """The theorem route's reach: the largest n with p(n) = |A_n| at most
+    VECTOR_LIMIT, read at call time.  Every theorem guard and estimate reads
+    it; p is nondecreasing, so exactly the n <= vector_reach() are within."""
+    return _reach(VECTOR_LIMIT)
 
 
-def within_vector_limit(n: int) -> bool:
-    """Whether the theorem sum over A_n walks at most VECTOR_LIMIT vectors."""
-    return vector_work(n) <= VECTOR_LIMIT
+@functools.cache
+def _reach(limit: int) -> int:
+    n = 0
+    while vector_count(n + 1) <= limit:
+        n += 1
+    return n
 
 
-def _vector_top(n: int) -> int:
-    """The largest k <= n whose A_k is within VECTOR_LIMIT (p is
-    nondecreasing, so every k below it is within too)."""
-    if within_vector_limit(n):
-        return n
-    k = 0
-    while within_vector_limit(k + 1):
-        k += 1
-    return k
+def _check_reach(n: int) -> None:
+    """Raise CostGuardExceeded when n is beyond vector_reach(); the message
+    gives p(n), or p(k) at the first k = 64, 128, ... above the limit."""
+    if n > _reach(VECTOR_LIMIT):
+        k, count = count_to_limit(vector_count, n, VECTOR_LIMIT)
+        at_least = "" if k == n else f"at least p({k}) = "
+        raise CostGuardExceeded(
+            f"A_{n} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
+        )
 
 
 def _vector_sum(n: int, pattern: list[int]) -> int:
     """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1]:
-    the histogram walk to n, read at n.
-
-    Raises CostGuardExceeded up front when A_n has more than VECTOR_LIMIT
-    vectors.
-    """
+    the histogram walk to n, read at n, behind the walk's guard."""
+    _check_reach(n)
     hist, tail = _vector_histogram(n, pattern)
     return sum(map(mul, hist, reversed(tail)))
 
 
 def _vector_row(top: int, pattern: list[int]) -> list[int]:
-    """_vector_sum(n, pattern[:n]) for n = 0..top, from one walk: entry n is
-    sum_w hist[w] * tail[n - w].
-
-    Raises CostGuardExceeded up front when A_top has more than VECTOR_LIMIT
-    vectors.
-    """
+    """_vector_sum(n, pattern[:n]) for n = 0..top, from one walk behind the
+    walk's guard: entry n is sum_w hist[w] * tail[n - w]."""
+    _check_reach(top)
     hist, tail = _vector_histogram(top, pattern)
     return [sum(map(mul, hist[: n + 1], tail[n::-1])) for n in range(top + 1)]
 
@@ -194,7 +185,8 @@ def _vector_histogram(top: int, pattern: list[int]) -> tuple[list[int], list[int
     """(hist, tail) of the theorem sums to top.  hist[w] sums
     prod_{s>=3} C(l_s + m_s - 1, l_s) over the partial vectors (l_3..l_top)
     of weight sum s*l_s = w, and tail is _tail_table(top, pattern), which
-    closes parts 1 and 2 for every remainder.  The guard counts A_top.
+    closes parts 1 and 2 for every remainder.  Its entry points check the
+    walk's guard, _check_reach(top), first.
 
     The walk covers (l_4..l_top).  Every partial vector of weight w takes
     the same choices of l_3, so part 3 is folded in once per weight
@@ -202,12 +194,6 @@ def _vector_histogram(top: int, pattern: list[int]) -> tuple[list[int], list[int
     hist[w + 3l] for each l >= 1.  The weights go from the top down, so
     every mass is still the walk's when it is read.
     """
-    k, count = _count_to_limit(top, VECTOR_LIMIT)
-    if count > VECTOR_LIMIT:
-        at_least = "" if k == top else f"at least p({k}) = "
-        raise CostGuardExceeded(
-            f"A_{top} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
-        )
     hist = [0] * (top + 1)
     if top < 4:
         hist[0] = 1
@@ -294,32 +280,41 @@ def _fill_histogram(s: int, weight: int, coeff: int, pattern: list[int], hist: l
         w += s
 
 
+def _theorem_sum(quantity: str, n: int, r: int | None = None) -> int:
+    """The family's vector sum at (n, r), in range and reach before its
+    pattern is built."""
+    family = stated_family(quantity, "formula", n, r)
+    _check_reach(n)
+    hist, tail = _vector_histogram(n, family.pattern(n, r))
+    return sum(map(mul, hist, reversed(tail)))
+
+
 def pp_formula(n: int) -> int:
     """Plane partitions of n via the multiplicity-vector sum (valid in the
     stated range of FAMILIES["pp"])."""
-    return _vector_sum(n, stated_pattern("pp", "pp_formula", n))
+    return _theorem_sum("pp", n)
 
 
 def ppr_formula(n: int, r: int) -> int:
     """Plane partitions of n with at most r rows (valid in the stated range
     of FAMILIES["pp_r"])."""
-    return _vector_sum(n, stated_pattern("pp_r", "ppr_formula", n, r))
+    return _theorem_sum("pp_r", n, r)
 
 
 def pps_formula(n: int) -> int:
     """Strict plane partitions of n (valid in the stated range of FAMILIES["pps"])."""
-    return _vector_sum(n, stated_pattern("pps", "pps_formula", n))
+    return _theorem_sum("pps", n)
 
 
 def ppso_formula(n: int) -> int:
     """The odd-weighted count ppso(n) (valid in the stated range of FAMILIES["ppso"])."""
-    return _vector_sum(n, stated_pattern("ppso", "ppso_formula", n))
+    return _theorem_sum("ppso", n)
 
 
 def multipartition_formula(n: int, r: int) -> int:
     """r-component multipartitions of n (valid in the stated range of
     FAMILIES["P_r"])."""
-    return _vector_sum(n, stated_pattern("P_r", "multipartition_formula", n, r))
+    return _theorem_sum("P_r", n, r)
 
 
 def ppr_inclusion_exclusion(n: int, r: int, pr_values: Callable[[int], int]) -> int:
@@ -356,12 +351,12 @@ def _shift_coefficients(n: int, r: int) -> list[int]:
 
 def ppr_via_multipartition_formula(n: int, r: int) -> int:
     """pp_r(n) by the alternating sum, with formula-backed multipartition
-    counts wherever the formula hypothesis holds and A_k is within
-    VECTOR_LIMIT, and the DP oracle elsewhere.  Each side is one P_r row,
+    counts wherever the formula hypothesis holds and k is within
+    vector_reach(), and the DP oracle elsewhere.  Each side is one P_r row,
     built on the first k that reads it and never when none does: the
-    theorem row to _vector_top(n), and the oracle row to n."""
+    theorem row to min(n, vector_reach()), and the oracle row to n."""
     family = FAMILIES["P_r"]
-    top = _vector_top(n)
+    top = min(n, vector_reach())
     rows = {}
 
     def pr(k: int) -> int:

@@ -11,22 +11,25 @@ with S the weighted sum of the box point and c the unsigned Stirling numbers
 of the first kind.  The family wrappers (pp, pp_r, pps, ppso, P_r) evaluate
 the same sum over a box with one coordinate per part s of 1..n.
 
-Every sum takes one setup and one evaluation step.  The setup turns
-(part, copies, bound) runs into a CongruenceBox, a StirlingKernel and one
-block table per coordinate, after the guard has counted the box.  The box
-depends on n only through n mod D, so on one residue class the sum is a
-polynomial in n of degree r-1 (Sylvester's wave).  The step takes the
+Every sum is guarded before it builds anything of size n or of the box:
+the guard counts the box's points, and past 64 coordinates the box of the
+first 64, 128, ... (formulas.count_to_limit).  Then every sum takes one
+setup and one evaluation step.  The setup turns (part, copies, bound) runs
+into a CongruenceBox, a StirlingKernel and one block table per coordinate.
+The box depends on n only through n mod D, so on one residue class the sum
+is a polynomial in n of degree r-1 (Sylvester's wave).  The step takes the
 histogram of weighted sums over the box (mass per S), reduces it to its
 power moments sum mass * S^e, builds that polynomial's coefficients in
-exact integers over the common denominator (r-1)! D^(r-1) (_polynomial),
-evaluates it at n by Horner's rule, and asserts that the value is an
-integer (_evaluate).  The sums differ only in how they build the
-histogram: the generic engine walks its box (box_weight_histogram), and
-the family sums multiply the block tables (packed_histogram).
-restricted_row_stirling walks once per residue, builds that residue's
-polynomial once, and evaluates it at every n of the class.
-regrouped_partial_sums keeps the per-weighted-sum view as exact fractions,
-for verify.
+exact integers over the common denominator (r-1)! D^(r-1) (_polynomial,
+the one expansion of the kernel), evaluates it at n by Horner's rule, and
+asserts that the value is an integer (_evaluate).  StirlingKernel.value(S)
+reads the polynomial of the one-point histogram {S: 1}.  The sums differ
+only in how they build the histogram: the generic engine walks its box
+(box_weight_histogram), and the family sums multiply the block tables
+(packed_histogram).  restricted_row_stirling walks once per residue,
+builds that residue's polynomial once, and evaluates it at every n of the
+class.  regrouped_partial_sums keeps the per-weighted-sum view as exact
+fractions, for verify.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from itertools import groupby
 
 from .combinat import lcm_range, stirling_first_unsigned
-from .formulas import CostGuardExceeded, bounded_composition_count, stated_pattern
-from .sequences import WeightSequence
+from .formulas import CostGuardExceeded, bounded_composition_count, count_to_limit, stated_family
+from .sequences import Family, WeightSequence, quantity_sequence
 
 # Boxes with more points are refused with CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9
@@ -88,36 +91,10 @@ class StirlingKernel:
             raise ValueError("Stirling table must match the kernel length")
 
     def value(self, weighted_sum: int) -> Fraction:
-        """The kernel at one weighted sum S: sum_e w_e S^e / D^(length-1)."""
-        num = 0
-        for w in reversed(self.moment_weights):
-            num = num * weighted_sum + w
-        return Fraction(num, self.modulus ** (self.length - 1))
-
-    @cached_property
-    def moment_weights(self) -> tuple[int, ...]:
-        """w_0..w_(length-1) with value(S) * D^(length-1) == sum_e w_e * S^e.
-
-        The kernel over the common denominator D^(r-1) is the double sum
-        sum_{m<=k<r} (-1)^(k-m) c(r, k+1) C(k, m) S^(k-m) n^m D^(r-1-k);
-        setting e = k - m gives
-        w_e = (-1)^e sum_{k>=e} c(r, k+1) C(k, e) n^(k-e) D^(r-1-k),
-        so a histogram enters only through its power moments sum mass * S^e.
-        """
-        r, d, n = self.length, self.modulus, self.target
-        npow = [1] * r
-        dpow = [1] * r
-        for i in range(1, r):
-            npow[i] = npow[i - 1] * n
-            dpow[i] = dpow[i - 1] * d
-        weights = []
-        for e in range(r):
-            w = sum(
-                self.table[k] * math.comb(k, e) * npow[k - e] * dpow[r - 1 - k]
-                for k in range(e, r)
-            )
-            weights.append(-w if e % 2 else w)
-        return tuple(weights)
+        """The kernel at one weighted sum S: the polynomial of the one-point
+        histogram {S: 1} at the target, over D^(length-1)."""
+        scaled = _horner(_polynomial(self, {weighted_sum: 1}), self.target)
+        return Fraction(scaled, self.modulus ** (self.length - 1))
 
 
 @dataclass(frozen=True)
@@ -222,10 +199,18 @@ def box_weight_histogram(
     return hist
 
 
-def _check_box_size(size: int) -> None:
+def _check_box(count, length: int) -> None:
+    """Refuse a box of more than DEFAULT_BOX_LIMIT points.  count(k), which
+    grows with k, counts the box of the first k of length coordinates, read
+    at k = 64, 128, ... first (count_to_limit)."""
+    k, size = count_to_limit(count, length, DEFAULT_BOX_LIMIT)
     if size > DEFAULT_BOX_LIMIT:
+        shown = size if k == length else f"at least {size}"
+        if size.bit_length() > 13_000:  # 3,914 digits; str() refuses 4,300
+            # 10^e <= 2^(bits - 1) <= size, since 0.30102 < log10(2).
+            shown = f"at least 10^{(size.bit_length() - 1) * 30102 // 100000}"
         raise CostGuardExceeded(
-            f"congruence box has {size} points, above the limit of {DEFAULT_BOX_LIMIT}"
+            f"congruence box has {shown} points, above the limit of {DEFAULT_BOX_LIMIT}"
         )
 
 
@@ -238,12 +223,10 @@ def regrouped_partial_sums(
 
     Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
     """
-    _check_box_size(math.prod(b + 1 for b in box.bounds))
+    _check_box(lambda k: math.prod(b + 1 for b in box.bounds[:k]), len(box.bounds))
     norm = math.factorial(kernel.length - 1)
     hist = box_weight_histogram(box, coeff_tables)
-    return {
-        sw: Fraction(mass) * kernel.value(sw) / norm for sw, mass in sorted(hist.items())
-    }
+    return {sw: Fraction(mass) * kernel.value(sw) / norm for sw, mass in sorted(hist.items())}
 
 
 def regrouped_sum(
@@ -256,13 +239,13 @@ def regrouped_sum(
 
     Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
     """
-    _check_box_size(math.prod(b + 1 for b in box.bounds))
+    _check_box(lambda k: math.prod(b + 1 for b in box.bounds[:k]), len(box.bounds))
     hist = box_weight_histogram(box, coeff_tables)
     return _evaluate(_polynomial(kernel, hist), kernel, kernel.target)
 
 
 def _setup(
-    runs: list[tuple[int, int, int]], modulus: int, target: int, guard: int
+    runs: list[tuple[int, int, int]], modulus: int, target: int
 ) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
     """Box, kernel and coefficient tables of a congruence sum for target.
 
@@ -270,17 +253,11 @@ def _setup(
     values 0..b, and at value v the number of (x_1..x_m) with
     x_i <= modulus/k - 1 summing to v, the coefficients of
     (1 + z + ... + z^(modulus/k - 1))^m.  A table that would be all ones
-    (one copy, bound modulus/k - 1) is None.  guard is the number of points
-    the caller charges for the sum: above DEFAULT_BOX_LIMIT it raises
-    CostGuardExceeded before any table is built.
+    (one copy, bound modulus/k - 1) is None.  Callers check the box guard
+    first.
     """
-    _check_box_size(guard)
-    box = CongruenceBox(
-        bounds=tuple(b for _, _, b in runs),
-        weights=tuple(k for k, _, _ in runs),
-        modulus=modulus,
-        residue=target % modulus,
-    )
+    bounds, weights = tuple(b for _, _, b in runs), tuple(k for k, _, _ in runs)
+    box = CongruenceBox(bounds, weights, modulus, target % modulus)
     tables = tuple(
         None
         if m == 1 and b == modulus // k - 1
@@ -288,9 +265,7 @@ def _setup(
         for k, m, b in runs
     )
     length = sum(m for _, m, _ in runs)
-    kernel = StirlingKernel(
-        length=length, modulus=modulus, target=target, table=stirling_first_unsigned(length)
-    )
+    kernel = StirlingKernel(length, modulus, target, stirling_first_unsigned(length))
     return box, kernel, tables
 
 
@@ -306,12 +281,26 @@ def generic_setup(
     (j_1..j_m) with j_i <= D/k - 1 summing to each value, so the histogram
     is the expanded box's.  A part that occurs once walks as in the
     expanded box, with table None.  The guard counts the expanded box,
-    prod_t D/a_t.
+    prod_t D/a_t (_check_box), before anything else.
     """
+    _check_box(lambda k: _expanded_points(a.parts[:k]), a.length)
     d = a.lcm
-    runs = [(k, a.parts.count(k), d // k - 1) for k in dict.fromkeys(a.parts)]
-    guard = math.prod((x + 1) ** m for _, m, x in runs)
-    return _setup([(k, m, m * x) for k, m, x in runs], d, n, guard)
+    runs = [(k, len(list(copies))) for k, copies in groupby(a.parts)]
+    return _setup([(k, m, m * (d // k - 1)) for k, m in runs], d, n)
+
+
+def _expanded_points(parts) -> int:
+    """prod_t D/a_t with D = lcm(parts): the points of the expanded generic
+    box of the sorted parts."""
+    d = math.lcm(*parts)
+    return math.prod(d // a for a in parts)
+
+
+def partition_count_stirling(n: int) -> int:
+    """p(n) by the generic sum over the parts 1..n, guarded before the n
+    parts are listed."""
+    _check_box(lambda k: _expanded_points(range(1, k + 1)), n)
+    return restricted_count_stirling(quantity_sequence("p", n), n)
 
 
 def restricted_count_stirling(a: WeightSequence, n: int) -> int:
@@ -342,33 +331,27 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     return row
 
 
-def _power_moments(hist: dict[int, int], length: int) -> list[int]:
-    """M_e = sum mass * S^e over the histogram, for e < length."""
-    moments = [0] * length
-    for sw, mass in hist.items():
-        for e in range(length):
-            moments[e] += mass
-            mass *= sw
-    return moments
-
-
 def _polynomial(kernel: StirlingKernel, hist: dict[int, int]) -> list[int]:
-    """q_0..q_(L-1), L = kernel.length, with the kernel summed over the
-    histogram equal to sum_m q_m n^m / ((L-1)! D^(L-1)) at every target n
-    of the histogram's residue class.
+    """q_0..q_(L-1), L = kernel.length, with sum_m q_m n^m / D^(L-1) equal
+    to the kernel at target n summed over the histogram, for every n; over
+    (L-1)! that is the congruence sum at every n of the histogram's class.
 
-    Grouping StirlingKernel.moment_weights by the power of n gives
+    This is the one expansion of the kernel.  Over D^(L-1) the kernel at
+    S is the double sum sum_{m<=k<L} (-1)^(k-m) c(L, k+1) C(k, m) S^(k-m)
+    n^m D^(L-1-k); summed over the histogram, with e = k - m, it gives
     q_m = sum_e (-1)^e M_e c(L, m+e+1) C(m+e, e) D^(L-1-m-e) over the
     power moments M_e = sum mass * S^e (Sylvester's wave of the residue
     class as a quasi-polynomial in n).  The target of kernel is not read.
     """
     length, d, table = kernel.length, kernel.modulus, kernel.table
-    moments = _power_moments(hist, length)
-    for e in range(1, length, 2):
-        moments[e] = -moments[e]
-    dpow = [1] * length
-    for i in range(1, length):
-        dpow[i] = dpow[i - 1] * d
+    # (-1)^e M_e = sum mass * (-S)^e, for e < L.
+    moments = [0] * length
+    for sw, mass in hist.items():
+        sw = -sw
+        for e in range(length):
+            moments[e] += mass
+            mass *= sw
+    dpow = [d**i for i in range(length)]
     return [
         sum(
             moments[e] * table[m + e] * math.comb(m + e, e) * dpow[length - 1 - m - e]
@@ -379,16 +362,22 @@ def _polynomial(kernel: StirlingKernel, hist: dict[int, int]) -> list[int]:
 
 
 def _evaluate(poly: list[int], kernel: StirlingKernel, n: int) -> int:
-    """sum_m poly[m] n^m / ((L-1)! D^(L-1)) by Horner's rule, with L and D
-    those of kernel; the quotient is asserted to be an integer."""
-    scaled = 0
-    for q in reversed(poly):
-        scaled = scaled * n + q
+    """sum_m poly[m] n^m / ((L-1)! D^(L-1)), with L and D those of kernel;
+    the quotient is asserted to be an integer."""
+    scaled = _horner(poly, n)
     scale = math.factorial(kernel.length - 1) * kernel.modulus ** (kernel.length - 1)
     total, rest = divmod(scaled, scale)
     if rest:
         raise ArithmeticError(f"formula sum is not an integer: {scaled}/{scale}")
     return total
+
+
+def _horner(poly: list[int], n: int) -> int:
+    """sum_m poly[m] n^m by Horner's rule."""
+    value = 0
+    for q in reversed(poly):
+        value = value * n + q
+    return value
 
 
 def packed_histogram(
@@ -436,44 +425,53 @@ def _pattern_setup(
     s, with D = lcm(1..n).  The bound D - m_s covers every point whose
     weighted sum can reach the target; points it cuts off would hit the
     kernel only where the kernel vanishes, so truncation does not change the
-    sum.  The guard counts this box, prod_s (D - m_s + 1) points, though the
-    family sums multiply the tables (packed_histogram) rather than walk it.
+    sum.
     """
     d = lcm_range(n)
-    runs = [(s, m, d - m) for s, m in enumerate(pattern, start=1)]
-    return _setup(runs, d, n, math.prod(d - m + 1 for m in pattern))
+    return _setup([(s, m, d - m) for s, m in enumerate(pattern, start=1)], d, n)
 
 
-def _regrouped_count(n: int, pattern: list[int]) -> int:
-    box, kernel, tables = _pattern_setup(n, pattern)
+def _family_points(family: Family, k: int, r: int | None) -> int:
+    """Points of the family box at n = k, prod_{s<=k} (lcm(1..k) - m_s + 1),
+    a factor below 1 read as 0; the guard counts this box."""
+    d = lcm_range(k)
+    return math.prod(max(d - family.multiplicity(s, r) + 1, 0) for s in range(1, k + 1))
+
+
+def _regrouped_count(quantity: str, n: int, r: int | None = None) -> int:
+    """The family's congruence sum at (n, r), in range and within the box
+    guard before its pattern is built."""
+    family = stated_family(quantity, "stirling", n, r)
+    _check_box(lambda k: _family_points(family, k, r), n)
+    box, kernel, tables = _pattern_setup(n, family.pattern(n, r))
     return _evaluate(_polynomial(kernel, packed_histogram(box, tables)), kernel, n)
 
 
 def pp_stirling(n: int) -> int:
     """pp(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["pp"])."""
-    return _regrouped_count(n, stated_pattern("pp", "pp_stirling", n))
+    return _regrouped_count("pp", n)
 
 
 def ppr_stirling(n: int, r: int) -> int:
     """pp_r(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["pp_r"])."""
-    return _regrouped_count(n, stated_pattern("pp_r", "ppr_stirling", n, r))
+    return _regrouped_count("pp_r", n, r)
 
 
 def pps_stirling(n: int) -> int:
     """pps(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["pps"])."""
-    return _regrouped_count(n, stated_pattern("pps", "pps_stirling", n))
+    return _regrouped_count("pps", n)
 
 
 def ppso_stirling(n: int) -> int:
     """ppso(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["ppso"])."""
-    return _regrouped_count(n, stated_pattern("ppso", "ppso_stirling", n))
+    return _regrouped_count("ppso", n)
 
 
 def multipartition_stirling(n: int, r: int) -> int:
     """P_r(n) by the regrouped congruence sum (valid in the stated range of
     FAMILIES["P_r"])."""
-    return _regrouped_count(n, stated_pattern("P_r", "multipartition_stirling", n, r))
+    return _regrouped_count("P_r", n, r)

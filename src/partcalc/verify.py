@@ -15,7 +15,7 @@ diagram kind and every r is read from that one listing.  rows reads
 series.oracle_row: each oracle row is built once for the run, and a check
 reads every n from it.  vector-count-vs-p counts A_n by the theorem walk
 itself: one walk with every multiplicity 1 (formulas._vector_row) reads
-|A_n| for every n up to the last within VECTOR_LIMIT.  The stirling suite
+|A_n| for every n up to formulas.vector_reach().  The stirling suite
 walks each congruence box once per residue
 (stirling.restricted_row_stirling), one coordinate per distinct part,
 evaluates that residue's polynomial in n at each n of the class, and
@@ -95,9 +95,9 @@ def _label(quantity, n, r=None) -> str:
 def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
     """quantity at (n, r) by every route that serves the case: both oracles
     (read from their rows to top), diagram enumeration (read from counts)
-    for 1 <= n <= 8, the theorem sum in the family's stated range and within
-    VECTOR_LIMIT, the Stirling sum in the stated range when with_stirling,
-    and for pp_r the alternating sum."""
+    for 1 <= n <= 8, the theorem sum in the family's stated range up to
+    formulas.vector_reach(), the Stirling sum in the stated range when
+    with_stirling, and for pp_r the alternating sum."""
     family = FAMILIES[quantity]
     values = {
         "series": rows(quantity, top, r, backend="series")[n],
@@ -106,7 +106,7 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False
     if family.diagram is not None and 1 <= n <= 8:
         values["enum"] = counts(n).count(family.diagram, r=1 if quantity == "p" else r)
     if family.stem is not None and family.holds(n, r):
-        if formulas.within_vector_limit(n):
+        if n <= formulas.vector_reach():
             values["formula"] = dispatch.wrapper_value(family, "formula", n, r)
         if with_stirling:
             values["stirling"] = dispatch.wrapper_value(family, "stirling", n, r)
@@ -227,10 +227,10 @@ def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> l
     # With every multiplicity 1 each vector of A_n adds 1 to the theorem sum,
     # so the walk counts the vectors without listing them; its table for
     # parts 1 and 2 reads floor(R/2) + 1 at remainder R.  One walk gives
-    # every n up to the last within VECTOR_LIMIT.
+    # every n up to the theorem route's reach.
     res = CheckResult("vector-count-vs-p")
     p_row = rows("p", top)
-    counted = next((n - 1 for n in range(top + 1) if p_row[n] > formulas.VECTOR_LIMIT), top)
+    counted = min(top, formulas.vector_reach())
     vector_row = formulas._vector_row(counted, [1] * counted)
     for n in range(1, counted + 1):
         res.expect(vector_row[n], p_row[n], f"n={n}")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from partcalc import formulas, series, verify
+from partcalc import formulas, sequences, series, stirling, verify
 from partcalc.cli import main
 from partcalc.formulas import CostGuardExceeded
 from partcalc.series import oracle_value
@@ -136,6 +138,54 @@ def test_family_stirling_guard_exits_before_building_tables(capsys, n):
     assert code == 3
     assert out == ""
     assert "cost guard: congruence box has" in err
+
+
+def _primes_above(low, count):
+    primes = []
+    k = low
+    while len(primes) < count:
+        k += 1
+        if all(k % d for d in range(2, int(k**0.5) + 1)):
+            primes.append(k)
+    return primes
+
+
+# Each box has far more than 4,300 digits' worth of points or more than 64
+# coordinates; the guard decides on the box of the first 64, 128, ...
+# coordinates, or prints a power of ten below the count.
+HUGE_STIRLING_REQUESTS = [
+    ("p", "--n", "300"),
+    ("p", "--n", "1000"),
+    ("p", "--n", "1000000000"),
+    ("pp", "--n", "1000"),
+    ("pp", "--n", "3000"),
+    ("pp", "--n", "1000000000"),
+    ("P_r", "--n", "1000", "--r", "5"),
+    ("p_a", "--n", "50", "--parts", ",".join(map(str, range(1, 1201)))),
+    ("p_a", "--n", "50", "--parts", ",".join(map(str, _primes_above(10**6, 40)))),
+]
+
+
+@pytest.mark.parametrize("request_args", HUGE_STIRLING_REQUESTS, ids=lambda args: args[0])
+def test_stirling_guard_refuses_huge_boxes_at_once(capsys, monkeypatch, request_args):
+    def long_lcm(n, real=stirling.lcm_range):
+        assert n <= 128, "the guard built lcm(1..n) of the whole request"
+        return real(n)
+
+    def refuse(*args):
+        raise AssertionError("the guard let an n-long list be built")
+
+    monkeypatch.setattr(stirling, "lcm_range", long_lcm)
+    monkeypatch.setattr(stirling, "quantity_sequence", refuse)
+    monkeypatch.setattr(sequences.Family, "pattern", refuse)
+    quantity, *extra = request_args
+    start = time.perf_counter()
+    argv = ("compute", "--quantity", quantity, *extra, "--method", "stirling")
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("partcalc: cost guard: congruence box has at least ")
+    assert len(err) < 4300
 
 
 def test_theorem_guard_exit_code(capsys):
@@ -351,3 +401,45 @@ def test_dp_guard_exit_code(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *args, "--method", method)
         assert code == 0
         assert out == f"P_r(50; r=100) = {value}  (method: oracle-series)\n"
+
+
+def _make_tables():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_tables.py"
+    spec = importlib.util.spec_from_file_location("make_tables", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_make_tables_exit_codes(capsys, monkeypatch):
+    tables = _make_tables()
+    for argv, message in ((["--method", "foo"], "argument --method: invalid choice: 'foo'"),
+                          (["--from", "5", "--to", "2"], "need 0 <= --from <= --to")):
+        with pytest.raises(SystemExit) as exc_info:
+            tables(argv)
+        assert exc_info.value.code == 1
+        assert message in capsys.readouterr().err
+    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
+    assert tables(["--method", "theorem", "--to", "10"]) == 0
+    theorem = capsys.readouterr().out
+    assert tables(["--to", "10"]) == 0
+    assert capsys.readouterr().out == theorem
+    assert tables(["--method", "theorem", "--to", "12"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "partcalc: cost guard: A_11 has 56 multiplicity vectors, above the limit of 42\n"
+
+
+def test_make_tables_prints_long_values_in_full(capsys, monkeypatch):
+    # P_r(100) at r = 10**9 has 743 digits, more than the lowered limit of 640.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int to str conversion")
+    value = oracle_value("P_r", 100, r=10**9, backend="series")
+    old_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code = _make_tables()(["--from", "100", "--to", "100", "--r", str(10**9)])
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f",{value}")

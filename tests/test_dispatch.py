@@ -236,10 +236,11 @@ def test_auto_counts_the_vectors_once(monkeypatch):
         rows.append(n)
         return vector_count(n)
 
+    # The reach is read once per process and limit; after that the route
+    # choice prices p(n) once, and the walk's own guard reads no count.
+    formulas.vector_reach()
     monkeypatch.setattr(formulas, "vector_count", spy)
-    formulas._count_to_limit.cache_clear()
-    # pp(7): the theorem's 4 * p(7) = 60 multiply-adds beat the series' 63;
-    # the route choice and the walk's own guard read one p-row.
+    # pp(7): the theorem's 4 * p(7) = 60 multiply-adds beat the series' 63.
     assert compute(ComputationRequest("pp", 7)) == (oracle_value("pp", 7), "theorem")
     assert rows == [7]
     rows.clear()
@@ -247,15 +248,15 @@ def test_auto_counts_the_vectors_once(monkeypatch):
     assert compute(ComputationRequest("pp", 60)) == (oracle_value("pp", 60), "oracle-series")
     assert rows == [60]
     rows.clear()
-    # Above the limit the p-row stops at 64, where p(64) already passes it.
+    # Beyond the reach the theorem is not priced at all.
     assert compute(ComputationRequest("pp", 300)) == (oracle_value("pp", 300), "oracle-series")
-    assert rows == [64]
+    assert rows == []
 
 
 def test_vector_limit_check_does_not_grow_with_n():
     start = time.perf_counter()
-    assert not formulas.within_vector_limit(10**5)
-    assert not formulas.within_vector_limit(10**9)
+    assert formulas.vector_reach() < 10**5
+    for n in (10**5, 10**9):
+        with pytest.raises(CostGuardExceeded, match=rf"A_{n} has at least p\(64\) = 1741630 "):
+            compute(ComputationRequest("pp", n, method="theorem"))
     assert time.perf_counter() - start < 0.5
-    with pytest.raises(CostGuardExceeded, match=r"A_100000 has at least p\(64\) = 1741630"):
-        compute(ComputationRequest("pp", 10**5, method="theorem"))

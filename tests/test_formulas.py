@@ -24,9 +24,9 @@ from partcalc.formulas import (
     pps_formula,
     ppso_formula,
     vector_count,
-    within_vector_limit,
+    vector_reach,
 )
-from partcalc.sequences import FAMILIES
+from partcalc.sequences import FAMILIES, Family
 from partcalc.series import oracle_row, oracle_value
 from partcalc.stirling import BlockPolynomial
 
@@ -126,8 +126,9 @@ def test_theorem_walk_uses_neither_the_dp_nor_the_series(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the theorem route must not call this")
 
-    # The guard's p(n) row is the only oracle read the route makes.
-    monkeypatch.setattr(formulas, "_count_to_limit", lambda n, limit: (n, 0))
+    # The guard's p row, read once per process for the reach, is the only
+    # oracle read the route makes.
+    vector_reach()
     for module in (formulas, series):
         monkeypatch.setattr(module, "restricted_partition_row", refuse)
     monkeypatch.setattr(formulas, "oracle_row", refuse)
@@ -166,10 +167,44 @@ def test_vector_counts_to_64_share_one_row(monkeypatch):
 
 def test_vector_guard_bounds_the_walk():
     assert vector_count(60) <= VECTOR_LIMIT < vector_count(61)
-    assert within_vector_limit(60) and not within_vector_limit(61)
+    assert vector_reach() == 60
     with pytest.raises(CostGuardExceeded, match="A_61 has 1121505"):
         pp_formula(61)
     assert pp_formula(60) == oracle_value("pp", 60)
+
+
+# p(6) = 11, p(7) = 15, p(10) = 42 and p(11) = 56.
+@pytest.mark.parametrize("limit, reach", [(14, 6), (15, 7), (42, 10)])
+def test_vector_reach_follows_the_limit(monkeypatch, limit, reach):
+    assert vector_reach() == 60
+    monkeypatch.setattr(formulas, "VECTOR_LIMIT", limit)
+    assert vector_reach() == reach
+    assert pp_formula(reach) == oracle_value("pp", reach)
+    with pytest.raises(CostGuardExceeded, match=f"A_{reach + 1} has {vector_count(reach + 1)} "):
+        pp_formula(reach + 1)
+    monkeypatch.undo()
+    assert vector_reach() == 60
+
+
+def test_theorem_wrappers_refuse_before_building_a_pattern(monkeypatch):
+    def build(*args):
+        raise AssertionError("a pattern was built before the guard")
+
+    monkeypatch.setattr(Family, "pattern", build)
+    calls = (
+        lambda n: pp_formula(n),
+        lambda n: ppr_formula(n, 3),
+        lambda n: pps_formula(n),
+        lambda n: ppso_formula(n),
+        lambda n: multipartition_formula(n, 3),
+    )
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(CostGuardExceeded, match=r"A_1000000000 has at least p\(64\) = 1741630"):
+            call(10**9)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(HypothesisError):
+            call(2)
 
 
 def test_alternating_sum_takes_dp_above_the_vector_limit():

@@ -43,10 +43,9 @@ def _theorem_serves(req):
 def test_auto_takes_the_smallest_estimate():
     for req in _requests(20):
         costs = {}
-        if _theorem_serves(req):
-            leaves = formulas.vector_work(req.n)
-            if leaves <= formulas.VECTOR_LIMIT:
-                costs["theorem"] = formulas.LEAF_COST * leaves
+        leaves = oracle_value("p", req.n)  # |A_n|
+        if _theorem_serves(req) and leaves <= formulas.VECTOR_LIMIT:
+            costs["theorem"] = formulas.LEAF_COST * leaves
         backends = ("dp", "series") if req.quantity == "p_a" or req.n == 0 else ("series",)
         for backend in backends:
             costs[f"oracle-{backend}"] = series.oracle_cost(
@@ -69,13 +68,13 @@ def test_family_dp_costs_more_than_the_series():
 def test_ties_break_theorem_then_dp_then_series(monkeypatch):
     # p(0): no work by either oracle.
     assert compute(ComputationRequest("p", 0)) == (1, "oracle-dp")
-    monkeypatch.setattr(series, "dp_work", lambda pairs, top: 100)
-    monkeypatch.setattr(series, "series_work", lambda parts, top: 100)
+    # The theorem's estimate for pp(10): 4 * p(10) = 168 multiply-adds.
+    theorem = formulas.LEAF_COST * oracle_value("p", 10)
+    monkeypatch.setattr(series, "dp_work", lambda pairs, top: theorem)
+    monkeypatch.setattr(series, "series_work", lambda parts, top: theorem)
     assert compute(ComputationRequest("p_a", 10, parts=(1, 2, 3)))[1] == "oracle-dp"
-    assert compute(ComputationRequest("pp", 10))[1] == "oracle-series"
-    monkeypatch.setattr(formulas, "vector_work", lambda n: 100 // formulas.LEAF_COST)
     assert compute(ComputationRequest("pp", 10)) == (oracle_value("pp", 10), "theorem")
-    monkeypatch.setattr(series, "series_work", lambda parts, top: 99)
+    monkeypatch.setattr(series, "series_work", lambda parts, top: theorem - 1)
     assert compute(ComputationRequest("pp", 10))[1] == "oracle-series"
 
 
@@ -94,11 +93,11 @@ def test_series_work_counts_the_support_of_its_recurrence():
 def _best_times(requests, samples):
     """The least time of one request of each route, over samples, the routes
     taking turns so that a slow spell of the machine falls on all of them.
-    Each request starts with empty caches, as in a fresh process."""
+    Each request starts with empty caches, as in a fresh process, but for
+    the theorem's reach and the p row to 64, read once per process."""
     best = {route: float("inf") for route in requests}
     for _ in range(samples):
         for route, req in requests.items():
-            formulas._count_to_limit.cache_clear()
             sequences.quantity_weights.cache_clear()
             series._part_pairs.cache_clear()
             start = time.perf_counter()
@@ -119,7 +118,7 @@ def test_chosen_route_is_within_half_again_of_the_fastest(quantity, r, parts, si
         samples = 300 if n <= 12 else 9 if n <= 42 else 1
         chosen = compute(ComputationRequest(quantity, n, r=r, parts=parts))[1]
         routes = ["oracle-dp", "oracle-series"]
-        if quantity != "p_a" and formulas.within_vector_limit(n):
+        if quantity != "p_a" and n <= formulas.vector_reach():
             routes.append("theorem")
         requests = {route: ComputationRequest(quantity, n, r=r, parts=parts, method=route)
                     for route in routes}

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from partcalc import formulas, series, stirling
 from partcalc.combinat import stirling_first_unsigned
 from partcalc.formulas import HypothesisError
-from partcalc.sequences import FAMILIES, WeightSequence, seq_pp, seq_strict
+from partcalc.sequences import FAMILIES, Family, WeightSequence, seq_pp, seq_strict
 from partcalc.series import oracle_value, restricted_partition_dp
 from partcalc.stirling import (
     CongruenceBox,
@@ -156,13 +156,13 @@ def _kernel_double_sum(kernel, s):
     st.lists(st.integers(0, 10**4), min_size=1, max_size=5),
 )
 @settings(max_examples=60)
-def test_moment_weights_equal_the_kernel_double_sum(length, modulus, n, sums):
+def test_kernel_value_equals_the_kernel_double_sum(length, modulus, n, sums):
     kernel = StirlingKernel(length, modulus, n, stirling_first_unsigned(length))
-    weights = kernel.moment_weights
-    assert len(weights) == length
     for s in sums:
         expected = _kernel_double_sum(kernel, s)
-        assert sum(w * s**e for e, w in enumerate(weights)) == expected, s
+        poly = stirling._polynomial(kernel, {s: 1})
+        assert len(poly) == length
+        assert stirling._horner(poly, n) == expected, s
         assert kernel.value(s) == Fraction(expected, modulus ** (length - 1)), s
 
 
@@ -301,14 +301,12 @@ def test_moment_sum_rejects_non_integer_totals():
     st.dictionaries(st.integers(0, 10**3), st.integers(1, 10**3), min_size=1, max_size=5),
 )
 @settings(max_examples=60)
-def test_polynomial_equals_the_moment_weights(length, modulus, n, hist):
-    # Summing kernel.moment_weights against the power moments at the target
-    # n is what the polynomial gathers by powers of n.
+def test_polynomial_equals_the_kernel_summed_over_the_histogram(length, modulus, n, hist):
+    # The double sum at the target n, weighted by the histogram, is what the
+    # polynomial gathers by powers of n; the polynomial does not read n.
     kernel = StirlingKernel(length, modulus, n, stirling_first_unsigned(length))
     poly = stirling._polynomial(replace(kernel, target=0), hist)
-    want = sum(
-        mass * sum(w * s**e for e, w in enumerate(kernel.moment_weights)) for s, mass in hist.items()
-    )
+    want = sum(mass * _kernel_double_sum(kernel, s) for s, mass in hist.items())
     assert sum(q * n**m for m, q in enumerate(poly)) == want
 
 
@@ -385,6 +383,68 @@ def test_family_guard_refuses_before_any_table(monkeypatch, n):
     size = math.prod(d - s + 1 for s in range(1, n + 1))
     with pytest.raises(CostGuardExceeded, match=f"congruence box has {size} points"):
         pp_stirling(n)
+
+
+# The guard reads these counts at 64, 128, ... first and says "at least"
+# when one of them decides, which holds only if they grow with their argument.
+@pytest.mark.parametrize("quantity", [q for q, family in FAMILIES.items() if family.stem])
+def test_family_box_counts_grow_with_n(quantity):
+    family = FAMILIES[quantity]
+    for r in (2, 3, 7, 10**40) if family.takes_r else (None,):
+        counts = [stirling._family_points(family, k, r) for k in range(1, 140)]
+        assert counts == sorted(counts), r
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=150).map(sorted))
+@settings(max_examples=40)
+def test_expanded_box_counts_grow_with_the_parts(parts):
+    counts = [stirling._expanded_points(parts[:k]) for k in range(1, len(parts) + 1)]
+    assert counts == sorted(counts)
+    a = WeightSequence(tuple(parts))
+    if counts[-1] > stirling.DEFAULT_BOX_LIMIT:
+        with pytest.raises(CostGuardExceeded, match="congruence box has "):
+            generic_setup(a, 0)
+    else:
+        box, _, tables = generic_setup(a, 0)
+        assert box == replace(_grouped_box(a), residue=0)
+
+
+def _grouped_box(a):
+    """The box of the distinct parts, each with its copies' summed bound."""
+    distinct = sorted(set(a.parts))
+    bounds = tuple(a.parts.count(k) * (a.lcm // k - 1) for k in distinct)
+    return CongruenceBox(bounds, tuple(distinct), a.lcm, 0)
+
+
+def test_guard_prints_a_power_of_ten_below_a_long_count():
+    primes = [k for k in range(10**6, 10**6 + 700) if all(k % d for d in range(2, 1001))][:40]
+    size = stirling._expanded_points(primes)
+    assert len(primes) == 40 and size.bit_length() > 13_000
+    with pytest.raises(CostGuardExceeded) as exc_info:
+        restricted_count_stirling(WeightSequence(tuple(primes)), 50)
+    message = str(exc_info.value)
+    power = int(message.split("at least 10^")[1].split()[0])
+    assert 10**power <= size < 10 ** (power + 2)
+
+
+def test_stirling_wrappers_refuse_before_building_a_pattern(monkeypatch):
+    def build(*args):
+        raise AssertionError("a pattern was built before the guard")
+
+    monkeypatch.setattr(Family, "pattern", build)
+    calls = (
+        pp_stirling,
+        lambda n: ppr_stirling(n, 3),
+        pps_stirling,
+        ppso_stirling,
+        lambda n: multipartition_stirling(n, 3),
+    )
+    for call in calls:
+        for n in (100, 10**9):
+            with pytest.raises(CostGuardExceeded, match="congruence box has at least "):
+                call(n)
+    with pytest.raises(CostGuardExceeded, match="congruence box has at least "):
+        stirling.partition_count_stirling(10**9)
 
 
 def test_wrapper_hypothesis_gates():
