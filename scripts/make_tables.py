@@ -4,9 +4,10 @@
 Example:
     python scripts/make_tables.py --to 20 --r 2,3,4 --format markdown
 
-Values print in full, however many digits they have.  Exit codes are the
-CLI's: 1 for a usage error, 3 when a cost guard refuses a value, with the
-CLI's message on stderr and no table.
+Each column is one dispatch.compute_table row, as `partcalc table` reads
+it.  Values print in full, however many digits they have.  Exit codes are
+the CLI's: 1 for a usage error, 3 when a cost guard refuses a value, with
+the CLI's message on stderr and no table.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from partcalc.cli import Parser, digits, run
-from partcalc.dispatch import METHODS, ComputationRequest, compute
+from partcalc.dispatch import METHODS, compute_table
 
 
 def parse_r_list(text: str) -> tuple[int, ...]:
@@ -60,15 +61,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def print_table(args: argparse.Namespace) -> int:
     columns = build_columns(args.r)
-    rows = []
-    for n in range(args.n_from, args.n_to + 1):
-        row = [n]
-        for _, quantity, r in columns:
-            value, _ = compute(
-                ComputationRequest(quantity, n, r=r, method=args.method)
-            )
-            row.append(value)
-        rows.append(row)
+    values = [
+        [value for _, value, _ in compute_table(quantity, args.n_from, args.n_to, r, args.method)]
+        for _, quantity, r in columns
+    ]
+    rows = [[n, *row] for n, *row in zip(range(args.n_from, args.n_to + 1), *values)]
 
     header = ["n"] + [label for label, _, _ in columns]
     if args.format == "markdown":

@@ -25,6 +25,7 @@ from .formulas import (
     ppr_formula,
     ppr_inclusion_exclusion,
     ppr_via_multipartition_formula,
+    ppr_via_multipartition_row,
     pps_formula,
     ppso_formula,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "ppr_inclusion_exclusion",
     "ppr_stirling",
     "ppr_via_multipartition_formula",
+    "ppr_via_multipartition_row",
     "pps_formula",
     "pps_stirling",
     "ppso_formula",

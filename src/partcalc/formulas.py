@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from operator import mul
 
 from .combinat import binomial
@@ -350,22 +350,40 @@ def _shift_coefficients(n: int, r: int) -> list[int]:
 
 
 def ppr_via_multipartition_formula(n: int, r: int) -> int:
-    """pp_r(n) by the alternating sum, with formula-backed multipartition
-    counts wherever the formula hypothesis holds and k is within
-    vector_reach(), and the DP oracle elsewhere.  Each side is one P_r row,
-    built on the first k that reads it and never when none does: the
-    theorem row to min(n, vector_reach()), and the oracle row to n."""
+    """pp_r(n) by the alternating sum, with P_r read as
+    _multipartition_reader reads it; its oracle side is one DP row to n,
+    built on the first k that reads it and never when none does."""
+    return ppr_inclusion_exclusion(n, r, _multipartition_reader(n, r, lambda: oracle_row("P_r", n, r=r)))
+
+
+def ppr_via_multipartition_row(top: int, r: int, dp_row: Sequence[int]) -> list[int]:
+    """pp_r(0..top) by the alternating sum: entry n is sum_k c_k P_r(n - k),
+    with c = _shift_coefficients(top, r) and each P_r(k) read once, as
+    _multipartition_reader reads it, where dp_row holds P_r(0..top) by an
+    oracle."""
+    if r < 1:
+        raise ValueError("ppr_via_multipartition_row requires r >= 1")
+    if top < 0:
+        raise ValueError("top must be >= 0")
+    pr = _multipartition_reader(top, r, lambda: dp_row)
+    values = [pr(k) for k in range(top + 1)]
+    coeffs = _shift_coefficients(top, r)
+    return [sum(map(mul, coeffs[: n + 1], values[n::-1])) for n in range(top + 1)]
+
+
+def _multipartition_reader(top: int, r: int, dp_row: Callable[[], Sequence[int]]) -> Callable[[int], int]:
+    """P_r(k) for 0 <= k <= top: the theorem sum wherever the formula
+    hypothesis holds and k is within vector_reach(), and the oracle's
+    dp_row()[k] elsewhere.  Each side is one row, built on the first k that
+    reads it: the theorem row to min(top, vector_reach()), and dp_row()."""
     family = FAMILIES["P_r"]
-    top = min(n, vector_reach())
+    reach = min(top, vector_reach())
     rows = {}
 
     def pr(k: int) -> int:
-        theorem = k <= top and family.holds(k, r)
+        theorem = k <= reach and family.holds(k, r)
         if theorem not in rows:
-            if theorem:
-                rows[theorem] = _vector_row(top, family.pattern(top, r))
-            else:
-                rows[theorem] = oracle_row("P_r", n, r=r)
+            rows[theorem] = _vector_row(reach, family.pattern(reach, r)) if theorem else dp_row()
         return rows[theorem][k]
 
-    return ppr_inclusion_exclusion(n, r, pr)
+    return pr

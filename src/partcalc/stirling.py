@@ -13,7 +13,9 @@ the same sum over a box with one coordinate per part s of 1..n.
 
 Every sum is guarded before it builds anything of size n or of the box:
 the guard counts the box's points, and past 64 coordinates the box of the
-first 64, 128, ... (formulas.count_to_limit).  Then every sum takes one
+first 64, 128, ... (formulas.count_to_limit).  A sum that multiplies its
+tables also prices the product, slots times slot width in bytes, before it
+builds any factor (_check_product).  Then every sum takes one
 setup and one evaluation step.  The setup turns (part, copies, bound) runs
 into a CongruenceBox, a StirlingKernel and one block table per coordinate.
 The box depends on n only through n mod D, so on one residue class the sum
@@ -24,18 +26,20 @@ exact integers over the common denominator (r-1)! D^(r-1) (_polynomial,
 the one expansion of the kernel), evaluates it at n by Horner's rule, and
 asserts that the value is an integer (_evaluate).  StirlingKernel.value(S)
 reads the polynomial of the one-point histogram {S: 1}.  The sums differ
-only in how they build the histogram: the generic engine walks its box
-(box_weight_histogram), and the family sums multiply the block tables
-(packed_histogram).  restricted_row_stirling walks once per residue,
-builds that residue's polynomial once, and evaluates it at every n of the
-class.  regrouped_partial_sums keeps the per-weighted-sum view as exact
-fractions, for verify.
+only in how they build the histogram.  restricted_count_stirling and
+regrouped_partial_sums walk their box (box_weight_histogram).  The others
+multiply the block tables once (_packed_product), which holds the
+histogram of every residue class: the family sums read their own class
+(packed_histogram), and restricted_row_stirling reads every class that
+occurs in its row, builds that residue's polynomial once, and evaluates it
+at every n of the class.  regrouped_partial_sums keeps the
+per-weighted-sum view as exact fractions, for verify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
@@ -45,6 +49,8 @@ from .sequences import Family, WeightSequence, quantity_sequence
 
 # Boxes with more points are refused with CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9
+# Packed products (_packed_product) of more bytes are refused likewise.
+DEFAULT_PRODUCT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -313,19 +319,20 @@ def restricted_count_stirling(a: WeightSequence, n: int) -> int:
 def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     """p_a(0..top) by the generic congruence-box sum.
 
-    Every n with the same residue mod D shares one box, so the box is walked
-    once per residue that occurs in 0..top, with the tables generic_setup
-    builds once for the row.  Each residue's polynomial in n is built once,
-    and each n of the class evaluates it.  Every residue's box has the same
-    number of points, so the guard is checked once, before any walk.
+    Every n with the same residue mod D shares one box, and one packed
+    product of the tables generic_setup builds (_packed_product) holds the
+    histogram of every residue, so each residue that occurs in 0..top is
+    read off it.  Each residue's polynomial in n is built once, and each n
+    of the class evaluates it.  The box guard is checked before any table,
+    and the product's price before any factor.
     """
     if top < 0:
         raise ValueError("top must be >= 0")
     box, kernel, tables = generic_setup(a, 0)
+    histogram = _packed_product(box, tables)
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):
-        hist = box_weight_histogram(replace(box, residue=residue), tables)
-        poly = _polynomial(kernel, hist)
+        poly = _polynomial(kernel, histogram(residue))
         for n in range(residue, top + 1, kernel.modulus):
             row[n] = _evaluate(poly, kernel, n)
     return row
@@ -383,37 +390,60 @@ def _horner(poly: list[int], n: int) -> int:
 def packed_histogram(
     box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...]
 ) -> dict[int, int]:
-    """box_weight_histogram(box, coeff_tables), read off one polynomial product.
+    """box_weight_histogram(box, coeff_tables), read off one polynomial
+    product (_packed_product): the entries at S = residue (mod modulus),
+    with their nonzero masses."""
+    return _packed_product(box, coeff_tables)(box.residue)
+
+
+def _packed_product(box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...]):
+    """The histogram of weighted sums over the whole box, every residue
+    class at once: a reader that returns the class of a residue mod the
+    box's modulus as {S: mass}, nonzero masses only.  The box's own residue
+    is not read.
 
     Coordinate t is the polynomial sum_{v <= bounds[t]} coeff_tables[t][v]
     z^(weights[t] v), with a None table read as all ones, and the product
-    of these is the histogram of weighted sums over the whole box; the
-    entries at S = residue (mod modulus) are kept, with their nonzero
-    masses.  The product is one big-int multiply per coordinate by
-    Kronecker substitution: coefficient k of a factor sits in bytes
-    [k w, (k+1) w) of one int.  Every coefficient is >= 0 and at most the
-    product of the table sums, so w bytes that hold that bound never carry
-    into the next slot.
+    of these is the histogram.  The product is one big-int multiply per
+    coordinate by Kronecker substitution: coefficient k of a factor sits in
+    bytes [k w, (k+1) w) of one int.  Every coefficient is >= 0 and at most
+    the product of the table sums, so w bytes that hold that bound never
+    carry into the next slot.  The product holds 1 + sum weights[t]
+    bounds[t] slots of w bytes; it is priced (_check_product) before any
+    factor is built.
     """
     if len(coeff_tables) != len(box.bounds):
         raise ValueError("need one coefficient table per coordinate")
-    tables = [
-        (1,) * (b + 1) if table is None else table[: b + 1]
-        for table, b in zip(coeff_tables, box.bounds)
-    ]
-    width = (math.prod(map(sum, tables)).bit_length() + 7) // 8
-    product = 1
-    for weight, table in zip(box.weights, tables):
-        gap = bytes(width * (weight - 1))
-        product *= int.from_bytes(gap.join(c.to_bytes(width, "little") for c in table), "little")
     slots = 1 + sum(w * b for w, b in zip(box.weights, box.bounds))
+    bound = math.prod(b + 1 if t is None else sum(t[: b + 1]) for t, b in zip(coeff_tables, box.bounds))
+    width = (bound.bit_length() + 7) // 8
+    _check_product(slots, width)
+    product = 1
+    for weight, table, b in zip(box.weights, coeff_tables, box.bounds):
+        gap = bytes(width * (weight - 1))
+        coefficients = (1,) * (b + 1) if table is None else table[: b + 1]
+        product *= int.from_bytes(gap.join(c.to_bytes(width, "little") for c in coefficients), "little")
     data = product.to_bytes(slots * width, "little")
-    hist = {}
-    for sw in range(box.residue, slots, box.modulus):
-        mass = int.from_bytes(data[sw * width : (sw + 1) * width], "little")
-        if mass:
-            hist[sw] = mass
-    return hist
+
+    def histogram(residue: int) -> dict[int, int]:
+        hist = {}
+        for sw in range(residue, slots, box.modulus):
+            mass = int.from_bytes(data[sw * width : (sw + 1) * width], "little")
+            if mass:
+                hist[sw] = mass
+        return hist
+
+    return histogram
+
+
+def _check_product(slots: int, width: int) -> None:
+    """Refuse a packed product of more than DEFAULT_PRODUCT_LIMIT bytes."""
+    size = slots * width
+    if size > DEFAULT_PRODUCT_LIMIT:
+        raise CostGuardExceeded(
+            f"packed product has {size} bytes ({slots} slots of {width}),"
+            f" above the limit of {DEFAULT_PRODUCT_LIMIT}"
+        )
 
 
 def _pattern_setup(

@@ -13,15 +13,18 @@ Every suite takes two readers that go with its run.  counts reads
 diagrams.diagram_counts: it lists each n once for the run, and every
 diagram kind and every r is read from that one listing.  rows reads
 series.oracle_row: each oracle row is built once for the run, and a check
-reads every n from it.  vector-count-vs-p counts A_n by the theorem walk
-itself: one walk with every multiplicity 1 (formulas._vector_row) reads
-|A_n| for every n up to formulas.vector_reach().  The stirling suite
-walks each congruence box once per residue
+reads every n from it.  The alternating sum is a row of the same reader:
+formulas.ppr_via_multipartition_row reads pp_r at every n to the top off
+the run's own P_r DP row.  vector-count-vs-p counts A_n by the theorem
+walk itself: one walk with every multiplicity 1 (formulas._vector_row)
+reads |A_n| for every n up to formulas.vector_reach().  The stirling suite
+multiplies each generic box's block tables once
 (stirling.restricted_row_stirling), one coordinate per distinct part,
-evaluates that residue's polynomial in n at each n of the class, and
-compares the row with one DP row.  partial-sum-denominators sums the
-per-weighted-sum partials of the same grouped box, exact fractions from
-stirling.regrouped_partial_sums, and compares the total with the DP.
+reads every residue's histogram off that product, evaluates that residue's
+polynomial in n at each n of the class, and compares the row with one DP
+row.  partial-sum-denominators sums the per-weighted-sum partials of the
+same grouped box, exact fractions from stirling.regrouped_partial_sums,
+and compares the total with the DP.
 """
 
 from __future__ import annotations
@@ -64,15 +67,19 @@ class CheckResult:
 
 
 def _row_reader():
-    """A reader of oracle rows for one run: rows(quantity, top, r, parts,
-    backend) is series.oracle_row, built on its first read and kept for the
-    run."""
+    """A reader of rows for one run: rows(quantity, top, r, parts, backend)
+    is series.oracle_row, built on its first read and kept for the run.
+    The backend "alternating-sum" reads pp_r off
+    formulas.ppr_via_multipartition_row, from the run's own P_r DP row."""
     built = {}
 
     def rows(quantity, top, r=None, parts=None, backend="dp"):
         key = (quantity, top, r, parts, backend)
         if key not in built:
-            built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
+            if backend == "alternating-sum":
+                built[key] = formulas.ppr_via_multipartition_row(top, r, rows("P_r", top, r))
+            else:
+                built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
         return built[key]
 
     return rows
@@ -111,7 +118,7 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False
         if with_stirling:
             values["stirling"] = dispatch.wrapper_value(family, "stirling", n, r)
     if quantity == "pp_r":
-        values["alternating-sum"] = formulas.ppr_via_multipartition_formula(n, r)
+        values["alternating-sum"] = rows(quantity, top, r, backend="alternating-sum")[n]
     return values
 
 
@@ -239,13 +246,10 @@ def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> l
     res = CheckResult("dp-permutation-invariance")
     parts_top = min(20, _cap(max_n))
     for parts in [(1, 2, 3), (3, 1, 2), (2, 2, 5), (5, 2, 2)]:
-        a = WeightSequence.from_parts(parts)
+        dp_row = rows("p_a", parts_top, parts=parts)
+        series_row = rows("p_a", parts_top, parts=parts, backend="series")
         for n in range(parts_top + 1):
-            res.expect(
-                series.restricted_partition_dp(a, n),
-                rows("p_a", parts_top, parts=parts, backend="series")[n],
-                f"parts={parts} n={n}",
-            )
+            res.expect(dp_row[n], series_row[n], f"parts={parts} n={n}")
     out.append(res)
 
     res = CheckResult("monotone[pp_r-in-r]")

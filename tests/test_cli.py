@@ -427,7 +427,7 @@ def test_make_tables_exit_codes(capsys, monkeypatch):
     assert tables(["--method", "theorem", "--to", "12"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "partcalc: cost guard: A_11 has 56 multiplicity vectors, above the limit of 42\n"
+    assert err == "partcalc: cost guard: A_12 has 77 multiplicity vectors, above the limit of 42\n"
 
 
 def test_make_tables_prints_long_values_in_full(capsys, monkeypatch):

@@ -21,6 +21,7 @@ from partcalc.formulas import (
     ppr_formula,
     ppr_inclusion_exclusion,
     ppr_via_multipartition_formula,
+    ppr_via_multipartition_row,
     pps_formula,
     ppso_formula,
     vector_count,
@@ -231,6 +232,21 @@ def test_alternating_sum_row_stays_within_the_vector_limit(monkeypatch, n, r, to
     assert ppr_via_multipartition_formula(n, r) == oracle_value("pp_r", n, r=r)
     assert walked == tops
     assert all(vector_count(top) <= VECTOR_LIMIT for top in walked)
+
+
+@pytest.mark.parametrize("top", [0, 1, 12, 64])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_alternating_row_equals_the_sum_at_each_n(r, top):
+    row = ppr_via_multipartition_row(top, r, oracle_row("P_r", top, r=r))
+    assert row == list(oracle_row("pp_r", top, r=r))
+    assert row == [ppr_via_multipartition_formula(n, r) for n in range(top + 1)]
+
+
+def test_alternating_row_errors():
+    with pytest.raises(ValueError):
+        ppr_via_multipartition_row(3, 0, [1, 1, 2, 3])
+    with pytest.raises(ValueError):
+        ppr_via_multipartition_row(-1, 2, [])
 
 
 def test_bounded_composition_count_small():

@@ -15,7 +15,8 @@ from partcalc.dispatch import ComputationRequest, compute
 
 # The function that does each route's counting, with every module binding of
 # it.  The family Stirling sums multiply block tables (packed_histogram); the
-# generic sum walks its box (box_weight_histogram).
+# generic sum at one n walks its box (box_weight_histogram).  The generic
+# row, which only verify reads, multiplies the tables too (_packed_product).
 CORES = {
     "oracle-dp": ((series, "restricted_partition_row"), (formulas, "restricted_partition_row")),
     "oracle-series": ((series, "euler_product"),),

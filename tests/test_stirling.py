@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -173,29 +174,77 @@ def test_row_equals_the_count_at_each_n(parts):
     assert restricted_row_stirling(a, 60) == [restricted_count_stirling(a, n) for n in range(61)]
 
 
+# The row reads each residue that occurs in 0..top once, off one product,
+# and walks no box.
 @pytest.mark.parametrize("parts, top", [((1, 2, 3), 60), ((1, 2, 3), 3), ((2, 3, 4), 0), ((4, 6), 11)])
 def test_row_walks_each_residue_once(monkeypatch, parts, top):
-    walked = []
-    real = stirling.box_weight_histogram
+    products, read = [], []
+    real = stirling._packed_product
 
-    def spy(box, coeff_tables=None):
-        walked.append(box.residue)
-        return real(box, coeff_tables)
+    def spy(box, coeff_tables):
+        products.append(box)
+        histogram = real(box, coeff_tables)
 
-    monkeypatch.setattr(stirling, "box_weight_histogram", spy)
+        def reader(residue):
+            read.append(residue)
+            return histogram(residue)
+
+        return reader
+
+    def walk(*args):
+        raise AssertionError("the row walked a box")
+
+    monkeypatch.setattr(stirling, "_packed_product", spy)
+    monkeypatch.setattr(stirling, "box_weight_histogram", walk)
     a = WeightSequence(parts)
     row = restricted_row_stirling(a, top)
     assert row == [restricted_partition_dp(a, n) for n in range(top + 1)]
-    assert sorted(walked) == list(range(min(a.lcm, top + 1)))
+    assert len(products) == 1
+    assert sorted(read) == list(range(min(a.lcm, top + 1)))
 
 
+# The box guard refuses before any table or product is built.
 def test_row_guard_refuses_before_any_walk(monkeypatch):
-    walked = []
+    built = []
     monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 10)
-    monkeypatch.setattr(stirling, "box_weight_histogram", lambda *args: walked.append(args))
-    with pytest.raises(CostGuardExceeded):
+    for name in ("bounded_composition_count", "_packed_product", "box_weight_histogram"):
+        monkeypatch.setattr(stirling, name, lambda *args, name=name: built.append(name))
+    with pytest.raises(CostGuardExceeded, match="congruence box has "):
         restricted_row_stirling(seq_pp(4), 60)
-    assert walked == []
+    assert built == []
+
+
+# Two parts with a large lcm: (10^9, 2*10^9) has 2 points in 10^9 + 1
+# slots, and (31601, 31607) has 998,812,807 points in about 2*10^9 slots of
+# 4 bytes.  Both are priced and refused before any factor is built.
+@pytest.mark.parametrize(
+    "parts, size",
+    [((10**9, 2 * 10**9), 10**9 + 1), ((31601, 31607), (1 + 2 * 31601 * 31607 - 31601 - 31607) * 4)],
+)
+def test_product_guard_refuses_a_large_packed_product(parts, size):
+    start = time.perf_counter()
+    limit = stirling.DEFAULT_PRODUCT_LIMIT
+    with pytest.raises(CostGuardExceeded, match=f"packed product has {size} bytes .*limit of {limit}$"):
+        restricted_row_stirling(WeightSequence(parts), 60)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_product_guard_prices_the_product_it_builds(monkeypatch):
+    # (3, 4, 5, 7): D = 420, 1 + 3*139 + 4*104 + 5*83 + 7*59 = 1662 slots of
+    # 4 bytes, since the 140 * 105 * 84 * 60 = 74,088,000 points need 27 bits.
+    a = WeightSequence((3, 4, 5, 7))
+    row = [restricted_partition_dp(a, n) for n in range(101)]
+    monkeypatch.setattr(stirling, "DEFAULT_PRODUCT_LIMIT", 1662 * 4)
+    assert restricted_row_stirling(a, 100) == row
+    monkeypatch.setattr(stirling, "DEFAULT_PRODUCT_LIMIT", 1662 * 4 - 1)
+    with pytest.raises(CostGuardExceeded, match="packed product has 6648 bytes \\(1662 slots of 4\\)"):
+        restricted_row_stirling(a, 100)
+    # The family sums share the product step, after their box guard.
+    with pytest.raises(CostGuardExceeded, match="packed product has "):
+        pp_stirling(5)
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 10)
+    with pytest.raises(CostGuardExceeded, match="congruence box has "):
+        pp_stirling(5)
 
 
 def _expanded_box(a, residue):

@@ -59,9 +59,6 @@ def test_a_run_builds_each_oracle_row_once(monkeypatch, suite):
         built.append((quantity, top, tuple(sorted(kwargs.items()))))
         return real(quantity, top, **kwargs)
 
-    # The alternating sum reads a P_r row of its own through formulas'
-    # binding of oracle_row, which this spy leaves alone; those are not the
-    # suite's rows.
     monkeypatch.setattr(series, "oracle_row", spy)
     results = verify.run_suite(suite)
     assert all(res.ok for res in results)
@@ -71,6 +68,18 @@ def test_a_run_builds_each_oracle_row_once(monkeypatch, suite):
         # Every read of a (quantity, r, parts, backend) comes from one row.
         keys = [(quantity, kwargs) for quantity, _, kwargs in built]
         assert len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("suite", ["examples", "cross-method"])
+def test_the_alternating_sum_reads_the_suites_own_pr_row(monkeypatch, suite):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the alternating sum built a P_r row of its own")
+
+    monkeypatch.setattr(formulas, "oracle_row", refuse)
+    results = verify.run_suite(suite)
+    assert all(res.ok for res in results)
+    checked = next(res for res in results if res.name.endswith("[pp_r]"))
+    assert checked.cases == DEFAULT_CHECKS[suite][checked.name]
 
 
 def test_a_wrong_stirling_row_fails_its_suite(monkeypatch):
