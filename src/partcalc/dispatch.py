@@ -1,5 +1,11 @@
 """Route a quantity request to a formula, an oracle, or a Stirling sum.
 
+ROUTES holds one Route per method, the one place that says whether a route
+serves a request: a family request is served in its reduced family's stated
+range (_stated), by the theorem only where that family has a closed form,
+and p and p_a go only to the Stirling route.  compute, compute_table and
+verify all read it.
+
 The stirling and diagrams modules load on the first request that takes their
 route: a fresh process that runs one theorem or DP request never needs them.
 """
@@ -7,6 +13,7 @@ route: a fresh process that runs one theorem or DP request never needs them.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 from . import formulas, series
 from .sequences import (
@@ -17,9 +24,6 @@ from .sequences import (
     Value,
     WeightSequence,
 )
-
-METHODS = ("auto", "oracle-series", "oracle-dp", "oracle-enum", "theorem", "stirling")
-ORACLES = ("oracle-dp", "oracle-series")
 
 
 class RequestError(ValueError):
@@ -66,60 +70,41 @@ class ComputationRequest(Value):
         self.strict = strict
 
 
-def _reduce(req: ComputationRequest) -> tuple[str, int, int | None]:
-    """The family whose sums serve the request: r = 1 makes pp_r and P_r the
-    ordinary partitions p, and pp_r with r >= n is pp."""
+def _stated(req: ComputationRequest) -> tuple[Family, int, int | None] | None:
+    """The family whose sums serve a family request, with its (n, r), or None
+    for p_a or outside that family's stated range: r = 1 makes pp_r and P_r
+    the ordinary partitions p, and pp_r with r >= n is pp."""
     q, n, r = req.quantity, req.n, req.r
-    if q in R_QUANTITIES and r == 1:
-        return "p", n, None
-    if q == "pp_r" and r >= n:
-        return "pp", n, None
-    return q, n, r
-
-
-def _stirling():
-    """The stirling module, imported by the first Stirling request."""
-    from . import stirling
-
-    return stirling
-
-
-def _path(req: ComputationRequest) -> Callable[[], int] | None:
-    """The Stirling evaluation for method "stirling", else the theorem
-    evaluation, or None outside the family's stated range."""
-    stirling_route = req.method == "stirling"
-    if req.quantity == "p_a":
-        parts, n = req.parts, req.n
-        assert parts is not None
-        if not stirling_route:
-            return None
-        return lambda: _stirling().restricted_count_stirling(WeightSequence.from_parts(parts), n)
-    q, n, r = _reduce(req)
-    family = FAMILIES[q]
-    if not family.holds(n, r):
+    if q == "p_a":
         return None
-    if family.stem is None:  # p has no closed form; its Stirling sum is the generic engine
-        if not stirling_route:
-            return None
-        return lambda: _stirling().partition_count_stirling(n)
-    if stirling_route:
-        return lambda: wrapper_value(family, "stirling", n, r)
-    return lambda: wrapper_value(family, "formula", n, r)
+    if q in R_QUANTITIES and r == 1:
+        q, r = "p", None
+    elif q == "pp_r" and r >= n:
+        q, r = "pp", None
+    family = FAMILIES[q]
+    return (family, n, r) if family.holds(n, r) else None
 
 
-def wrapper_value(family: Family, kind: str, n: int, r: int | None = None) -> int:
-    """The family's wrapper formulas.<stem>_formula (kind "formula") or
-    stirling.<stem>_stirling (kind "stirling") at (n, r).
-
-    The wrapper is looked up on each call, so a replaced module attribute
-    (a tracer, a test double) is the one called.
-    """
-    module = _stirling() if kind == "stirling" else formulas
-    wrapper = getattr(module, f"{family.stem}_{kind}")
+def _run(module, suffix: str, family: Family, n: int, r: int | None) -> int:
+    """The family's wrapper <stem><suffix> in module at (n, r), looked up on
+    each call, so that a replaced module attribute (a tracer, a test double)
+    is the one called."""
+    wrapper = getattr(module, family.stem + suffix)
     return wrapper(n, r) if family.takes_r else wrapper(n)
 
 
-def _enum_value(req: ComputationRequest) -> int:
+def _stirling_value(req: ComputationRequest) -> int:
+    from . import stirling  # imported by the first Stirling request
+
+    if req.quantity == "p_a":
+        return stirling.restricted_count_stirling(WeightSequence.from_parts(req.parts), req.n)
+    family, n, r = _stated(req)
+    if family.stem is None:  # p has no closed form; its Stirling sum is the generic engine
+        return stirling.partition_count_stirling(n)
+    return _run(stirling, "_stirling", family, n, r)
+
+
+def _diagram_count(req: ComputationRequest) -> int:
     from . import diagrams  # imported by the first enumeration request
 
     family = FAMILIES.get(req.quantity)
@@ -134,16 +119,42 @@ def _enum_value(req: ComputationRequest) -> int:
     return diagrams.count_diagrams(req.n, kind, r=r)
 
 
-def _oracle(req: ComputationRequest, route: str) -> int:
-    return series.oracle_value(
-        req.quantity, req.n, r=req.r, parts=req.parts, backend=route.removeprefix("oracle-")
+class Route(NamedTuple):
+    """A method: whether it serves a request, its value there, and, for a
+    route that serves every request, row(top), its values at n = 0..top.n
+    from one computation, or None when each n is computed on its own."""
+
+    serves: Callable[[ComputationRequest], bool]
+    value: Callable[[ComputationRequest], int]
+    row: Callable[[ComputationRequest], list[int]] | None = None
+
+
+def _oracle_route(backend: str) -> Route:
+    """Every request, behind the oracle's work guard, which a row checks at its top."""
+    return Route(
+        lambda req: True,
+        lambda req: series.oracle_value(req.quantity, req.n, r=req.r, parts=req.parts, backend=backend),
+        lambda top: series.oracle_row(top.quantity, top.n, r=top.r, parts=top.parts, backend=backend),
     )
 
 
-def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
+ROUTES = {
+    "oracle-series": _oracle_route("series"),
+    "oracle-dp": _oracle_route("dp"),
+    "oracle-enum": Route(lambda req: True, _diagram_count),
+    "theorem": Route(  # a family with a closed form: p has none
+        lambda req: (stated := _stated(req)) is not None and stated[0].stem is not None,
+        lambda req: _run(formulas, "_formula", *_stated(req)),
+    ),
+    "stirling": Route(lambda req: req.quantity == "p_a" or _stated(req) is not None, _stirling_value),
+}
+METHODS = ("auto", *ROUTES)
+
+
+def _cheapest(req: ComputationRequest) -> str:
     """The route with the least estimated work, in multiply-adds, among those
-    whose guard admits req: the theorem walk when theorem is set and n is
-    within formulas.vector_reach(), then oracle-dp, then oracle-series, in
+    whose guard admits req: the theorem walk where its route serves req and n
+    is within formulas.vector_reach(), then oracle-dp, then oracle-series, in
     the order that breaks a tie.  On a family the DP does more work than the
     series at every n >= 1 (see series.oracle_cost), so it is a candidate
     there only at n = 0, where neither works.  Raises CostGuardExceeded when every candidate is
@@ -160,7 +171,7 @@ def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
             refusals.append(refusal)
         elif best is None or work < best[0]:
             best = (work, f"oracle-{backend}")
-    if theorem and req.n <= formulas.vector_reach():
+    if req.n <= formulas.vector_reach() and ROUTES["theorem"].serves(req):
         work = formulas.LEAF_COST * formulas.vector_count(req.n)
         if best is None or work <= best[0]:
             best = (work, "theorem")
@@ -172,29 +183,22 @@ def _cheapest(req: ComputationRequest, theorem: bool = False) -> str:
 def compute(req: ComputationRequest) -> tuple[int, str]:
     """Evaluate the request; returns (value, method actually used).
 
-    method="auto" runs the route with the least estimated work, in
-    big-integer multiply-adds, among those whose guard admits the request:
-    the theorem walk (formulas.LEAF_COST per vector of A_n) where the
-    family's stated range holds, the DP oracle (series.dp_work) for p_a,
-    and the series oracle (series.series_work); a tie goes to the theorem,
-    then to the DP.  Explicit "theorem"/"stirling" requests outside their
-    hypotheses take the cheaper oracle the same way unless strict=True, in
-    which case they raise HypothesisError.  A route above its limit raises
-    CostGuardExceeded.
+    An explicit method runs its route where the route serves the request.
+    Elsewhere, and for method="auto", the route with the least estimated
+    work runs (_cheapest): the theorem walk where its route serves, the DP
+    oracle for p_a, and the series oracle; a tie goes to the theorem, then to
+    the DP.  With strict=True a route that does not serve raises
+    HypothesisError instead.  A route above its limit raises CostGuardExceeded.
     """
-    if req.method in ORACLES:
-        return _oracle(req, req.method), req.method
-    if req.method == "oracle-enum":
-        return _enum_value(req), "oracle-enum"
-    path = _path(req)
-    if req.method != "auto" and path is not None:
-        return path(), req.method
-    if req.method != "auto" and req.strict:
-        raise formulas.HypothesisError(f"method {req.method!r} does not cover {_describe(req)}")
-    route = _cheapest(req, theorem=path is not None)
-    if route == "theorem":
-        return path(), route
-    return _oracle(req, route), route
+    route = ROUTES.get(req.method)
+    if route is not None:
+        if route.serves(req):
+            return route.value(req), req.method
+        if req.strict:
+            at = f"{req.quantity}, n={req.n}" + ("" if req.r is None else f", r={req.r}")
+            raise formulas.HypothesisError(f"method {req.method!r} does not cover {at}")
+    best = _cheapest(req)
+    return ROUTES[best].value(req), best
 
 
 def compute_table(
@@ -207,24 +211,21 @@ def compute_table(
 ) -> list[tuple[int, int, str]]:
     """(n, value, method actually used) for n = n_from..n_to.
 
-    auto and the two oracles read one oracle row up to n_to, auto the
-    series' (the cheaper oracle on every family, see _cheapest), and every
-    row carries that oracle's label; the guard is checked once, at n_to.
-    The other methods evaluate each n as compute does, n_to first, so that a
-    guard refusal at the top comes before any work on the rows below it.
+    A route with a row, an oracle, reads every n off one row to n_to under
+    its own label, its guard checked once, at n_to; auto reads the series'
+    row (the cheaper oracle on every family, see _cheapest).  Every other
+    route evaluates each n as compute does, n_to first, so that a refusal
+    at the top comes before any work on the rows below it.
     """
+    if n_from > n_to:
+        return []
+    label = "oracle-series" if method == "auto" else method
     top = ComputationRequest(quantity, n_to, r=r, method=method, strict=strict)
-    if method not in ("auto", *ORACLES):
-        last = [(n_to, *compute(top))] if n_from <= n_to else []
-        return [(n, *compute(ComputationRequest(quantity, n, r, method=method, strict=strict)))
-                for n in range(n_from, n_to)] + last
-    route = "oracle-series" if method == "auto" else method
-    row = series.oracle_row(quantity, n_to, r=r, backend=route.removeprefix("oracle-"))
-    return [(n, row[n], route) for n in range(n_from, n_to + 1)]
+    row = ROUTES[label].row(top) if ROUTES[label].row else None
 
+    def at(req: ComputationRequest) -> tuple[int, int, str]:
+        return (req.n, row[req.n], label) if row is not None else (req.n, *compute(req))
 
-def _describe(req: ComputationRequest) -> str:
-    label = f"{req.quantity}, n={req.n}"
-    if req.r is not None:
-        label += f", r={req.r}"
-    return label
+    last = at(top)
+    return [at(ComputationRequest(quantity, n, r, method=method, strict=strict))
+            for n in range(n_from, n_to)] + [last]

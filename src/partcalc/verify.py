@@ -2,29 +2,24 @@
 
 Each check compares two independently computed values over a range and
 records the first few counterexamples.  The per-family checks read
-sequences.FAMILIES.  Suites:
+sequences.FAMILIES, and dispatch.ROUTES says which of the theorem and
+Stirling routes serve a case, as it says for compute.  Suites:
 
   examples           known small values through every applicable route
   oracle-consistency series vs DP vs enumeration, plus structural invariants
   cross-method       closed-form evaluators vs the oracles
   stirling           congruence-sum engine and its regrouped variants
 
-Every suite takes two readers that go with its run.  counts reads
-diagrams.diagram_counts: it lists each n once for the run, and every
-diagram kind and every r is read from that one listing.  rows reads
-series.oracle_row: each oracle row is built once for the run, and a check
-reads every n from it.  The alternating sum is a row of the same reader:
-formulas.ppr_via_multipartition_row reads pp_r at every n to the top off
-the run's own P_r DP row.  vector-count-vs-p counts A_n by the theorem
-walk itself: one walk with every multiplicity 1 (formulas._vector_row)
-reads |A_n| for every n up to formulas.vector_reach().  The stirling suite
-multiplies each generic box's block tables once
-(stirling.restricted_row_stirling), one coordinate per distinct part,
-reads every residue's histogram off that product, evaluates that residue's
-polynomial in n at each n of the class, and compares the row with one DP
-row.  partial-sum-denominators sums the per-weighted-sum partials of the
-same grouped box, exact fractions from stirling.regrouped_partial_sums,
-and compares the total with the DP.
+Every suite takes two readers that go with its run.  counts lists each n
+once (diagrams.diagram_counts) and reads every diagram kind and r off that
+listing.  rows builds each oracle row once (series.oracle_row), and each
+alternating-sum row (formulas.ppr_via_multipartition_row) over the run's
+own P_r DP row; a check reads every n off them.  vector-count-vs-p counts
+A_n by one theorem walk with every multiplicity 1 (formulas._vector_row).
+The stirling suite compares one generic row per part list
+(stirling.restricted_row_stirling, every residue off one packed product)
+with one DP row, and checks that the exact per-weighted-sum partials of
+stirling.regrouped_partial_sums sum to the DP's value.
 """
 
 from __future__ import annotations
@@ -102,9 +97,9 @@ def _label(quantity, n, r=None) -> str:
 def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
     """quantity at (n, r) by every route that serves the case: both oracles
     (read from their rows to top), diagram enumeration (read from counts)
-    for 1 <= n <= 8, the theorem sum in the family's stated range up to
-    formulas.vector_reach(), the Stirling sum in the stated range when
-    with_stirling, and for pp_r the alternating sum."""
+    for 1 <= n <= 8, the theorem up to formulas.vector_reach() and, when
+    with_stirling, the Stirling route wherever dispatch.ROUTES serves the
+    case, and for pp_r the alternating sum."""
     family = FAMILIES[quantity]
     values = {
         "series": rows(quantity, top, r, backend="series")[n],
@@ -112,11 +107,10 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False
     }
     if family.diagram is not None and 1 <= n <= 8:
         values["enum"] = counts(n).count(family.diagram, r=1 if quantity == "p" else r)
-    if family.stem is not None and family.holds(n, r):
-        if n <= formulas.vector_reach():
-            values["formula"] = dispatch.wrapper_value(family, "formula", n, r)
-        if with_stirling:
-            values["stirling"] = dispatch.wrapper_value(family, "stirling", n, r)
+    req = dispatch.ComputationRequest(quantity, n, r)
+    for method, wanted in (("theorem", n <= formulas.vector_reach()), ("stirling", with_stirling)):
+        if wanted and dispatch.ROUTES[method].serves(req):
+            values[method] = dispatch.ROUTES[method].value(req)
     if quantity == "pp_r":
         values["alternating-sum"] = rows(quantity, top, r, backend="alternating-sum")[n]
     return values
@@ -344,7 +338,7 @@ def _suite_stirling(counts, rows, max_n=None, long_running=False) -> list[CheckR
         res = CheckResult(f"stirling-wrapper[{quantity}]")
         for n in range(family.min_n, wrapper_top + 1):
             for r in range(2, n) if family.takes_r else (None,):
-                got = dispatch.wrapper_value(family, "stirling", n, r)
+                got = dispatch.ROUTES["stirling"].value(dispatch.ComputationRequest(quantity, n, r))
                 res.expect(got, rows(quantity, wrapper_top, r)[n], _label(quantity, n, r))
         out.append(res)
 

@@ -96,7 +96,7 @@ def test_stirling_and_enumeration_load_on_first_use(args, out, loaded):
 def test_verify_loads_verify():
     got, modules = _run_partcalc("verify", "--suite", "examples")
     lines = got.splitlines()
-    assert lines[-1] == "suite examples: 9 checks, 65 cases, 0 failing"
+    assert lines[-1] == "suite examples: 9 checks, 68 cases, 0 failing"
     assert all(line.startswith("ok   known-values[") for line in lines[:-1])
     assert "partcalc.verify" in modules
 

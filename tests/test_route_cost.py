@@ -8,7 +8,7 @@ import pytest
 
 from partcalc import formulas, sequences, series
 from partcalc.cli import main
-from partcalc.dispatch import ComputationRequest, compute, compute_table
+from partcalc.dispatch import METHODS, ComputationRequest, compute, compute_table
 from partcalc.formulas import CostGuardExceeded
 from partcalc.sequences import FAMILIES, QUANTITIES
 from partcalc.series import oracle_value
@@ -143,6 +143,56 @@ def test_auto_table_reads_one_oracle_row(monkeypatch):
     calls.clear()
     assert [value for _, value, _ in compute_table("pp_r", 0, 30, r=2, method="oracle-dp")] == want
     assert calls == ["restricted_partition_row"]
+
+
+def _outcome(call, *args, **kwargs):
+    """call's result, or the type and message of what it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, CostGuardExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _per_n(quantity, n_from, n_to, r, method, strict):
+    """(n, value, label) by compute at n_to, then at each n from n_from up."""
+    def at(n):
+        return (n, *compute(ComputationRequest(quantity, n, r, method=method, strict=strict)))
+
+    last = at(n_to)
+    return [at(n) for n in range(n_from, n_to)] + [last]
+
+
+def _family_cases(rs=range(1, 5)):
+    for quantity in FAMILIES:
+        for r in rs if FAMILIES[quantity].takes_r else (None,):
+            yield quantity, r
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+def test_every_table_equals_its_per_n_computes(method, strict):
+    # Each table to n_to = 0..12, so every n is a table's top once; where
+    # compute raises, the table raises the same, with n_to evaluated first.
+    # auto reads the series' row, so it labels every n oracle-series.  An
+    # empty range is empty before any work, even above every guard.
+    def check(quantity, r, n_to):
+        want = _outcome(_per_n, quantity, 0, n_to, r, method, strict)
+        if method == "auto":
+            want = [(n, value, "oracle-series") for n, value, _ in want]
+        got = _outcome(compute_table, quantity, 0, n_to, r=r, method=method, strict=strict)
+        assert got == want, (quantity, r, n_to)
+        assert compute_table(quantity, n_to + 1, n_to, r=r, method=method, strict=strict) == []
+        assert compute_table(quantity, 10**6 + 1, 10**6, r=r, method=method, strict=strict) == []
+
+    for quantity, r in _family_cases():
+        for n_to in range(13):
+            if method == "stirling" and n_to == 6 and (quantity == "p" or r == 1):
+                continue  # p(6)'s generic box walks 6.5*10**7 points, about 0.4 s
+            check(quantity, r, n_to)
+    if method == "theorem":
+        for quantity, r in _family_cases(rs=(1, 3)):
+            if quantity != "p":
+                check(quantity, r, 60)
 
 
 def test_auto_and_tables_equal_the_dp():

@@ -11,13 +11,13 @@ STEMS = [family.stem for family in FAMILIES.values() if family.stem is not None]
 # Every check of the default suites, with its number of cases.
 DEFAULT_CHECKS = {
     "examples": {
-        "known-values[pp]": 16, "known-values[pp_r]": 14, "known-values[pps]": 10,
+        "known-values[pp]": 16, "known-values[pp_r]": 17, "known-values[pps]": 10,
         "known-values[ppso]": 4, "known-values[symmetric-diagrams]": 1,
         "known-values[P_r]": 10, "known-values[p_a]": 4,
         "known-values[multiplicity-vectors]": 2, "known-values[block-coefficients]": 4,
     },
     "cross-method": {
-        "cross-method[p]": 34, "cross-method[pp]": 44, "cross-method[pp_r]": 322,
+        "cross-method[p]": 34, "cross-method[pp]": 44, "cross-method[pp_r]": 332,
         "cross-method[pps]": 44, "cross-method[ppso]": 36, "cross-method[P_r]": 195,
         "vector-sum-below-range": 55, "block-poly[direct-vs-closed]": 425,
         "block-poly[reciprocity]": 410, "block-poly[mass]": 15,
@@ -47,7 +47,7 @@ def test_default_suites_keep_every_check_and_case():
         assert all(res.ok for res in results), suite
         assert {res.name: res.cases for res in results} == checks
         totals[suite] = sum(res.cases for res in results)
-    assert totals == {"examples": 65, "cross-method": 1580, "oracle-consistency": 930, "stirling": 379}
+    assert totals == {"examples": 68, "cross-method": 1590, "oracle-consistency": 930, "stirling": 379}
 
 
 @pytest.mark.parametrize("suite", ["examples", "cross-method", "oracle-consistency", "stirling"])
