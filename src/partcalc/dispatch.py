@@ -1,10 +1,10 @@
 """Route a quantity request to a formula, an oracle, or a Stirling sum.
 
 ROUTES holds one Route per method, the one place that says whether a route
-serves a request: a family request is served in its reduced family's stated
-range (_stated), by the theorem only where that family has a closed form,
-and p and p_a go only to the Stirling route.  compute, compute_table and
-verify all read it.
+serves a request: enumeration where the reduced family (_reduced) has a
+diagram kind, the theorem and Stirling routes in its stated range (_stated),
+the theorem only where it has a closed form, and p_a only the Stirling
+route.  compute, compute_table and verify all read it.
 
 The stirling and diagrams modules load on the first request that takes their
 route: a fresh process that runs one theorem or DP request never needs them.
@@ -70,19 +70,27 @@ class ComputationRequest(Value):
         self.strict = strict
 
 
-def _stated(req: ComputationRequest) -> tuple[Family, int, int | None] | None:
-    """The family whose sums serve a family request, with its (n, r), or None
-    for p_a or outside that family's stated range: r = 1 makes pp_r and P_r
+def _reduced(req: ComputationRequest) -> tuple[Family | None, int, int | None]:
+    """req's family (None for p_a) and its (n, r): r = 1 makes pp_r and P_r
     the ordinary partitions p, and pp_r with r >= n is pp."""
     q, n, r = req.quantity, req.n, req.r
-    if q == "p_a":
-        return None
     if q in R_QUANTITIES and r == 1:
         q, r = "p", None
     elif q == "pp_r" and r >= n:
         q, r = "pp", None
-    family = FAMILIES[q]
-    return (family, n, r) if family.holds(n, r) else None
+    return FAMILIES.get(q), n, r
+
+
+def _stated(req: ComputationRequest) -> tuple[Family, int, int | None] | None:
+    """_reduced(req), or None for p_a or outside that family's stated range."""
+    family, n, r = reduced = _reduced(req)
+    return reduced if family and family.holds(n, r) else None
+
+
+def diagram_kind(req: ComputationRequest) -> tuple[str, int] | None:
+    """The diagrams kind of req's reduced family and its row bound (1 without r), or None."""
+    family, _, r = _reduced(req)
+    return (family.diagram, r or 1) if family and family.diagram else None
 
 
 def _run(module, suffix: str, family: Family, n: int, r: int | None) -> int:
@@ -107,16 +115,8 @@ def _stirling_value(req: ComputationRequest) -> int:
 def _diagram_count(req: ComputationRequest) -> int:
     from . import diagrams  # imported by the first enumeration request
 
-    family = FAMILIES.get(req.quantity)
-    kind = family.diagram if family else None
-    if req.quantity == "ppso":
-        kind = "symmetric"  # known defect, ROADMAP item 4: counts another sequence
-    if kind is None:
-        raise RequestError(f"no diagram predicate for quantity {req.quantity!r}")
-    if req.n == 0:
-        return 1
-    r = 1 if req.quantity == "p" else req.r
-    return diagrams.count_diagrams(req.n, kind, r=r)
+    kind, r = diagram_kind(req)
+    return diagrams.count_diagrams(req.n, kind, r=r) if req.n else 1
 
 
 class Route(NamedTuple):
@@ -141,7 +141,7 @@ def _oracle_route(backend: str) -> Route:
 ROUTES = {
     "oracle-series": _oracle_route("series"),
     "oracle-dp": _oracle_route("dp"),
-    "oracle-enum": Route(lambda req: True, _diagram_count),
+    "oracle-enum": Route(lambda req: diagram_kind(req) is not None, _diagram_count),
     "theorem": Route(  # a family with a closed form: p has none
         lambda req: (stated := _stated(req)) is not None and stated[0].stem is not None,
         lambda req: _run(formulas, "_formula", *_stated(req)),

@@ -2,7 +2,7 @@
 
 Each check compares two independently computed values over a range and
 records the first few counterexamples.  The per-family checks read
-sequences.FAMILIES, and dispatch.ROUTES says which of the theorem and
+sequences.FAMILIES, and dispatch says which of the enumeration, theorem and
 Stirling routes serve a case, as it says for compute.  Suites:
 
   examples           known small values through every applicable route
@@ -95,19 +95,17 @@ def _label(quantity, n, r=None) -> str:
 
 
 def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
-    """quantity at (n, r) by every route that serves the case: both oracles
-    (read from their rows to top), diagram enumeration (read from counts)
-    for 1 <= n <= 8, the theorem up to formulas.vector_reach() and, when
-    with_stirling, the Stirling route wherever dispatch.ROUTES serves the
-    case, and for pp_r the alternating sum."""
-    family = FAMILIES[quantity]
+    """quantity at (n, r) by every route that dispatch says serves the case:
+    both oracles (read from their rows to top), enumeration (read from counts)
+    for 1 <= n <= 8, the theorem up to formulas.vector_reach(), the Stirling
+    route when with_stirling, and for pp_r the alternating sum."""
     values = {
         "series": rows(quantity, top, r, backend="series")[n],
         "dp": rows(quantity, top, r)[n],
     }
-    if family.diagram is not None and 1 <= n <= 8:
-        values["enum"] = counts(n).count(family.diagram, r=1 if quantity == "p" else r)
     req = dispatch.ComputationRequest(quantity, n, r)
+    if 1 <= n <= 8 and (diagram := dispatch.diagram_kind(req)):
+        values["enum"] = counts(n).count(*diagram)
     for method, wanted in (("theorem", n <= formulas.vector_reach()), ("stirling", with_stirling)):
         if wanted and dispatch.ROUTES[method].serves(req):
             values[method] = dispatch.ROUTES[method].value(req)
@@ -336,10 +334,11 @@ def _suite_stirling(counts, rows, max_n=None, long_running=False) -> list[CheckR
         if family.stem is None:
             continue
         res = CheckResult(f"stirling-wrapper[{quantity}]")
-        for n in range(family.min_n, wrapper_top + 1):
-            for r in range(2, n) if family.takes_r else (None,):
-                got = dispatch.ROUTES["stirling"].value(dispatch.ComputationRequest(quantity, n, r))
-                res.expect(got, rows(quantity, wrapper_top, r)[n], _label(quantity, n, r))
+        for n in range(wrapper_top + 1):
+            for r in _r_values(quantity):
+                if family.holds(n, r):
+                    got = dispatch.ROUTES["stirling"].value(dispatch.ComputationRequest(quantity, n, r))
+                    res.expect(got, rows(quantity, wrapper_top, r)[n], _label(quantity, n, r))
         out.append(res)
 
     res = CheckResult("stirling[partial-sum-denominators]")

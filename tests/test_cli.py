@@ -430,6 +430,17 @@ def test_make_tables_exit_codes(capsys, monkeypatch):
     assert err == "partcalc: cost guard: A_12 has 77 multiplicity vectors, above the limit of 42\n"
 
 
+def test_enumeration_tables_equal_auto(capsys):
+    # Enumeration serves p, pp, pps and pp_r; ppso and P_r with r >= 2 fall back.
+    tables = _make_tables()
+    assert tables(["--to", "8", "--method", "oracle-enum"]) == 0
+    enum = capsys.readouterr().out
+    assert tables(["--to", "8"]) == 0
+    assert capsys.readouterr().out == enum
+    table = ("table", "--quantity", "ppso", "--from", "0", "--to", "8")
+    assert run_cli(capsys, *table, "--method", "oracle-enum") == run_cli(capsys, *table)
+
+
 def test_make_tables_prints_long_values_in_full(capsys, monkeypatch):
     # P_r(100) at r = 10**9 has 743 digits, more than the lowered limit of 640.
     if not hasattr(sys, "set_int_max_str_digits"):

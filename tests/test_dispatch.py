@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partcalc import formulas
-from partcalc.dispatch import METHODS, ComputationRequest, RequestError, compute
+from partcalc.dispatch import METHODS, ROUTES, ComputationRequest, RequestError, compute
 from partcalc.formulas import CostGuardExceeded, HypothesisError
-from partcalc.sequences import FAMILIES
+from partcalc.sequences import FAMILIES, QUANTITIES, R_QUANTITIES
 from partcalc.series import oracle_value
 
 
@@ -138,10 +138,15 @@ def test_enum_method():
     assert (value, method) == (15, "oracle-enum")
     value, method = compute(ComputationRequest("pp_r", 5, r=2, method="oracle-enum"))
     assert (value, method) == (16, "oracle-enum")
-    with pytest.raises(RequestError):
-        compute(ComputationRequest("P_r", 4, r=2, method="oracle-enum"))
-    with pytest.raises(RequestError):
-        compute(ComputationRequest("p_a", 4, parts=(1, 2), method="oracle-enum"))
+    value, method = compute(ComputationRequest("P_r", 5, r=1, method="oracle-enum"))
+    assert (value, method) == (7, "oracle-enum")  # P_r with r = 1 is p
+    # No diagram kind counts P_r with r >= 2 or p_a: the cheapest route serves them.
+    assert compute(ComputationRequest("P_r", 4, r=2, method="oracle-enum")) == (20, "theorem")
+    assert compute(ComputationRequest("p_a", 4, parts=(1, 2), method="oracle-enum")) == (3, "oracle-dp")
+    with pytest.raises(HypothesisError):
+        compute(ComputationRequest("P_r", 4, r=2, method="oracle-enum", strict=True))
+    with pytest.raises(HypothesisError):
+        compute(ComputationRequest("p_a", 4, parts=(1, 2), method="oracle-enum", strict=True))
 
 
 def test_strict_flag_controls_fallback():
@@ -211,10 +216,41 @@ def test_every_method_matches_dp(quantity, n, method):
     if method == "stirling" and n > 5:
         return  # congruence boxes grow with lcm(1..n); larger n is covered elsewhere
     want = oracle_value(quantity, n)
-    if quantity == "ppso" and method == "oracle-enum":
-        return  # diagram symmetry and the weighted series count differ
     got, _ = compute(ComputationRequest(quantity, n, method=method))
     assert got == want
+
+
+def _route_grid():
+    """Every quantity at n = 0..9, with r = 1..4 and p_a parts (1, 2, 3) and (2, 5)."""
+    for quantity in QUANTITIES:
+        for n in range(10):
+            if quantity == "p_a":
+                for parts in ((1, 2, 3), (2, 5)):
+                    yield quantity, n, None, parts
+            else:
+                for r in range(1, 5) if quantity in R_QUANTITIES else (None,):
+                    yield quantity, n, r, None
+
+
+@pytest.mark.parametrize("method", list(ROUTES))
+def test_route_table_tells_the_truth(method):
+    """A route that serves a request gives the DP's value or a guard refusal;
+    one that does not serve it is refused under strict and falls back
+    to another route's label without."""
+    route = ROUTES[method]
+    for quantity, n, r, parts in _route_grid():
+        want = oracle_value(quantity, n, r=r, parts=parts, backend="dp")
+        req = ComputationRequest(quantity, n, r, parts, method=method)
+        if route.serves(req):
+            try:
+                assert route.value(req) == want, req
+            except CostGuardExceeded:
+                pass
+        else:
+            with pytest.raises(HypothesisError):
+                compute(ComputationRequest(quantity, n, r, parts, method=method, strict=True))
+            value, label = compute(req)
+            assert value == want and label != method, req
 
 
 @given(st.integers(1, 6), st.integers(0, 12), st.sampled_from(["auto", "theorem", "stirling"]))

@@ -18,7 +18,7 @@ DEFAULT_CHECKS = {
     },
     "cross-method": {
         "cross-method[p]": 34, "cross-method[pp]": 44, "cross-method[pp_r]": 332,
-        "cross-method[pps]": 44, "cross-method[ppso]": 36, "cross-method[P_r]": 195,
+        "cross-method[pps]": 44, "cross-method[ppso]": 36, "cross-method[P_r]": 203,
         "vector-sum-below-range": 55, "block-poly[direct-vs-closed]": 425,
         "block-poly[reciprocity]": 410, "block-poly[mass]": 15,
     },
@@ -47,7 +47,7 @@ def test_default_suites_keep_every_check_and_case():
         assert all(res.ok for res in results), suite
         assert {res.name: res.cases for res in results} == checks
         totals[suite] = sum(res.cases for res in results)
-    assert totals == {"examples": 68, "cross-method": 1590, "oracle-consistency": 930, "stirling": 379}
+    assert totals == {"examples": 68, "cross-method": 1598, "oracle-consistency": 930, "stirling": 379}
 
 
 @pytest.mark.parametrize("suite", ["examples", "cross-method", "oracle-consistency", "stirling"])
