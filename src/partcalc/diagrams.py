@@ -6,7 +6,9 @@ decreasing.  Enumeration is deterministic: diagrams appear in decreasing
 lexicographic order of their row-reading.
 
 One listing of the raw row tuples of n serves every kind: diagram_counts
-walks it once and counts each kind, and each r, from it.  The listing is a
+walks it once and counts each kind, and each r, from it.  Listing n visits
+every plane partition of weight <= n as a prefix of its rows, so
+diagram_count_row counts every n to a top from one walk.  The listing is a
 direct one; it shares no weight pattern with the oracles it checks.
 """
 
@@ -131,6 +133,12 @@ def _plane_partitions(n: int) -> Iterator[Rows]:
     """Every plane partition of n as its tuple of rows, once each, in
     deterministic order.  n and the guard are checked on the call, before
     anything is listed."""
+    _check_listing(n)
+    return _stacks((), n, None)
+
+
+def _check_listing(n: int) -> None:
+    """Refuse n < 1, or pp(n) above ENUMERATION_LIMIT, before any row is read."""
     if n < 1:
         raise ValueError("plane partitions are listed for n >= 1")
     # pp(n) <= 3^(n-1): the entries read row by row are a composition of n
@@ -143,7 +151,6 @@ def _plane_partitions(n: int) -> Iterator[Rows]:
                 f"n = {n} has at least {count} plane partitions, above the "
                 f"enumeration limit ({ENUMERATION_LIMIT})"
             )
-    return _stacks((), n, None)
 
 
 def enumerate_diagrams(n: int) -> tuple[PlanePartitionDiagram, ...]:
@@ -193,6 +200,32 @@ def diagram_counts(n: int) -> DiagramCounts:
         symmetric += _is_symmetric(rows)
     max_rows = tuple(accumulate(by_rows))
     return DiagramCounts(max_rows[-1], strict, symmetric, strict_odd, max_rows)
+
+
+def diagram_count_row(top: int) -> list[DiagramCounts]:
+    """diagram_counts(n) for n = 0..top, the empty diagram at n = 0, from one
+    walk that tallies each stack of rows at its own weight; the guard is on top."""
+    _check_listing(top)
+    # tallies[n]: strict, symmetric and strict_odd, then the count by rows 0..n.
+    tallies = [[1, 1, 1, 1]] + [[0] * (n + 4) for n in range(1, top + 1)]
+    _tally((), 0, None, True, tallies)
+    return [DiagramCounts(sum(t[3:]), *t[:3], tuple(accumulate(t[3:]))) for t in tallies]
+
+
+def _tally(prefix: Rows, weight: int, prev_row, strict: bool, tallies) -> None:
+    """Tally every stack that extends prefix (of weight, its rows strict when
+    strict) by rows under prev_row, at its weight up to len(tallies) - 1.  A
+    module function rather than a closure, which would be a reference cycle."""
+    for row in _dominated_rows(prev_row, len(tallies) - 1 - weight):
+        rows, w = prefix + (row,), weight + sum(row)
+        strict_rows = strict and len(set(row)) == len(row)
+        tally = tallies[w]
+        tally[0] += strict_rows
+        tally[1] += _is_symmetric(rows)
+        tally[2] += strict_rows and _is_odd(rows)
+        tally[3 + len(rows)] += 1
+        if w < len(tallies) - 1:
+            _tally(rows, w, row, strict_rows, tallies)
 
 
 def count_diagrams(n: int, kind: str = "all", *, r: int | None = None) -> int:

@@ -157,8 +157,9 @@ def _cheapest(req: ComputationRequest) -> str:
     is within formulas.vector_reach(), then oracle-dp, then oracle-series, in
     the order that breaks a tie.  On a family the DP does more work than the
     series at every n >= 1 (see series.oracle_cost), so it is a candidate
-    there only at n = 0, where neither works.  Raises CostGuardExceeded when every candidate is
-    refused."""
+    there only at n = 0, where neither works.  p_a that both oracles refuse
+    goes to the Stirling route if its box guard admits it, weighed only then.
+    Raises CostGuardExceeded, naming every refusal, when all are refused."""
     best = None
     refusals = []
     least = min(req.parts or (1,))
@@ -175,6 +176,14 @@ def _cheapest(req: ComputationRequest) -> str:
         work = formulas.LEAF_COST * formulas.vector_count(req.n)
         if best is None or work <= best[0]:
             best = (work, "theorem")
+    if best is None and req.quantity == "p_a":
+        from . import stirling
+
+        try:
+            stirling.check_generic_box(sorted(req.parts))
+            return "stirling"
+        except formulas.CostGuardExceeded as exc:
+            refusals.append(str(exc))
     if best is None:
         raise formulas.CostGuardExceeded("; ".join(refusals))
     return best[1]

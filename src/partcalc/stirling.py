@@ -286,13 +286,18 @@ def generic_setup(
     coordinate of weight k and bound m(D/k - 1), whose table counts the
     (j_1..j_m) with j_i <= D/k - 1 summing to each value, so the histogram
     is the expanded box's.  A part that occurs once walks as in the
-    expanded box, with table None.  The guard counts the expanded box,
-    prod_t D/a_t (_check_box), before anything else.
+    expanded box, with table None.  The guard counts the expanded box
+    (check_generic_box) before anything else.
     """
-    _check_box(lambda k: _expanded_points(a.parts[:k]), a.length)
+    check_generic_box(a.parts)
     d = a.lcm
     runs = [(k, len(list(copies))) for k, copies in groupby(a.parts)]
     return _setup([(k, m, m * (d // k - 1)) for k, m in runs], d, n)
+
+
+def check_generic_box(parts) -> None:
+    """Refuse the generic sum over sorted parts above DEFAULT_BOX_LIMIT points."""
+    _check_box(lambda k: _expanded_points(parts[:k]), len(parts))
 
 
 def _expanded_points(parts) -> int:
@@ -305,7 +310,7 @@ def _expanded_points(parts) -> int:
 def partition_count_stirling(n: int) -> int:
     """p(n) by the generic sum over the parts 1..n, guarded before the n
     parts are listed."""
-    _check_box(lambda k: _expanded_points(range(1, k + 1)), n)
+    check_generic_box(range(1, n + 1))
     return restricted_count_stirling(quantity_sequence("p", n), n)
 
 

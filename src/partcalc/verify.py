@@ -10,12 +10,12 @@ Stirling routes serve a case, as it says for compute.  Suites:
   cross-method       closed-form evaluators vs the oracles
   stirling           congruence-sum engine and its regrouped variants
 
-Every suite takes two readers that go with its run.  counts lists each n
-once (diagrams.diagram_counts) and reads every diagram kind and r off that
-listing.  rows builds each oracle row once (series.oracle_row), and each
-alternating-sum row (formulas.ppr_via_multipartition_row) over the run's
-own P_r DP row; a check reads every n off them.  vector-count-vs-p counts
-A_n by one theorem walk with every multiplicity 1 (formulas._vector_row).
+Every suite takes two readers that go with its run.  counts(top) lists
+once, to the largest n the suite reads (diagrams.diagram_count_row).  rows
+builds each oracle row once (series.oracle_row), each alternating-sum row
+(formulas.ppr_via_multipartition_row) over the run's own P_r DP row, and
+each theorem row by one walk (formulas._vector_row); a check reads every n
+off them, and formats a case's label only when the case fails.
 The stirling suite compares one generic row per part list
 (stirling.restricted_row_stirling, every residue off one packed product)
 with one DP row, and checks that the exact per-weighted-sum partials of
@@ -39,6 +39,8 @@ from .sequences import (
 
 SUITES = ("examples", "cross-method", "oracle-consistency", "stirling")
 
+ENUM_TOP, ENUM_TOP_LONG = 8, 16  # the largest n enumeration is read at, and with long_running
+
 MAX_FAILURES_KEPT = 5
 
 
@@ -52,10 +54,12 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def expect(self, got, want, label: str) -> None:
+    def expect(self, got, want, label) -> None:
+        """label is a string, or a callable called only on a mismatch."""
         self.cases += 1
         if got != want:
             if len(self.failures) < MAX_FAILURES_KEPT:
+                label = label if isinstance(label, str) else label()
                 self.failures.append(f"{label}: expected {want}, got {got}")
             else:
                 self.failures[-1] = "... further mismatches suppressed"
@@ -65,7 +69,8 @@ def _row_reader():
     """A reader of rows for one run: rows(quantity, top, r, parts, backend)
     is series.oracle_row, built on its first read and kept for the run.
     The backend "alternating-sum" reads pp_r off
-    formulas.ppr_via_multipartition_row, from the run's own P_r DP row."""
+    formulas.ppr_via_multipartition_row, from the run's own P_r DP row, and
+    "theorem" reads the family's vector sums off one walk to top."""
     built = {}
 
     def rows(quantity, top, r=None, parts=None, backend="dp"):
@@ -73,6 +78,8 @@ def _row_reader():
         if key not in built:
             if backend == "alternating-sum":
                 built[key] = formulas.ppr_via_multipartition_row(top, r, rows("P_r", top, r))
+            elif backend == "theorem":
+                built[key] = formulas._vector_row(top, FAMILIES[quantity].pattern(top, r))
             else:
                 built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
         return built[key]
@@ -94,21 +101,26 @@ def _label(quantity, n, r=None) -> str:
     return f"{quantity}({n})" if r is None else f"{quantity}({n}, r={r})"
 
 
-def _route_values(counts, rows, top, quantity, n, r=None, *, with_stirling=False) -> dict[str, int]:
+def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> dict[str, int]:
     """quantity at (n, r) by every route that dispatch says serves the case:
-    both oracles (read from their rows to top), enumeration (read from counts)
-    for 1 <= n <= 8, the theorem up to formulas.vector_reach(), the Stirling
-    route when with_stirling, and for pp_r the alternating sum."""
+    both oracles and, for pp_r, the alternating sum, off their rows to top;
+    enumeration to ENUM_TOP off one listing; the theorem off one walk per
+    (family, r) to t = min(top, vector_reach()), but at t, the largest n a
+    stated range serves if any, by the wrapper that compute runs.  per_case
+    (examples) lists to n, calls each route at n, and adds Stirling."""
     values = {
         "series": rows(quantity, top, r, backend="series")[n],
         "dp": rows(quantity, top, r)[n],
     }
     req = dispatch.ComputationRequest(quantity, n, r)
-    if 1 <= n <= 8 and (diagram := dispatch.diagram_kind(req)):
-        values["enum"] = counts(n).count(*diagram)
-    for method, wanted in (("theorem", n <= formulas.vector_reach()), ("stirling", with_stirling)):
-        if wanted and dispatch.ROUTES[method].serves(req):
-            values[method] = dispatch.ROUTES[method].value(req)
+    listed = min(ENUM_TOP, n if per_case else top)
+    if 1 <= n <= listed and (diagram := dispatch.diagram_kind(req)):
+        values["enum"] = counts(listed)[n].count(*diagram)
+    t = min(n if per_case else top, formulas.vector_reach())
+    if n <= t and (route := dispatch.ROUTES["theorem"]).serves(req):
+        values["theorem"] = route.value(req) if n == t else rows(quantity, t, r, backend="theorem")[n]
+    if per_case and dispatch.ROUTES["stirling"].serves(req):
+        values["stirling"] = dispatch.ROUTES["stirling"].value(req)
     if quantity == "pp_r":
         values["alternating-sum"] = rows(quantity, top, r, backend="alternating-sum")[n]
     return values
@@ -151,7 +163,7 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
 
     for quantity, n, r, want in KNOWN_VALUES:
         if n <= cap:
-            values = _route_values(counts, rows, top, quantity, n, r, with_stirling=True)
+            values = _route_values(counts, rows, top, quantity, n, r, per_case=True)
             for route, got in values.items():
                 checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via {route}")
     for quantity, r, row in KNOWN_ROWS:
@@ -162,7 +174,7 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
 
     if 3 <= cap:
         res = checks["symmetric-diagrams"]
-        res.expect(counts(3).symmetric, 2, "symmetric diagrams of 3")
+        res.expect(counts(3)[3].symmetric, 2, "symmetric diagrams of 3")
 
     res = checks["p_a"]
     for parts, n, want in (((1, 2, 3), 6, 7), ((1,), 5, 1), (seq_strict(3).parts, 3, 4)):
@@ -202,25 +214,25 @@ def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> l
             series_row = rows(quantity, top, r, backend="series")
             dp_row = rows(quantity, top, r)
             for n in range(top + 1):
-                res.expect(series_row[n], dp_row[n], _label(quantity, n, r))
+                res.expect(series_row[n], dp_row[n], lambda: _label(quantity, n, r))
         out.append(res)
 
-    enum_top = min(16 if long_running else 8, top)
+    enum_top = min(ENUM_TOP_LONG if long_running else ENUM_TOP, top)
     for quantity in ("pp", "pps", "pp_r"):
         kind = FAMILIES[quantity].diagram
         res = CheckResult(f"enum-vs-series[{kind.replace('_', '-')}]")
         for n in range(1, enum_top + 1):
             for r in range(1, n + 1) if FAMILIES[quantity].takes_r else (None,):
                 res.expect(
-                    counts(n).count(kind, r=r),
+                    counts(enum_top)[n].count(kind, r=r),
                     rows(quantity, enum_top, r, backend="series")[n],
-                    _label(quantity, n, r),
+                    lambda: _label(quantity, n, r),
                 )
         out.append(res)
 
     res = CheckResult("enum[symmetric-vs-strict-odd]")
     for n in range(1, enum_top + 1):
-        res.expect(counts(n).symmetric, counts(n).strict_odd, f"n={n}")
+        res.expect(counts(enum_top)[n].symmetric, counts(enum_top)[n].strict_odd, f"n={n}")
     out.append(res)
 
     # With every multiplicity 1 each vector of A_n adds 1 to the theorem sum,
@@ -270,7 +282,7 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
             for n in range(top + 1):
                 values = _route_values(counts, rows, top, quantity, n, r)
                 for route, got in values.items():
-                    res.expect(got, values["dp"], f"{_label(quantity, n, r)} via {route}")
+                    res.expect(got, values["dp"], lambda: f"{_label(quantity, n, r)} via {route}")
         out.append(res)
 
     # The vector sum also holds below the stated ranges, which stay as data.
@@ -369,6 +381,6 @@ def run_suite(name: str, *, max_n: int | None = None, long_running: bool = False
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     # The readers go with this call, so each run lists and builds rows as a
     # fresh process would.
-    counts = functools.cache(diagrams.diagram_counts)
+    counts = functools.cache(diagrams.diagram_count_row)
     rows = _row_reader()
     return _SUITE_FUNCTIONS[name](counts, rows, max_n=max_n, long_running=long_running)

@@ -10,12 +10,11 @@ def listings(monkeypatch) -> list[int]:
     """The n of every plane-partition listing that the guard admits, in call
     order."""
     listed = []
-    original = diagrams._plane_partitions
+    original = diagrams._check_listing
 
     def spy(n):
-        rows = original(n)  # raises when the guard refuses n
+        original(n)  # raises when the guard refuses n
         listed.append(n)
-        return rows
 
-    monkeypatch.setattr(diagrams, "_plane_partitions", spy)
+    monkeypatch.setattr(diagrams, "_check_listing", spy)
     return listed

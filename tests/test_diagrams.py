@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from partcalc import diagrams
 from partcalc.diagrams import (
     KINDS,
+    DiagramCounts,
     PlanePartitionDiagram,
     count_diagrams,
+    diagram_count_row,
     diagram_counts,
     enumerate_diagrams,
 )
@@ -156,3 +158,23 @@ def test_count_argument_errors():
 
 def test_kinds_tuple():
     assert set(KINDS) == {"all", "max_rows", "strict", "symmetric", "strict_odd"}
+
+
+def test_one_walk_counts_every_n_to_its_top(listings):
+    row = diagram_count_row(12)
+    assert listings == [12]
+    assert row[0] == DiagramCounts(1, 1, 1, 1, (1,))  # the empty diagram
+    for n in range(1, 13):
+        counts = diagram_counts(n)
+        assert row[n] == counts
+        for kind in KINDS:
+            for r in range(1, n + 2) if kind == "max_rows" else (None,):
+                assert row[n].count(kind, r) == counts.count(kind, r), (n, kind, r)
+
+
+def test_count_row_guard_is_on_its_top(listings):
+    with pytest.raises(CostGuardExceeded):
+        diagram_count_row(21)
+    with pytest.raises(ValueError):
+        diagram_count_row(0)
+    assert listings == []

@@ -175,6 +175,26 @@ def test_stirling_path_for_p_and_p_a():
     assert compute(ComputationRequest("p", 0, method="stirling")) == (1, "oracle-dp")
 
 
+def test_auto_reaches_p_a_where_both_oracles_refuse(monkeypatch):
+    # Sylvester's wave for parts 1, 2, 3: p_a(n) is the integer nearest (n + 3)^2 / 12.
+    n = 10**12
+    nearest = ((n + 3) ** 2 + 6) // 12
+    assert compute(ComputationRequest("p_a", n, parts=(1, 2, 3))) == (nearest, "stirling")
+    # A request that every route refuses names each refusal.
+    with pytest.raises(CostGuardExceeded) as refused:
+        compute(ComputationRequest("p_a", n, parts=tuple(range(1, 41))))
+    for route in ("the DP oracle", "the series oracle", "congruence box"):
+        assert route in str(refused.value)
+    # The Stirling route is weighed only when both oracles refuse.
+    from partcalc import stirling
+
+    def never(a):
+        raise AssertionError("an admitted request priced the Stirling box")
+
+    monkeypatch.setattr(stirling, "check_generic_box", never)
+    assert compute(ComputationRequest("p_a", 60, parts=(1, 2, 3))) == (331, "oracle-dp")
+
+
 def _in_stated_range(method, quantity, n, r):
     """Where FAMILIES says a strict route runs: r = 1 is read as p, then pp_r
     with r >= n as pp; p has no closed form, only the Stirling route."""

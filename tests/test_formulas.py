@@ -423,3 +423,18 @@ def test_alternating_sum_edge_cases():
 @settings(max_examples=50)
 def test_mixed_backend_alternating_sum(r, n):
     assert ppr_via_multipartition_formula(n, r) == oracle_value("pp_r", n, r=r)
+
+
+def test_every_wrapper_equals_its_family_row():
+    # verify's cross-method reads the theorem off one walk per (family, r):
+    # each wrapper must equal that row wherever the family's range holds.
+    top = 40
+    for family in FAMILIES.values():
+        if family.stem is None:
+            continue
+        wrapper = getattr(formulas, f"{family.stem}_formula")
+        for r in range(2, 7) if family.takes_r else (None,):
+            row = formulas._vector_row(top, family.pattern(top, r))
+            ns = [n for n in range(top + 1) if family.holds(n, r)]
+            assert ns
+            assert [wrapper(n, r) if family.takes_r else wrapper(n) for n in ns] == [row[n] for n in ns]

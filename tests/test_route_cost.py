@@ -261,7 +261,10 @@ def test_huge_requests_are_refused_before_any_work(monkeypatch, capsys):
             assert "cost guard" in capsys.readouterr().err
     assert main(["table", "--quantity", "pp", "--from", "0", "--to", str(10**6)]) == 3
     # A part list whose parts all exceed n does no pass, but its row still
-    # has n + 1 coefficients.
-    for method in ("auto", "oracle-dp", "oracle-series"):
-        assert main(["compute", "--quantity", "p_a", "--parts", str(10**13), "--n", str(10**12),
-                     "--method", method]) == 3
+    # has n + 1 coefficients.  auto takes the Stirling sum, a box of one point.
+    argv = ["compute", "--quantity", "p_a", "--parts", str(10**13), "--n", str(10**12)]
+    for method in ("oracle-dp", "oracle-series"):
+        assert main([*argv, "--method", method]) == 3
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"p_a({10**12}; parts={10**13}) = 0  (method: stirling)\n"

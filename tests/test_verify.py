@@ -115,22 +115,21 @@ def test_oracle_consistency_lists_no_large_vector_set(monkeypatch):
 
 @pytest.mark.parametrize(
     "suite, listed",
-    [("examples", {3}), ("cross-method", set(range(1, 9))),
-     ("oracle-consistency", set(range(1, 9))), ("stirling", set())],
+    [("examples", [3]), ("cross-method", [8]), ("oracle-consistency", [8]), ("stirling", [])],
 )
 def test_a_run_lists_each_n_once(listings, suite, listed):
+    # One listing to the largest n the suite reads holds every smaller n.
     for _ in range(2):  # the second run lists afresh: no listing outlives its run
         listings.clear()
         results = verify.run_suite(suite)
         assert all(res.ok for res in results)
-        assert len(listings) == len(set(listings))
-        assert set(listings) == listed
+        assert listings == listed
 
 
 def test_long_running_lists_diagrams_to_16(listings):
     results = verify.run_suite("oracle-consistency", long_running=True)
     assert all(res.ok for res in results)
-    assert sorted(listings) == list(range(1, 17))
+    assert listings == [16]
     symmetric = next(res for res in results if res.name == "enum[symmetric-vs-strict-odd]")
     assert symmetric.cases == 16
 
