@@ -48,7 +48,6 @@ from .series import euler_product, oracle_value, restricted_partition_dp
 _ON_FIRST_USE = {
     **dict.fromkeys(
         (
-            "BlockPolynomial",
             "CongruenceBox",
             "DEFAULT_BOX_LIMIT",
             "StirlingKernel",
@@ -82,7 +81,6 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPolynomial",
     "ComputationRequest",
     "CongruenceBox",
     "CostGuardExceeded",

@@ -5,11 +5,12 @@ each row a nonempty tuple of positive integers, rows and columns weakly
 decreasing.  Enumeration is deterministic: diagrams appear in decreasing
 lexicographic order of their row-reading.
 
-One listing of the raw row tuples of n serves every kind: diagram_counts
-walks it once and counts each kind, and each r, from it.  Listing n visits
-every plane partition of weight <= n as a prefix of its rows, so
-diagram_count_row counts every n to a top from one walk.  The listing is a
-direct one; it shares no weight pattern with the oracles it checks.
+One walk counts every kind: it builds each stack of rows of weight <= top
+as a prefix of a longer one, and tallies the stacks from a lowest weight
+on, by kind and by number of rows.  diagram_counts tallies only weight n,
+and diagram_count_row every weight to its top.  enumerate_diagrams lists
+the stacks of n directly.  Both are direct; neither shares a weight
+pattern with the oracles they check.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from typing import Iterator
 from . import series
 from .formulas import CostGuardExceeded, count_to_limit
 
-# Listing n is refused with CostGuardExceeded when pp(n), the number of its
-# diagrams, is above this; read at call time.  It admits n <= 20.
-ENUMERATION_LIMIT = 10**5
+# Listing or counting to n is refused with CostGuardExceeded when the stacks
+# it visits, the plane partitions of weight 1..n, are more than this; read
+# at call time.  It admits n <= 20.
+ENUMERATION_LIMIT = 2 * 10**5
 
 KINDS = ("all", "max_rows", "strict", "symmetric", "strict_odd")
 
@@ -125,40 +127,37 @@ def _stacks(prefix: Rows, remaining: int, prev_row: tuple[int, ...] | None) -> I
         yield from _stacks(prefix + (row,), remaining - sum(row), row)
 
 
-def _pp(n: int) -> int:
-    return series.oracle_value("pp", n, backend="series")
-
-
-def _plane_partitions(n: int) -> Iterator[Rows]:
-    """Every plane partition of n as its tuple of rows, once each, in
-    deterministic order.  n and the guard are checked on the call, before
-    anything is listed."""
-    _check_listing(n)
-    return _stacks((), n, None)
+def _stacks_to(n: int) -> int:
+    """The plane partitions of weight 1..n, off one series row."""
+    return sum(series.oracle_row("pp", n, backend="series")) - 1
 
 
 def _check_listing(n: int) -> None:
-    """Refuse n < 1, or pp(n) above ENUMERATION_LIMIT, before any row is read."""
+    """Refuse n < 1, or more than ENUMERATION_LIMIT plane partitions of
+    weight 1..n (the stacks a listing or a walk to n visits), before any
+    row is read."""
     if n < 1:
         raise ValueError("plane partitions are listed for n >= 1")
-    # pp(n) <= 3^(n-1): the entries read row by row are a composition of n
+    # pp(k) <= 3^(k-1): the entries read row by row are a composition of k
     # into L parts, the row ends a subset of its L - 1 gaps, and
-    # sum_L C(n-1, L-1) 2^(L-1) = 3^(n-1).  Below that bound no row is read.
-    if n > 64 or 3 ** (n - 1) > ENUMERATION_LIMIT:
-        count = count_to_limit(_pp, n, ENUMERATION_LIMIT)[1]
+    # sum_L C(k-1, L-1) 2^(L-1) = 3^(k-1).  So the stacks to n are at most
+    # (3^n - 1)/2, and below that bound no row is read.
+    if n > 64 or (3**n - 1) // 2 > ENUMERATION_LIMIT:
+        count = count_to_limit(_stacks_to, n, ENUMERATION_LIMIT)[1]
         if count > ENUMERATION_LIMIT:
             raise CostGuardExceeded(
-                f"n = {n} has at least {count} plane partitions, above the "
-                f"enumeration limit ({ENUMERATION_LIMIT})"
+                f"n = {n} has at least {count} plane partitions of weight 1..n,"
+                f" above the enumeration limit ({ENUMERATION_LIMIT})"
             )
 
 
 def enumerate_diagrams(n: int) -> tuple[PlanePartitionDiagram, ...]:
     """All plane partitions of n, each exactly once, in deterministic order.
 
-    Raises CostGuardExceeded when pp(n) is above ENUMERATION_LIMIT.
+    Raises CostGuardExceeded as _check_listing(n) does.
     """
-    return tuple(PlanePartitionDiagram(rows) for rows in _plane_partitions(n))
+    _check_listing(n)
+    return tuple(PlanePartitionDiagram(rows) for rows in _stacks((), n, None))
 
 
 def _check_kind(kind: str, r: int | None) -> None:
@@ -187,45 +186,44 @@ class DiagramCounts:
 
 
 def diagram_counts(n: int) -> DiagramCounts:
-    """Every kind's count of the plane partitions of n, from one listing of
-    their raw rows; no diagram object is built."""
-    listing = _plane_partitions(n)  # the guard runs here, before any allocation
-    strict = symmetric = strict_odd = 0
-    by_rows = [0] * (n + 1)
-    for rows in listing:
-        by_rows[len(rows)] += 1
-        if _is_strict(rows):
-            strict += 1
-            strict_odd += _is_odd(rows)
-        symmetric += _is_symmetric(rows)
-    max_rows = tuple(accumulate(by_rows))
-    return DiagramCounts(max_rows[-1], strict, symmetric, strict_odd, max_rows)
+    """Every kind's count of the plane partitions of n, from one walk that
+    tallies only the stacks of weight n; no diagram object is built."""
+    return _count_walk(n, n)[0]
 
 
 def diagram_count_row(top: int) -> list[DiagramCounts]:
     """diagram_counts(n) for n = 0..top, the empty diagram at n = 0, from one
-    walk that tallies each stack of rows at its own weight; the guard is on top."""
+    walk that tallies each stack of rows at its own weight."""
+    return [DiagramCounts(1, 1, 1, 1, (1,))] + _count_walk(top, 1)
+
+
+def _count_walk(top: int, low: int) -> list[DiagramCounts]:
+    """The counts at n = low..top, 1 <= low <= top, from one walk to top
+    behind the guard on top."""
     _check_listing(top)
     # tallies[n]: strict, symmetric and strict_odd, then the count by rows 0..n.
-    tallies = [[1, 1, 1, 1]] + [[0] * (n + 4) for n in range(1, top + 1)]
-    _tally((), 0, None, True, tallies)
-    return [DiagramCounts(sum(t[3:]), *t[:3], tuple(accumulate(t[3:]))) for t in tallies]
+    tallies = [[0] * (n + 4) for n in range(top + 1)]
+    _tally((), 0, None, True, tallies, low)
+    return [DiagramCounts(sum(t[3:]), *t[:3], tuple(accumulate(t[3:]))) for t in tallies[low:]]
 
 
-def _tally(prefix: Rows, weight: int, prev_row, strict: bool, tallies) -> None:
+def _tally(prefix: Rows, weight: int, prev_row, strict: bool, tallies, low: int) -> None:
     """Tally every stack that extends prefix (of weight, its rows strict when
-    strict) by rows under prev_row, at its weight up to len(tallies) - 1.  A
-    module function rather than a closure, which would be a reference cycle."""
-    for row in _dominated_rows(prev_row, len(tallies) - 1 - weight):
+    strict) by rows under prev_row, at its weight from low up to
+    len(tallies) - 1.  A module function rather than a closure, which would
+    be a reference cycle."""
+    top = len(tallies) - 1
+    for row in _dominated_rows(prev_row, top - weight):
         rows, w = prefix + (row,), weight + sum(row)
         strict_rows = strict and len(set(row)) == len(row)
-        tally = tallies[w]
-        tally[0] += strict_rows
-        tally[1] += _is_symmetric(rows)
-        tally[2] += strict_rows and _is_odd(rows)
-        tally[3 + len(rows)] += 1
-        if w < len(tallies) - 1:
-            _tally(rows, w, row, strict_rows, tallies)
+        if w >= low:
+            tally = tallies[w]
+            tally[0] += strict_rows
+            tally[1] += _is_symmetric(rows)
+            tally[2] += strict_rows and _is_odd(rows)
+            tally[3 + len(rows)] += 1
+        if w < top:
+            _tally(rows, w, row, strict_rows, tallies, low)
 
 
 def count_diagrams(n: int, kind: str = "all", *, r: int | None = None) -> int:

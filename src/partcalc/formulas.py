@@ -285,8 +285,7 @@ def _theorem_sum(quantity: str, n: int, r: int | None = None) -> int:
     pattern is built."""
     family = stated_family(quantity, "formula", n, r)
     _check_reach(n)
-    hist, tail = _vector_histogram(n, family.pattern(n, r))
-    return sum(map(mul, hist, reversed(tail)))
+    return _vector_sum(n, family.pattern(n, r))
 
 
 def pp_formula(n: int) -> int:

@@ -103,57 +103,6 @@ class StirlingKernel:
         return Fraction(scaled, self.modulus ** (self.length - 1))
 
 
-@dataclass(frozen=True)
-class BlockPolynomial:
-    """(1 + z + ... + z^alpha)^copies with alpha = modulus/copies - 1.
-
-    Coefficients can be read off two ways — direct expansion and the
-    inclusion-exclusion closed form — and the two must agree.  The polynomial
-    is reciprocal: coefficient(k) == coefficient(degree - k).  The regrouped
-    sums weight coordinate s by the coefficients of BlockPolynomial(m_s,
-    m_s * D / s).
-    """
-
-    copies: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if self.modulus % self.copies:
-            raise ValueError("copies must divide modulus")
-
-    @property
-    def alpha(self) -> int:
-        return self.modulus // self.copies - 1
-
-    @property
-    def degree(self) -> int:
-        return self.copies * self.alpha
-
-    def coefficients(self) -> tuple[int, ...]:
-        out = [1]
-        for _ in range(self.copies):
-            grown = [0] * (len(out) + self.alpha)
-            for i, c in enumerate(out):
-                for j in range(self.alpha + 1):
-                    grown[i + j] += c
-            out = grown
-        return tuple(out)
-
-    def coefficient_direct(self, k: int) -> int:
-        if k < 0 or k > self.degree:
-            return 0
-        return self.coefficients()[k]
-
-    def coefficient_closed(self, k: int) -> int:
-        if k < 0:
-            return 0
-        return bounded_composition_count(k, self.copies, self.alpha)
-
-
 def box_weight_histogram(
     box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None
 ) -> dict[int, int]:

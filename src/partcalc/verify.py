@@ -37,8 +37,6 @@ from .sequences import (
     seq_strict,
 )
 
-SUITES = ("examples", "cross-method", "oracle-consistency", "stirling")
-
 ENUM_TOP, ENUM_TOP_LONG = 8, 16  # the largest n enumeration is read at, and with long_running
 
 MAX_FAILURES_KEPT = 5
@@ -126,6 +124,20 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> 
     return values
 
 
+def _block_row(copies, alpha) -> tuple[int, ...]:
+    """The coefficients of the block polynomial (1 + z + ... + z^alpha)^copies
+    as the Stirling sums' tables read them, by formulas.bounded_composition_count."""
+    return tuple(formulas.bounded_composition_count(k, copies, alpha) for k in range(copies * alpha + 1))
+
+
+def _convolved(copies, alpha) -> tuple[int, ...]:
+    """The same coefficients by direct convolution, the reference for _block_row."""
+    out = [1]
+    for _ in range(copies):
+        out = [sum(out[max(k - alpha, 0) : k + 1]) for k in range(len(out) + alpha)]
+    return tuple(out)
+
+
 # --- examples ---------------------------------------------------------------
 
 # (quantity, n, r, value), checked through every route that serves the case.
@@ -190,13 +202,10 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
             res.expect(formulas.multiplicity_vectors(n), want, f"vectors for n={n}")
 
     res = checks["block-coefficients"]
-    poly = stirling.BlockPolynomial(2, 6)
-    res.expect(poly.coefficients(), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
-    poly = stirling.BlockPolynomial(3, 6)
-    res.expect(poly.coefficients(), (1, 3, 3, 1), "block (1+z)^3")
-    poly = stirling.BlockPolynomial(2, 12)
-    res.expect(poly.coefficient_closed(3), 4, "copies=2 modulus=12 coefficient 3")
-    res.expect(poly.coefficient_closed(5), 6, "copies=2 modulus=12 coefficient 5")
+    res.expect(_block_row(2, 2), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
+    res.expect(_block_row(3, 1), (1, 3, 3, 1), "block (1+z)^3")
+    res.expect(formulas.bounded_composition_count(3, 2, 5), 4, "copies=2 modulus=12 coefficient 3")
+    res.expect(formulas.bounded_composition_count(5, 2, 5), 6, "copies=2 modulus=12 coefficient 5")
 
     return list(checks.values())
 
@@ -295,6 +304,9 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
                     res.expect(got, rows(quantity, top, r)[n], _label(quantity, n, r))
     out.append(res)
 
+    # The block polynomial (1 + z + ... + z^alpha)^copies, alpha = modulus/copies - 1,
+    # weights a Stirling sum's coordinate; bounded_composition_count gives its
+    # coefficients, checked against a direct convolution.
     direct = CheckResult("block-poly[direct-vs-closed]")
     reciprocity = CheckResult("block-poly[reciprocity]")
     mass = CheckResult("block-poly[mass]")
@@ -302,14 +314,15 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
         for copies in range(1, 7):
             if modulus % copies:
                 continue
-            poly = stirling.BlockPolynomial(copies, modulus)
-            coeffs = poly.coefficients()
+            alpha = modulus // copies - 1
+            degree = copies * alpha
+            coeffs, reference = _block_row(copies, alpha), _convolved(copies, alpha)
             label = f"copies={copies} modulus={modulus}"
-            for k in range(poly.degree + 1):
-                at = f"{label} k={k}"
-                direct.expect(poly.coefficient_closed(k), coeffs[k], at)
-                reciprocity.expect(coeffs[k], coeffs[poly.degree - k], at)
-            direct.expect(poly.coefficient_closed(poly.degree + 1), 0, f"{label} beyond degree")
+            for k in range(degree + 1):
+                direct.expect(coeffs[k], reference[k], lambda: f"{label} k={k}")
+                reciprocity.expect(coeffs[k], coeffs[degree - k], lambda: f"{label} k={k}")
+            beyond = formulas.bounded_composition_count(degree + 1, copies, alpha)
+            direct.expect(beyond, 0, f"{label} beyond degree")
             mass.expect(sum(coeffs), (modulus // copies) ** copies, label)
     out += [direct, reciprocity, mass]
 
@@ -368,10 +381,11 @@ def _suite_stirling(counts, rows, max_n=None, long_running=False) -> list[CheckR
 
 _SUITE_FUNCTIONS = {
     "examples": _suite_examples,
-    "oracle-consistency": _suite_oracle_consistency,
     "cross-method": _suite_cross_method,
+    "oracle-consistency": _suite_oracle_consistency,
     "stirling": _suite_stirling,
 }
+SUITES = tuple(_SUITE_FUNCTIONS)
 
 
 def run_suite(name: str, *, max_n: int | None = None, long_running: bool = False) -> list[CheckResult]:

@@ -12,6 +12,7 @@ import time
 from partcalc.diagrams import count_diagrams
 from partcalc.dispatch import ComputationRequest, compute
 from partcalc.formulas import (
+    bounded_composition_count,
     multipartition_formula,
     multiplicity_vectors,
     pp_formula,
@@ -28,7 +29,6 @@ from partcalc.sequences import (
 )
 from partcalc.series import euler_product, oracle_value, restricted_partition_dp
 from partcalc.stirling import (
-    BlockPolynomial,
     multipartition_stirling,
     pp_stirling,
     ppr_stirling,
@@ -285,21 +285,24 @@ def test_criterion_6_block_polynomial_properties():
         for copies in range(1, 7):
             if modulus % copies:
                 continue  # the block construction needs copies | modulus
-            b = BlockPolynomial(copies, modulus)
-            coeffs = b.coefficients()
+            alpha = modulus // copies - 1
+            degree = copies * alpha
+            coeffs = [bounded_composition_count(k, copies, alpha) for k in range(-1, degree + 2)]
             _expect(
                 failures,
                 coeffs,
                 coeffs[::-1],
                 f"reciprocity, s={copies}, D={modulus}",
             )
-            for k in range(-1, b.degree + 2):
-                _expect(
-                    failures,
-                    b.coefficient_closed(k),
-                    b.coefficient_direct(k),
-                    f"closed form, s={copies}, D={modulus}, k={k}",
-                )
+            direct = [1]  # (1 + z + ... + z^alpha)^copies by direct convolution
+            for _ in range(copies):
+                direct = [sum(direct[max(k - alpha, 0) : k + 1]) for k in range(len(direct) + alpha)]
+            _expect(
+                failures,
+                coeffs,
+                [0, *direct, 0],
+                f"closed form, s={copies}, D={modulus}, k=-1..{degree + 1}",
+            )
             _expect(
                 failures,
                 sum(coeffs),

@@ -124,4 +124,4 @@ print(len(cached))
 """
     done = _python("-c", check)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 16  # the stirling and diagrams names
+    assert int(done.stdout) == 15  # the stirling and diagrams names

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,18 +75,22 @@ def test_enumeration_order_n3():
 def test_enumeration_bounds(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_diagrams(0)
-    # Below 3^(n-1), a bound of pp(n), the guard reads no series row.
-    assert all(oracle_value("pp", n) <= 3 ** (n - 1) for n in range(1, 30))
-    # pp(21) = 118,794: the guard compares the limit with the diagram count.
-    monkeypatch.setattr(diagrams, "ENUMERATION_LIMIT", 118_794)
+    # Below (3^n - 1)/2, a bound of the stacks to n, the guard reads no series row.
+    stacks = list(accumulate(oracle_value("pp", n) for n in range(1, 30)))
+    assert all(count <= (3**n - 1) // 2 for n, count in enumerate(stacks, start=1))
+    # The walk to 21 visits the 317,626 plane partitions of weight 1..21:
+    # the guard compares the limit with that count, not with pp(21) = 118,794.
+    assert stacks[20] == 317_626
+    monkeypatch.setattr(diagrams, "ENUMERATION_LIMIT", 317_626)
     assert count_diagrams(21) == 118_794
-    monkeypatch.setattr(diagrams, "ENUMERATION_LIMIT", 118_793)
+    monkeypatch.setattr(diagrams, "ENUMERATION_LIMIT", 317_625)
     with pytest.raises(CostGuardExceeded):
         count_diagrams(21)
 
 
 def test_enumeration_cap_is_a_cost_guard_refusal(capsys, listings):
-    assert oracle_value("pp", 20) == 75_278 <= diagrams.ENUMERATION_LIMIT
+    # n = 20 visits 198,832 stacks, within the limit; n = 21 visits 317,626.
+    assert sum(oracle_value("pp", n) for n in range(1, 21)) == 198_832 <= diagrams.ENUMERATION_LIMIT
     # n = 10^12 is refused before anything the size of n is allocated.
     for n in (21, 10**12):
         with pytest.raises(CostGuardExceeded):
@@ -123,6 +129,27 @@ def test_one_listing_counts_every_kind(listings):
         for kind in KINDS:
             counts.count(kind, r=n)
     assert listings == list(range(1, 9))
+
+
+def test_walk_counts_equal_the_listing_through_the_predicates():
+    # The walk and the listing visit the same stacks by different code; the
+    # listing's diagrams are counted by the PlanePartitionDiagram predicates.
+    for n in range(1, 11):
+        listed = enumerate_diagrams(n)
+        want = {
+            "all": len(listed),
+            "strict": sum(d.is_strict() for d in listed),
+            "symmetric": sum(d.is_symmetric() for d in listed),
+            "strict_odd": sum(d.is_strict() and d.has_odd_entries() for d in listed),
+        }
+        counts = diagram_counts(n)
+        for kind in KINDS:
+            for r in range(1, n + 2) if kind == "max_rows" else (None,):
+                got = counts.count(kind, r)
+                if kind == "max_rows":
+                    assert got == sum(d.row_count <= r for d in listed), (n, r)
+                else:
+                    assert got == want[kind], (n, kind)
 
 
 def test_max_rows_r1_is_ordinary_partitions():

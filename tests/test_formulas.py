@@ -29,7 +29,6 @@ from partcalc.formulas import (
 )
 from partcalc.sequences import FAMILIES, Family
 from partcalc.series import oracle_row, oracle_value
-from partcalc.stirling import BlockPolynomial
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
 A4 = ((4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1))
@@ -274,15 +273,18 @@ def test_bounded_composition_count_brute_force(copies, limit, total):
     assert bounded_composition_count(total, copies, limit) == want
 
 
+def _block_convolved(copies, alpha):
+    """(1 + z + ... + z^alpha)^copies by direct convolution."""
+    out = [1]
+    for _ in range(copies):
+        out = [sum(out[max(k - alpha, 0) : k + 1]) for k in range(len(out) + alpha)]
+    return out
+
+
 def test_block_polynomial_basics():
-    b = BlockPolynomial(2, 6)  # (1 + z + z^2)^2
-    assert b.alpha == 2
-    assert b.degree == 4
-    assert b.coefficients() == (1, 2, 3, 2, 1)
-    with pytest.raises(ValueError):
-        BlockPolynomial(4, 6)  # copies must divide modulus
-    with pytest.raises(ValueError):
-        BlockPolynomial(0, 6)
+    # (1 + z + z^2)^2, the block of 2 copies of part s with D/s = 3.
+    assert [bounded_composition_count(k, 2, 2) for k in range(-1, 6)] == [0, 1, 2, 3, 2, 1, 0]
+    assert _block_convolved(2, 2) == [1, 2, 3, 2, 1]
 
 
 @given(st.integers(1, 6), st.sampled_from([6, 12, 24, 60]))
@@ -290,13 +292,14 @@ def test_block_polynomial_basics():
 def test_block_polynomial_routes_and_reciprocity(copies, modulus):
     if modulus % copies:
         modulus = copies * (modulus // copies or 1)
-    b = BlockPolynomial(copies, modulus)
-    coeffs = b.coefficients()
-    assert len(coeffs) == b.degree + 1
-    for k in range(-1, b.degree + 2):
-        assert b.coefficient_direct(k) == b.coefficient_closed(k)
+    alpha = modulus // copies - 1
+    degree = copies * alpha
+    coeffs = [bounded_composition_count(k, copies, alpha) for k in range(degree + 1)]
+    assert coeffs == _block_convolved(copies, alpha)
+    assert bounded_composition_count(-1, copies, alpha) == 0
+    assert bounded_composition_count(degree + 1, copies, alpha) == 0
     assert coeffs == coeffs[::-1]
-    assert sum(coeffs) == (b.modulus // b.copies) ** b.copies
+    assert sum(coeffs) == (modulus // copies) ** copies
 
 
 def test_formula_hypothesis_gates():
