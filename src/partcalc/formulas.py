@@ -29,7 +29,7 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from .combinat import binomial
-from .sequences import FAMILIES, Family
+from .sequences import FAMILIES, Family, quantity_weights
 from .series import CostGuardExceeded, oracle_row, restricted_partition_row
 
 # Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
@@ -165,51 +165,51 @@ def _check_reach(n: int) -> None:
         )
 
 
-def _vector_sum(n: int, pattern: list[int]) -> int:
-    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = pattern[s-1]:
+def _vector_sum(n: int, weights: Sequence[int]) -> int:
+    """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = weights[s-1]:
     the histogram walk to n, read at n, behind the walk's guard."""
     _check_reach(n)
-    hist, tail = _vector_histogram(n, pattern)
+    hist, tail = _vector_histogram(n, weights)
     return sum(map(mul, hist, reversed(tail)))
 
 
-def _vector_row(top: int, pattern: list[int]) -> list[int]:
-    """_vector_sum(n, pattern[:n]) for n = 0..top, from one walk behind the
+def _vector_row(top: int, weights: Sequence[int]) -> list[int]:
+    """_vector_sum(n, weights[:n]) for n = 0..top, from one walk behind the
     walk's guard: entry n is sum_w hist[w] * tail[n - w]."""
     _check_reach(top)
-    hist, tail = _vector_histogram(top, pattern)
+    hist, tail = _vector_histogram(top, weights)
     return [sum(map(mul, hist[: n + 1], tail[n::-1])) for n in range(top + 1)]
 
 
-def _vector_histogram(top: int, pattern: list[int]) -> tuple[list[int], list[int]]:
+def _vector_histogram(top: int, weights: Sequence[int]) -> tuple[list[int], list[int]]:
     """(hist, tail) of the theorem sums to top.  hist[w] sums
     prod_{s>=3} C(l_s + m_s - 1, l_s) over the partial vectors (l_3..l_top)
-    of weight sum s*l_s = w, and tail is _tail_table(top, pattern), which
+    of weight sum s*l_s = w, and tail is _tail_table(top, weights), which
     closes parts 1 and 2 for every remainder.  Its entry points check the
     walk's guard, _check_reach(top), first.
 
     The walk covers (l_4..l_top).  Every partial vector of weight w takes
     the same choices of l_3, so part 3 is folded in once per weight
     afterwards: the walk's mass at w adds C(l + m_3 - 1, l) times itself to
-    hist[w + 3l] for each l >= 1.  The weights go from the top down, so
+    hist[w + 3l] for each l >= 1.  The weights w go from the top down, so
     every mass is still the walk's when it is read.
     """
     hist = [0] * (top + 1)
     if top < 4:
         hist[0] = 1
     else:
-        _fill_histogram(top, 0, 1, pattern, hist)
+        _fill_histogram(top, 0, 1, weights, hist)
     if top >= 3:
-        threes = _factor_row(pattern[2], top // 3)
+        threes = _factor_row(weights[2], top // 3)
         for w in range(top - 3, -1, -1):
             mass = hist[w]
             if mass:
                 for l in range(1, (top - w) // 3 + 1):
                     hist[w + 3 * l] += threes[l] * mass
-    return hist, _tail_table(top, pattern)
+    return hist, _tail_table(top, weights)
 
 
-def _tail_table(n: int, pattern: list[int]) -> list[int]:
+def _tail_table(n: int, weights: Sequence[int]) -> list[int]:
     """T[R] for R = 0..n: the sum over (l_1, l_2) with l_1 + 2 l_2 = R of
     C(l_1 + m_1 - 1, l_1) * C(l_2 + m_2 - 1, l_2), the theorem's factors of
     parts 1 and 2, where C(l + m - 1, l) is 1 at l = 0 whatever m is.
@@ -219,8 +219,8 @@ def _tail_table(n: int, pattern: list[int]) -> list[int]:
     factor, and each l_2 >= 1 adds its factor times that row shifted by
     2 l_2, carried from l - 1 as in _factor_row.
     """
-    m1 = pattern[0] if n > 0 else 1
-    m2 = pattern[1] if n > 1 else 0
+    m1 = weights[0] if n > 0 else 1
+    m2 = weights[1] if n > 1 else 0
     if m1 == 1:
         return [math.comb(R // 2 + m2, m2) for R in range(n + 1)]
     ones = _factor_row(m1, n)
@@ -244,7 +244,7 @@ def _factor_row(m: int, most: int) -> list[int]:
     return row
 
 
-def _fill_histogram(s: int, weight: int, coeff: int, pattern: list[int], hist: list[int]) -> None:
+def _fill_histogram(s: int, weight: int, coeff: int, weights: Sequence[int], hist: list[int]) -> None:
     """Add coeff * prod_{4<=t<=s} C(l_t + m_t - 1, l_t) to hist[weight +
     sum t*l_t] for every (l_4..l_s) that keeps that index in hist; callers
     keep 4 <= s <= len(hist) - 1 - weight.
@@ -257,13 +257,13 @@ def _fill_histogram(s: int, weight: int, coeff: int, pattern: list[int], hist: l
     than a closure: a closure that calls itself is a reference cycle.
     """
     top = len(hist) - 1
-    m = pattern[s - 1]
+    m = weights[s - 1]
     below = s - 1
     if below < 4:
         hist[weight] += coeff
     else:
         room = top - weight
-        _fill_histogram(below if below < room else room, weight, coeff, pattern, hist)
+        _fill_histogram(below if below < room else room, weight, coeff, weights, hist)
     c = 1
     l = 0
     w = weight + s
@@ -276,16 +276,16 @@ def _fill_histogram(s: int, weight: int, coeff: int, pattern: list[int], hist: l
         if below < 4 or room < 4:
             hist[w] += coeff * c
         else:
-            _fill_histogram(below if below < room else room, w, coeff * c, pattern, hist)
+            _fill_histogram(below if below < room else room, w, coeff * c, weights, hist)
         w += s
 
 
 def _theorem_sum(quantity: str, n: int, r: int | None = None) -> int:
     """The family's vector sum at (n, r), in range and reach before its
     pattern is built."""
-    family = stated_family(quantity, "formula", n, r)
+    stated_family(quantity, "formula", n, r)
     _check_reach(n)
-    return _vector_sum(n, family.pattern(n, r))
+    return _vector_sum(n, quantity_weights(quantity, n, r, None).weights)
 
 
 def pp_formula(n: int) -> int:
@@ -382,7 +382,9 @@ def _multipartition_reader(top: int, r: int, dp_row: Callable[[], Sequence[int]]
     def pr(k: int) -> int:
         theorem = k <= reach and family.holds(k, r)
         if theorem not in rows:
-            rows[theorem] = _vector_row(reach, family.pattern(reach, r)) if theorem else dp_row()
+            rows[theorem] = (
+                _vector_row(reach, quantity_weights("P_r", reach, r, None).weights) if theorem else dp_row()
+            )
         return rows[theorem][k]
 
     return pr

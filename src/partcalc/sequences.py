@@ -5,15 +5,22 @@ FAMILIES states that multiplicity pattern once per family, with the range in
 which the paper states its theorem and Stirling sums and the diagram kind
 that enumerates the family.
 
+pattern(quantity, bound, r, parts) is the one place that turns a quantity
+into its multiplicities: increasing (part, multiplicity) pairs, every
+multiplicity at least 1, for the family's parts 1..bound or the runs of the
+sorted parts of p_a.  Every route reads them: the DP and both Stirling setups
+the pairs, the series and the theorem walk their dense view, the
+WeightFunction of quantity_weights.
+
 The ppso pattern (1 for odd k, k/2 for even k) is the odd-part/half-even
 weighted count, not the generating function of symmetric plane partitions.
 Those are counted by spp_multiplicity: 1 for odd k and floor(j/2) for k = 2j,
 the Gordon / Bender-Knuth product (OEIS A005987).  spp has a zero at k = 2,
-which WeightFunction keeps and WeightFunction.expand drops.  spp is not yet a
+which its pairs drop and its dense view keeps as a 0.  spp is not yet a
 quantity, so it has no FAMILIES entry.
 
 A WeightSequence is the expanded part list (multiplicities explicit); a
-WeightFunction is the compressed part -> multiplicity view on 1..bound.
+WeightFunction is the dense part -> multiplicity view on 1..bound.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
+from itertools import groupby
 
 
 class Value:
@@ -76,10 +84,6 @@ class Family(Value):
     @property
     def stated_range(self) -> str:
         return f"n >= {self.min_n}" + (" and 2 <= r < n" if self.takes_r else "")
-
-    def pattern(self, bound: int, r: int | None = None) -> list[int]:
-        """Multiplicities of the parts 1..bound."""
-        return [self.multiplicity(k, r) for k in range(1, bound + 1)]
 
 
 FAMILIES = {
@@ -139,7 +143,7 @@ class WeightFunction(Value):
             raise ValueError("WeightFunction requires bound >= 1")
         if len(weights) != bound:
             raise ValueError("need one weight per part in 1..bound")
-        if any(w < 0 for w in weights):
+        if min(weights) < 0:
             raise ValueError("weights must be nonnegative")
         self.bound = bound
         self.weights = weights
@@ -195,18 +199,45 @@ def seq_multipartition(n: int, r: int) -> WeightSequence:
     return quantity_sequence("P_r", n, r)
 
 
-# An oracle's guard and the oracle itself read one listing of the pattern.
-@functools.lru_cache(maxsize=16)
-def quantity_weights(quantity: str, bound: int, r: int | None = None) -> WeightFunction:
-    if bound < 1:
-        raise ValueError("quantity_weights requires bound >= 1")
+# A request's guard and its routes read one listing of its pattern; callers
+# pass all four arguments, so that they share one cache key.  It holds what
+# two caches of 16 held before, the families' patterns and the runs of p_a.
+@functools.lru_cache(maxsize=32)
+def pattern(
+    quantity: str, bound: int, r: int | None = None, parts: tuple[int, ...] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """(part, multiplicity) pairs of quantity, increasing in part, each
+    multiplicity at least 1: the family's parts 1..bound, or for p_a the runs
+    of the sorted parts, all of them whatever bound is."""
+    if quantity == "p_a":
+        if not parts or min(parts) < 1:
+            raise ValueError("quantity 'p_a' requires positive parts")
+        return tuple([(k, len(list(copies))) for k, copies in groupby(sorted(parts))])
     family = FAMILIES.get(quantity)
     if family is None:
         raise ValueError(f"no multiplicity pattern for quantity {quantity!r}")
     if family.takes_r and r is None:
         raise ValueError(f"quantity {quantity!r} requires r")
-    return WeightFunction(bound, tuple(family.pattern(bound, r)))
+    multiplicity = family.multiplicity
+    return tuple([(k, m) for k in range(1, bound + 1) if (m := multiplicity(k, r))])
+
+
+# The series and the theorem walk index one dense view per (quantity, bound).
+@functools.lru_cache(maxsize=32)
+def quantity_weights(
+    quantity: str, bound: int, r: int | None = None, parts: tuple[int, ...] | None = None
+) -> WeightFunction:
+    """pattern(quantity, bound, r, parts) on the parts 1..bound, 0 where a
+    part is missing."""
+    if bound < 1:
+        raise ValueError("quantity_weights requires bound >= 1")
+    pairs = pattern(quantity, bound, r, parts)
+    weights = [0] * bound
+    for k, m in pairs:
+        if k <= bound:
+            weights[k - 1] = m
+    return WeightFunction(bound, tuple(weights))
 
 
 def quantity_sequence(quantity: str, n: int, r: int | None = None) -> WeightSequence:
-    return quantity_weights(quantity, n, r).expand()
+    return quantity_weights(quantity, n, r, None).expand()

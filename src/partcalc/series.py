@@ -3,7 +3,8 @@
 Both routes count the same thing — the coefficient of z^n in
 prod_k (1 - z^k)^(-w(k)) equals the number of solutions of sum a_i x_i = n
 where part k appears w(k) times — by different algorithms, and the test
-suite holds them equal.  Both read part k with its multiplicity w(k) and
+suite holds them equal.  Both read part k with its multiplicity w(k) from
+sequences.pattern, the DP its pairs and the series their dense view, and
 never list the w(k) copies.  The series route (euler_product) fills the
 whole row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in
 O(N^2) exact steps; the DP route multiplies the row by
@@ -19,19 +20,12 @@ coefficient of z^n.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Sequence
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from math import exp, expm1, log, log1p, log2, sqrt
 from operator import add, itemgetter, mul
 
-from .sequences import (
-    QUANTITIES,
-    R_QUANTITIES,
-    WeightFunction,
-    WeightSequence,
-    quantity_weights,
-)
+from .sequences import WeightFunction, WeightSequence, pattern, quantity_weights
 
 # Most big-integer multiply-adds an oracle may take on one request or one
 # table row, by its estimate (dp_work, series_work); read at call time.
@@ -239,19 +233,12 @@ def _entry_bits(pairs: list[tuple[int, int]], top: int) -> float:
     return log_bound / _LN2
 
 
-# A p_a request's estimates and its oracle read one grouping of its parts.
-@functools.lru_cache(maxsize=16)
-def _part_pairs(parts: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(part, multiplicity) of each distinct part, in increasing order."""
-    return tuple((k, len(list(copies))) for k, copies in groupby(sorted(parts)))
-
-
 def restricted_partition_dp(a: WeightSequence, n: int) -> int:
     """Number of solutions of sum a_i x_i = n with x_i >= 0 (coin-counting DP
     over the distinct parts of a, each with its multiplicity)."""
     if n < 0:
         return 0
-    return restricted_partition_row(_part_pairs(a.parts), n)[n]
+    return restricted_partition_row(pattern("p_a", n, None, a.parts), n)[n]
 
 
 def dp_work(pairs: Iterable[tuple[int, int]], top: int) -> int:
@@ -285,16 +272,6 @@ def series_work(parts: Iterable[int], top: int) -> int:
     return pairs + ROW_COST * top
 
 
-def _pairs(
-    quantity: str, top: int, r: int | None, parts: tuple[int, ...] | None
-) -> Iterable[tuple[int, int]]:
-    """The (part, multiplicity) pairs the DP reads to top: those of parts for
-    p_a, else the family's pattern on 1..top."""
-    if quantity == "p_a":
-        return _part_pairs(tuple(parts))
-    return enumerate(quantity_weights(quantity, top, r).weights, start=1) if top else ()
-
-
 def oracle_cost(
     backend: str,
     quantity: str,
@@ -315,7 +292,7 @@ def oracle_cost(
     """
     if quantity == "p_a":
         if backend == "dp":
-            work = dp_work(_pairs(quantity, n, r, parts), n)
+            work = dp_work(pattern(quantity, n, r, parts), n)
         elif ROW_COST * n > ORACLE_WORK_LIMIT:
             work = ROW_COST * n
         else:
@@ -323,7 +300,7 @@ def oracle_cost(
     else:
         work = series_work((1,), n)
         if backend == "dp" and work <= ORACLE_WORK_LIMIT:
-            work = dp_work(_pairs(quantity, n, r, parts), n)
+            work = dp_work(pattern(quantity, n, r, parts), n)
     if work > ORACLE_WORK_LIMIT:
         name = "DP" if backend == "dp" else "series"
         return work, (
@@ -333,40 +310,29 @@ def oracle_cost(
     return work, None
 
 
-def _pa_weight_function(parts: tuple[int, ...], bound: int) -> WeightFunction:
-    weights = [0] * bound
-    for p in parts:
-        if p <= bound:
-            weights[p - 1] += 1
-    return WeightFunction(bound, tuple(weights))
-
-
 def _admit(
     backend: str, quantity: str, n: int, r: int | None, parts: tuple[int, ...] | None
 ) -> None:
-    """Validate an oracle request and raise CostGuardExceeded when
-    oracle_cost refuses it; a request within the limit by a ceiling of both
-    estimates is admitted without pricing its passes."""
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}")
+    """Raise CostGuardExceeded when oracle_cost refuses an oracle request;
+    a request within the limit by a ceiling of both estimates is admitted
+    without pricing its passes.  Reading the pattern validates the
+    quantity, r and parts, at bound 0 where the row alone is too long."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if backend not in ("dp", "series"):
         raise ValueError(f"unknown backend {backend!r}")
-    if quantity in R_QUANTITIES and r is None:
-        raise ValueError(f"quantity {quantity!r} requires r")
-    if quantity == "p_a" and (not parts or min(parts) < 1):
-        raise ValueError("quantity 'p_a' requires positive parts")
     # Either estimate is at most this sum for L copies of parts in all: n(n+1)/2
     # pairs and ROW_COST a coefficient for the series; for the DP, a cell an
     # entry, ROW_COST a part and at most m units a cell for a part of
-    # multiplicity m, the price of its stride passes.  A family's pattern is
-    # read only once its series row is within the limit.
+    # multiplicity m, the price of its stride passes.  The pattern is read
+    # only once the row alone is within the limit.
     row = n * (n + 1) // 2 + (ROW_COST + 1) * n
     if row <= ORACLE_WORK_LIMIT:
-        copies = len(parts) if quantity == "p_a" else sum(quantity_weights(quantity, n, r).weights) if n else 0
+        copies = sum(m for _, m in pattern(quantity, n, r, parts))
         if row + (ROW_COST + n) * copies <= ORACLE_WORK_LIMIT:
             return
+    else:
+        pattern(quantity, 0, r, parts)
     refusal = oracle_cost(backend, quantity, n, r=r, parts=parts)[1]
     if refusal:
         raise CostGuardExceeded(refusal)
@@ -397,14 +363,12 @@ def oracle_row(
     parts: tuple[int, ...] | None = None,
     backend: str = "dp",
 ) -> Sequence[int]:
-    """Counts at n = 0..top from one oracle row: the series of euler_product,
-    or one restricted_partition_row over the (part, multiplicity) pairs of
-    the family's pattern or of parts.  The guard is checked once, at top."""
+    """Counts at n = 0..top from one oracle row: one
+    restricted_partition_row over the quantity's pattern, or euler_product
+    over its dense view.  The guard is checked once, at top."""
     _admit(backend, quantity, top, r, parts)
     if top == 0:
         return (1,)
     if backend == "dp":
-        return restricted_partition_row(_pairs(quantity, top, r, parts), top)
-    if quantity == "p_a":
-        return euler_product(_pa_weight_function(parts, top), top)
-    return euler_product(quantity_weights(quantity, top, r), top)
+        return restricted_partition_row(pattern(quantity, top, r, parts), top)
+    return euler_product(quantity_weights(quantity, top, r, parts), top)

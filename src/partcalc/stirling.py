@@ -41,11 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from .combinat import lcm_range, stirling_first_unsigned
 from .formulas import CostGuardExceeded, bounded_composition_count, count_to_limit, stated_family
-from .sequences import Family, WeightSequence, quantity_sequence
+from .sequences import WeightSequence, pattern, quantity_sequence
 
 # Boxes with more points are refused with CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9
@@ -240,8 +239,7 @@ def generic_setup(
     """
     check_generic_box(a.parts)
     d = a.lcm
-    runs = [(k, len(list(copies))) for k, copies in groupby(a.parts)]
-    return _setup([(k, m, m * (d // k - 1)) for k, m in runs], d, n)
+    return _setup([(k, m, m * (d // k - 1)) for k, m in pattern("p_a", n, None, a.parts)], d, n)
 
 
 def check_generic_box(parts) -> None:
@@ -401,33 +399,34 @@ def _check_product(slots: int, width: int) -> None:
 
 
 def _pattern_setup(
-    n: int, pattern: list[int]
+    n: int, pairs: tuple[tuple[int, int], ...]
 ) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
     """Box, kernel and per-coordinate coefficient tables for a family sum.
 
-    Coordinate s collapses the m_s = pattern[s-1] expanded variables of part
-    s, with D = lcm(1..n).  The bound D - m_s covers every point whose
-    weighted sum can reach the target; points it cuts off would hit the
-    kernel only where the kernel vanishes, so truncation does not change the
-    sum.
+    Coordinate s collapses the m_s expanded variables of each (s, m_s) of
+    pairs (sequences.pattern, so m_s >= 1), with D = lcm(1..n).  The bound
+    D - m_s covers every point whose weighted sum can reach the target;
+    points it cuts off would hit the kernel only where the kernel vanishes,
+    so truncation does not change the sum.
     """
     d = lcm_range(n)
-    return _setup([(s, m, d - m) for s, m in enumerate(pattern, start=1)], d, n)
+    return _setup([(s, m, d - m) for s, m in pairs], d, n)
 
 
-def _family_points(family: Family, k: int, r: int | None) -> int:
-    """Points of the family box at n = k, prod_{s<=k} (lcm(1..k) - m_s + 1),
-    a factor below 1 read as 0; the guard counts this box."""
+def _family_points(quantity: str, k: int, r: int | None) -> int:
+    """Points of the family box at n = k, the product of lcm(1..k) - m + 1
+    over the pairs (s, m) of its pattern, a factor below 1 read as 0; the
+    guard counts this box."""
     d = lcm_range(k)
-    return math.prod(max(d - family.multiplicity(s, r) + 1, 0) for s in range(1, k + 1))
+    return math.prod(max(d - m + 1, 0) for _, m in pattern(quantity, k, r, None))
 
 
 def _regrouped_count(quantity: str, n: int, r: int | None = None) -> int:
     """The family's congruence sum at (n, r), in range and within the box
     guard before its pattern is built."""
-    family = stated_family(quantity, "stirling", n, r)
-    _check_box(lambda k: _family_points(family, k, r), n)
-    box, kernel, tables = _pattern_setup(n, family.pattern(n, r))
+    stated_family(quantity, "stirling", n, r)
+    _check_box(lambda k: _family_points(quantity, k, r), n)
+    box, kernel, tables = _pattern_setup(n, pattern(quantity, n, r, None))
     return _evaluate(_polynomial(kernel, packed_histogram(box, tables)), kernel, n)
 
 

@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import diagrams, dispatch, formulas, series, stirling
-from .sequences import (
-    FAMILIES,
-    WeightSequence,
-    seq_pp,
-    seq_strict,
-)
+from .sequences import FAMILIES, WeightSequence, quantity_weights, seq_pp, seq_strict
 
 ENUM_TOP, ENUM_TOP_LONG = 8, 16  # the largest n enumeration is read at, and with long_running
 
@@ -77,7 +72,7 @@ def _row_reader():
             if backend == "alternating-sum":
                 built[key] = formulas.ppr_via_multipartition_row(top, r, rows("P_r", top, r))
             elif backend == "theorem":
-                built[key] = formulas._vector_row(top, FAMILIES[quantity].pattern(top, r))
+                built[key] = formulas._vector_row(top, quantity_weights(quantity, top, r, None).weights)
             else:
                 built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
         return built[key]
@@ -105,7 +100,8 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> 
     enumeration to ENUM_TOP off one listing; the theorem off one walk per
     (family, r) to t = min(top, vector_reach()), but at t, the largest n a
     stated range serves if any, by the wrapper that compute runs.  per_case
-    (examples) lists to n, calls each route at n, and adds Stirling."""
+    (examples) lists to n, reads the alternating sum off a row to n over the
+    P_r DP row to top, calls each route at n, and adds Stirling."""
     values = {
         "series": rows(quantity, top, r, backend="series")[n],
         "dp": rows(quantity, top, r)[n],
@@ -120,7 +116,10 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> 
     if per_case and dispatch.ROUTES["stirling"].serves(req):
         values["stirling"] = dispatch.ROUTES["stirling"].value(req)
     if quantity == "pp_r":
-        values["alternating-sum"] = rows(quantity, top, r, backend="alternating-sum")[n]
+        values["alternating-sum"] = (
+            formulas.ppr_via_multipartition_row(n, r, rows("P_r", top, r)) if per_case
+            else rows(quantity, top, r, backend="alternating-sum")
+        )[n]
     return values
 
 
@@ -300,7 +299,7 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
         for r in _r_values(quantity):
             for n in range(1, min(5, top) + 1):
                 if not family.holds(n, r):
-                    got = formulas._vector_sum(n, family.pattern(n, r))
+                    got = formulas._vector_sum(n, quantity_weights(quantity, n, r, None).weights)
                     res.expect(got, rows(quantity, top, r)[n], _label(quantity, n, r))
     out.append(res)
 

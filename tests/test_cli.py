@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from partcalc import formulas, sequences, series, stirling, verify
+from partcalc import formulas, series, stirling, verify
 from partcalc.cli import main
 from partcalc.formulas import CostGuardExceeded
 from partcalc.series import oracle_value
@@ -167,7 +167,7 @@ HUGE_STIRLING_REQUESTS = [
 
 
 @pytest.mark.parametrize("request_args", HUGE_STIRLING_REQUESTS, ids=lambda args: args[0])
-def test_stirling_guard_refuses_huge_boxes_at_once(capsys, monkeypatch, request_args):
+def test_stirling_guard_refuses_huge_boxes_at_once(capsys, monkeypatch, family_patterns_up_to, request_args):
     def long_lcm(n, real=stirling.lcm_range):
         assert n <= 128, "the guard built lcm(1..n) of the whole request"
         return real(n)
@@ -177,7 +177,7 @@ def test_stirling_guard_refuses_huge_boxes_at_once(capsys, monkeypatch, request_
 
     monkeypatch.setattr(stirling, "lcm_range", long_lcm)
     monkeypatch.setattr(stirling, "quantity_sequence", refuse)
-    monkeypatch.setattr(sequences.Family, "pattern", refuse)
+    family_patterns_up_to(64)  # the guard counts the box of the first 64 parts
     quantity, *extra = request_args
     start = time.perf_counter()
     argv = ("compute", "--quantity", quantity, *extra, "--method", "stirling")

@@ -27,7 +27,7 @@ from partcalc.formulas import (
     vector_count,
     vector_reach,
 )
-from partcalc.sequences import FAMILIES, Family
+from partcalc.sequences import FAMILIES, quantity_weights
 from partcalc.series import oracle_row, oracle_value
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
@@ -101,8 +101,9 @@ def test_vector_row_of_every_family():
     top = 25
     for quantity, family in FAMILIES.items():
         for r in range(1, 26) if family.takes_r else (None,):
-            row = formulas._vector_row(top, family.pattern(top, r))
-            assert row == [formulas._vector_sum(n, family.pattern(n, r)) for n in range(top + 1)]
+            row = formulas._vector_row(top, quantity_weights(quantity, top, r).weights)
+            assert row == [formulas._vector_sum(n, quantity_weights(quantity, top, r).weights[:n])
+                           for n in range(top + 1)]
             assert row == list(oracle_row(quantity, top, r=r)), (quantity, r)
 
 
@@ -186,11 +187,8 @@ def test_vector_reach_follows_the_limit(monkeypatch, limit, reach):
     assert vector_reach() == 60
 
 
-def test_theorem_wrappers_refuse_before_building_a_pattern(monkeypatch):
-    def build(*args):
-        raise AssertionError("a pattern was built before the guard")
-
-    monkeypatch.setattr(Family, "pattern", build)
+def test_theorem_wrappers_refuse_before_building_a_pattern(family_patterns_up_to):
+    family_patterns_up_to(0)
     calls = (
         lambda n: pp_formula(n),
         lambda n: ppr_formula(n, 3),
@@ -432,12 +430,12 @@ def test_every_wrapper_equals_its_family_row():
     # verify's cross-method reads the theorem off one walk per (family, r):
     # each wrapper must equal that row wherever the family's range holds.
     top = 40
-    for family in FAMILIES.values():
+    for quantity, family in FAMILIES.items():
         if family.stem is None:
             continue
         wrapper = getattr(formulas, f"{family.stem}_formula")
         for r in range(2, 7) if family.takes_r else (None,):
-            row = formulas._vector_row(top, family.pattern(top, r))
+            row = formulas._vector_row(top, quantity_weights(quantity, top, r).weights)
             ns = [n for n in range(top + 1) if family.holds(n, r)]
             assert ns
             assert [wrapper(n, r) if family.takes_r else wrapper(n) for n in ns] == [row[n] for n in ns]

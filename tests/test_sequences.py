@@ -3,10 +3,15 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from partcalc import formulas, series, stirling
 from partcalc.combinat import lcm_range
+from partcalc.diagrams import diagram_count_row
 from partcalc.sequences import (
+    FAMILIES,
+    Family,
     WeightFunction,
     WeightSequence,
+    pattern,
     quantity_sequence,
     quantity_weights,
     seq_multipartition,
@@ -119,3 +124,43 @@ def test_quantity_dispatch():
         quantity_weights("pp_r", 3)
     with pytest.raises(ValueError):
         quantity_weights("p_a", 3)
+
+
+def test_quantity_pattern_pairs():
+    assert pattern("pp", 4) == ((1, 1), (2, 2), (3, 3), (4, 4))
+    assert pattern("pp_r", 4, 2) == ((1, 1), (2, 2), (3, 2), (4, 2))
+    assert pattern("ppso", 0) == ()
+    # p_a keeps every run of its sorted parts, parts above the bound too.
+    assert pattern("p_a", 3, None, (5, 1, 2, 1)) == ((1, 2), (2, 1), (5, 1))
+    assert quantity_weights("p_a", 3, None, (5, 1, 2, 1)).weights == (2, 1, 0)
+    for bad in (("q", 3), ("P_r", 3), ("p_a", 3), ("p_a", 3, None, (0, 1))):
+        with pytest.raises(ValueError):
+            pattern(*bad)
+
+
+SPP_ROW = (1, 1, 1, 2, 3, 4, 6, 8, 12, 16, 22, 29, 41, 53, 71)
+
+
+def test_zero_multiplicities_are_dropped_in_one_place(monkeypatch):
+    # spp_multiplicity is 0 at k = 2: the pairs drop it, the dense view keeps a 0.
+    monkeypatch.setitem(FAMILIES, "spp", Family(lambda k, r: spp_multiplicity(k), min_n=1))
+    pattern.cache_clear()
+    quantity_weights.cache_clear()
+    try:
+        top = len(SPP_ROW) - 1
+        pairs = pattern("spp", top)
+        assert [k for k, _ in pairs] == [k for k in range(1, top + 1) if k != 2]
+        assert all(m >= 1 for _, m in pairs)
+        weights = quantity_weights("spp", top)
+        assert weights.weights[:3] == (1, 0, 1)
+        assert tuple(series.restricted_partition_row(pairs, top)) == SPP_ROW
+        assert series.euler_product(weights, top) == SPP_ROW
+        assert tuple(formulas._vector_row(top, weights.weights)) == SPP_ROW
+        assert tuple(counts.symmetric for counts in diagram_count_row(top)) == SPP_ROW
+        # A Stirling setup takes one coordinate per pair, none of multiplicity 0.
+        box, kernel, _ = stirling._pattern_setup(6, pattern("spp", 6))
+        assert box.weights == (1, 3, 4, 5, 6)
+        assert kernel.length == sum(m for _, m in pattern("spp", 6))
+    finally:
+        pattern.cache_clear()
+        quantity_weights.cache_clear()

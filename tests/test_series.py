@@ -11,6 +11,7 @@ from partcalc.sequences import (
     QUANTITIES,
     WeightFunction,
     WeightSequence,
+    pattern,
     quantity_weights,
     spp_multiplicity,
 )
@@ -202,6 +203,13 @@ def test_oracle_value_argument_errors():
         oracle_value("pp", -1)
     with pytest.raises(ValueError):
         oracle_value("pp", 3, backend="guess")
+    # Where the row alone is above the work limit, the pattern still
+    # validates the request, without listing its parts.
+    for backend in ("dp", "series"):
+        for args, kwargs in ((("nope", 10**12), {}), (("pp_r", 10**12), {}), (("p_a", 10**12), {}),
+                             (("p_a", 10**12), {"parts": (0, 1)})):
+            with pytest.raises(ValueError):
+                oracle_value(*args, backend=backend, **kwargs)
 
 
 def test_monotone_in_r_and_saturating():
@@ -293,7 +301,7 @@ def test_dp_runs_the_branch_dp_work_priced(monkeypatch):
     monkeypatch.setattr(series, "_binomial_pass", spy_pass)
     branches = set()
     for quantity, n, r in [("pp", 60, None), ("ppso", 45, None), ("P_r", 40, 10**8), ("P_r", 300, 4)]:
-        pairs = list(series._pairs(quantity, n, r, None))
+        pairs = pattern(quantity, n, r)
         priced.clear()
         run.clear()
         work = series.dp_work(pairs, n)
@@ -318,13 +326,14 @@ def test_oracles_read_pairs_without_expanding(monkeypatch):
 
     monkeypatch.setattr(WeightFunction, "expand", refuse)
     monkeypatch.setattr(WeightSequence, "__init__", refuse)
-    series._part_pairs.cache_clear()
+    pattern.cache_clear()
+    quantity_weights.cache_clear()
     for q, r, parts in cases:
         for backend in ("dp", "series"):
             assert list(series.oracle_row(q, 12, r=r, parts=parts, backend=backend)) == want[q]
             assert [oracle_value(q, n, r=r, parts=parts, backend=backend)
                     for n in range(13)] == want[q]
-    assert series._part_pairs((5, 1, 2, 1)) == ((1, 2), (2, 1), (5, 1))
+    assert pattern("p_a", 3, None, (5, 1, 2, 1)) == ((1, 2), (2, 1), (5, 1))
 
 
 def test_dp_guard_prices_multiplicity_not_copies():

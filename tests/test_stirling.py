@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from partcalc import formulas, series, stirling
 from partcalc.combinat import stirling_first_unsigned
 from partcalc.formulas import HypothesisError
-from partcalc.sequences import FAMILIES, Family, WeightSequence, seq_pp, seq_strict
+from partcalc.sequences import FAMILIES, Family, WeightSequence, pattern, seq_pp, seq_strict
 from partcalc.series import oracle_value, restricted_partition_dp
 from partcalc.stirling import (
     CongruenceBox,
@@ -399,7 +399,7 @@ def _assert_packed_equals_walk(box, tables):
 
 @pytest.mark.parametrize("quantity, n, r", list(_family_cases(4)))
 def test_packed_product_equals_the_walk(quantity, n, r):
-    box, _, tables = stirling._pattern_setup(n, FAMILIES[quantity].pattern(n, r))
+    box, _, tables = stirling._pattern_setup(n, pattern(quantity, n, r))
     _assert_packed_equals_walk(box, tables)
 
 
@@ -438,9 +438,8 @@ def test_family_guard_refuses_before_any_table(monkeypatch, n):
 # when one of them decides, which holds only if they grow with their argument.
 @pytest.mark.parametrize("quantity", [q for q, family in FAMILIES.items() if family.stem])
 def test_family_box_counts_grow_with_n(quantity):
-    family = FAMILIES[quantity]
-    for r in (2, 3, 7, 10**40) if family.takes_r else (None,):
-        counts = [stirling._family_points(family, k, r) for k in range(1, 140)]
+    for r in (2, 3, 7, 10**40) if FAMILIES[quantity].takes_r else (None,):
+        counts = [stirling._family_points(quantity, k, r) for k in range(1, 140)]
         assert counts == sorted(counts), r
 
 
@@ -476,11 +475,8 @@ def test_guard_prints_a_power_of_ten_below_a_long_count():
     assert 10**power <= size < 10 ** (power + 2)
 
 
-def test_stirling_wrappers_refuse_before_building_a_pattern(monkeypatch):
-    def build(*args):
-        raise AssertionError("a pattern was built before the guard")
-
-    monkeypatch.setattr(Family, "pattern", build)
+def test_stirling_wrappers_refuse_before_building_a_pattern(family_patterns_up_to):
+    family_patterns_up_to(64)  # the guard counts the box of the first 64 parts
     calls = (
         pp_stirling,
         lambda n: ppr_stirling(n, 3),
