@@ -167,16 +167,14 @@ def _check_reach(n: int) -> None:
 
 def _vector_sum(n: int, weights: Sequence[int]) -> int:
     """sum over A_n of prod_s C(l_s + m_s - 1, l_s), with m_s = weights[s-1]:
-    the histogram walk to n, read at n, behind the walk's guard."""
-    _check_reach(n)
+    the histogram walk to n, read at n."""
     hist, tail = _vector_histogram(n, weights)
     return sum(map(mul, hist, reversed(tail)))
 
 
 def _vector_row(top: int, weights: Sequence[int]) -> list[int]:
-    """_vector_sum(n, weights[:n]) for n = 0..top, from one walk behind the
-    walk's guard: entry n is sum_w hist[w] * tail[n - w]."""
-    _check_reach(top)
+    """_vector_sum(n, weights[:n]) for n = 0..top, from one walk: entry n
+    is sum_w hist[w] * tail[n - w]."""
     hist, tail = _vector_histogram(top, weights)
     return [sum(map(mul, hist[: n + 1], tail[n::-1])) for n in range(top + 1)]
 
@@ -185,8 +183,8 @@ def _vector_histogram(top: int, weights: Sequence[int]) -> tuple[list[int], list
     """(hist, tail) of the theorem sums to top.  hist[w] sums
     prod_{s>=3} C(l_s + m_s - 1, l_s) over the partial vectors (l_3..l_top)
     of weight sum s*l_s = w, and tail is _tail_table(top, weights), which
-    closes parts 1 and 2 for every remainder.  Its entry points check the
-    walk's guard, _check_reach(top), first.
+    closes parts 1 and 2 for every remainder.  The walk checks its guard,
+    _check_reach(top), before anything else.
 
     The walk covers (l_4..l_top).  Every partial vector of weight w takes
     the same choices of l_3, so part 3 is folded in once per weight
@@ -194,6 +192,7 @@ def _vector_histogram(top: int, weights: Sequence[int]) -> tuple[list[int], list
     hist[w + 3l] for each l >= 1.  The weights w go from the top down, so
     every mass is still the walk's when it is read.
     """
+    _check_reach(top)
     hist = [0] * (top + 1)
     if top < 4:
         hist[0] = 1

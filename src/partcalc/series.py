@@ -55,8 +55,9 @@ _LN2 = log(2)
 
 class CostGuardExceeded(RuntimeError):
     """A route's work is above its limit: the multiply-adds of an oracle, the
-    points of a Stirling congruence box, the multiplicity vectors of a
-    theorem sum, or the n of a diagram enumeration."""
+    points of a Stirling congruence box, the bytes of a packed Stirling
+    product, the multiplicity vectors of a theorem sum, or the stacks a
+    diagram listing or walk visits."""
 
 
 def euler_product(weights: WeightFunction, degree_bound: int) -> tuple[int, ...]:

@@ -13,10 +13,11 @@ the same sum over a box with one coordinate per part s of 1..n.
 
 Every sum is guarded before it builds anything of size n or of the box:
 the guard counts the box's points, and past 64 coordinates the box of the
-first 64, 128, ... (formulas.count_to_limit).  A sum that multiplies its
-tables also prices the product, slots times slot width in bytes, before it
-builds any factor (_check_product).  Then every sum takes one
-setup and one evaluation step.  The setup turns (part, copies, bound) runs
+first 64, 128, ... (formulas.count_to_limit).  Each histogram step also
+checks its own guard: the walk counts the points of the box it walks
+(box_weight_histogram), and the product prices its slots times slot width
+in bytes before it builds any factor (_check_product).  Then every sum takes
+one setup and one evaluation step.  The setup turns (part, copies, bound) runs
 into a CongruenceBox, a StirlingKernel and one block table per coordinate.
 The box depends on n only through n mod D, so on one residue class the sum
 is a polynomial in n of degree r-1 (Sylvester's wave).  The step takes the
@@ -26,7 +27,7 @@ exact integers over the common denominator (r-1)! D^(r-1) (_polynomial,
 the one expansion of the kernel), evaluates it at n by Horner's rule, and
 asserts that the value is an integer (_evaluate).  StirlingKernel.value(S)
 reads the polynomial of the one-point histogram {S: 1}.  The sums differ
-only in how they build the histogram.  restricted_count_stirling and
+only in how they build the histogram.  The generic sums at one n and
 regrouped_partial_sums walk their box (box_weight_histogram).  The others
 multiply the block tables once (_packed_product), which holds the
 histogram of every residue class: the family sums read their own class
@@ -44,7 +45,7 @@ from fractions import Fraction
 
 from .combinat import lcm_range, stirling_first_unsigned
 from .formulas import CostGuardExceeded, bounded_composition_count, count_to_limit, stated_family
-from .sequences import WeightSequence, pattern, quantity_sequence
+from .sequences import WeightSequence, pattern
 
 # Boxes with more points are refused with CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9
@@ -103,54 +104,59 @@ class StirlingKernel:
 
 
 def box_weight_histogram(
-    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None
+    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...]
 ) -> dict[int, int]:
     """Coefficient mass per weighted sum over the box.
 
-    coeff_tables[t][v] weights coordinate t at value v (coeff_tables or
-    coeff_tables[t] None means weight 1 everywhere); a zero coefficient
-    prunes the whole subtree.  The first coordinate is never looped: its
-    admissible values are solved from the congruence.
+    coeff_tables[t][v] weights coordinate t at value v (a None table means
+    weight 1 everywhere); a zero coefficient prunes the whole subtree.  The
+    first coordinate is never looped: its admissible values are solved from
+    the congruence (_walk_box).  The box is refused above DEFAULT_BOX_LIMIT
+    points before its first point is visited.
     """
-    if coeff_tables is not None and len(coeff_tables) != len(box.bounds):
+    if len(coeff_tables) != len(box.bounds):
         raise ValueError("need one coefficient table per coordinate")
-    modulus, residue = box.modulus, box.residue
-    w0, b0 = box.weights[0], box.bounds[0]
+    _check_box(lambda k: math.prod(b + 1 for b in box.bounds[:k]), len(box.bounds))
+    w0, modulus = box.weights[0], box.modulus
     g = math.gcd(w0, modulus)
     step = modulus // g
-    inv = pow((w0 // g) % step, -1, step) if step > 1 else 0
-    table0 = coeff_tables[0] if coeff_tables else None
+    leaf = (box.residue, modulus, g, step, pow(w0 // g % step, -1, step), w0, box.bounds[0], coeff_tables[0])
     hist: dict[int, int] = {}
+    _walk_box(len(box.bounds) - 1, 0, 1, box.weights, box.bounds, coeff_tables, leaf, hist)
+    return hist
 
-    def resolve(partial: int, coeff: int) -> None:
-        t = (residue - partial) % modulus
-        if t % g:
-            return
-        x = ((t // g) * inv) % step if step > 1 else 0
-        while x <= b0:
-            c = coeff if table0 is None else coeff * table0[x]
-            if c:
-                sw = partial + w0 * x
-                hist[sw] = hist.get(sw, 0) + c
-            x += step
 
-    def walk(i: int, partial: int, coeff: int) -> None:
-        if i == 0:
-            resolve(partial, coeff)
-            return
-        w, b = box.weights[i], box.bounds[i]
-        table = coeff_tables[i] if coeff_tables else None
+def _walk_box(i: int, partial: int, coeff: int, weights, bounds, tables, leaf, hist: dict) -> None:
+    """Add to hist the mass of every point of the box with the coordinates
+    above i fixed, at weighted sum partial and coefficient coeff.  The first
+    coordinate takes the x <= b_0 with w_0 x = residue - partial (mod
+    modulus), x_0 + k step; leaf = (residue, modulus, g, step, inv, w_0, b_0,
+    table_0) holds g = gcd(w_0, modulus), step = modulus / g and inv, the
+    inverse of w_0 / g mod step, once per box.  A module function rather
+    than a closure: a closure that calls itself is a reference cycle."""
+    if i:
+        w, b, table = weights[i], bounds[i], tables[i]
+        i -= 1
         if table is None:
             for v in range(b + 1):
-                walk(i - 1, partial + w * v, coeff)
+                _walk_box(i, partial + w * v, coeff, weights, bounds, tables, leaf, hist)
         else:
             for v in range(b + 1):
                 c = table[v]
                 if c:
-                    walk(i - 1, partial + w * v, coeff * c)
-
-    walk(len(box.bounds) - 1, 0, 1)
-    return hist
+                    _walk_box(i, partial + w * v, coeff * c, weights, bounds, tables, leaf, hist)
+        return
+    residue, modulus, g, step, inv, w0, b0, table0 = leaf
+    t = (residue - partial) % modulus
+    if t % g:
+        return
+    x = (t // g) * inv % step
+    while x <= b0:
+        c = coeff if table0 is None else coeff * table0[x]
+        if c:
+            sw = partial + w0 * x
+            hist[sw] = hist.get(sw, 0) + c
+        x += step
 
 
 def _check_box(count, length: int) -> None:
@@ -169,33 +175,22 @@ def _check_box(count, length: int) -> None:
 
 
 def regrouped_partial_sums(
-    box: CongruenceBox,
-    kernel: StirlingKernel,
-    coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None,
+    box: CongruenceBox, kernel: StirlingKernel, coeff_tables: tuple[tuple[int, ...] | None, ...]
 ) -> dict[int, Fraction]:
-    """Per-weighted-sum contributions, already divided by (length-1)!.
-
-    Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
-    """
-    _check_box(lambda k: math.prod(b + 1 for b in box.bounds[:k]), len(box.bounds))
+    """Per-weighted-sum contributions, already divided by (length-1)!.  The
+    walk raises CostGuardExceeded above DEFAULT_BOX_LIMIT points."""
     norm = math.factorial(kernel.length - 1)
     hist = box_weight_histogram(box, coeff_tables)
     return {sw: Fraction(mass) * kernel.value(sw) / norm for sw, mass in sorted(hist.items())}
 
 
 def regrouped_sum(
-    box: CongruenceBox,
-    kernel: StirlingKernel,
-    coeff_tables: tuple[tuple[int, ...] | None, ...] | None = None,
+    box: CongruenceBox, kernel: StirlingKernel, coeff_tables: tuple[tuple[int, ...] | None, ...]
 ) -> int:
     """The kernel summed over the walked box: the box's polynomial in n,
-    evaluated at the kernel's target.
-
-    Raises CostGuardExceeded when the box has more than DEFAULT_BOX_LIMIT points.
-    """
-    _check_box(lambda k: math.prod(b + 1 for b in box.bounds[:k]), len(box.bounds))
-    hist = box_weight_histogram(box, coeff_tables)
-    return _evaluate(_polynomial(kernel, hist), kernel, kernel.target)
+    evaluated at the kernel's target.  The walk raises CostGuardExceeded
+    above DEFAULT_BOX_LIMIT points."""
+    return _evaluate(_polynomial(kernel, box_weight_histogram(box, coeff_tables)), kernel, kernel.target)
 
 
 def _setup(
@@ -207,8 +202,8 @@ def _setup(
     values 0..b, and at value v the number of (x_1..x_m) with
     x_i <= modulus/k - 1 summing to v, the coefficients of
     (1 + z + ... + z^(modulus/k - 1))^m.  A table that would be all ones
-    (one copy, bound modulus/k - 1) is None.  Callers check the box guard
-    first.
+    (one copy, bound modulus/k - 1) is None.  Callers check their box's
+    guard first.
     """
     bounds, weights = tuple(b for _, _, b in runs), tuple(k for k, _, _ in runs)
     box = CongruenceBox(bounds, weights, modulus, target % modulus)
@@ -224,22 +219,22 @@ def _setup(
 
 
 def generic_setup(
-    a: WeightSequence, n: int
+    pairs: tuple[tuple[int, int], ...], n: int
 ) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
-    """Box, kernel and coefficient tables of the generic sum for p_a(n),
-    D = lcm(a).
+    """Box, kernel and coefficient tables of the generic sum for p_a(n), a
+    the parts with the (part, multiplicity) pairs of sequences.pattern, D =
+    lcm(a).
 
     The expanded box is 0 <= j_t < D/a_t, one coordinate per part, with
     sum a_t j_t = n (mod D).  The m copies of a part k are walked as one
     coordinate of weight k and bound m(D/k - 1), whose table counts the
     (j_1..j_m) with j_i <= D/k - 1 summing to each value, so the histogram
     is the expanded box's.  A part that occurs once walks as in the
-    expanded box, with table None.  The guard counts the expanded box
-    (check_generic_box) before anything else.
+    expanded box, with table None.  Callers count the expanded box
+    (check_generic_box) first.
     """
-    check_generic_box(a.parts)
-    d = a.lcm
-    return _setup([(k, m, m * (d // k - 1)) for k, m in pattern("p_a", n, None, a.parts)], d, n)
+    d = math.lcm(*(k for k, _ in pairs))
+    return _setup([(k, m, m * (d // k - 1)) for k, m in pairs], d, n)
 
 
 def check_generic_box(parts) -> None:
@@ -258,14 +253,15 @@ def partition_count_stirling(n: int) -> int:
     """p(n) by the generic sum over the parts 1..n, guarded before the n
     parts are listed."""
     check_generic_box(range(1, n + 1))
-    return restricted_count_stirling(quantity_sequence("p", n), n)
+    return regrouped_sum(*generic_setup(pattern("p", n, None, None), n))
 
 
 def restricted_count_stirling(a: WeightSequence, n: int) -> int:
     """p_a(n) by the generic congruence-box sum over (j_1..j_r)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return regrouped_sum(*generic_setup(a, n))
+    check_generic_box(a.parts)
+    return regrouped_sum(*generic_setup(pattern("p_a", n, None, a.parts), n))
 
 
 def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
@@ -280,7 +276,8 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     """
     if top < 0:
         raise ValueError("top must be >= 0")
-    box, kernel, tables = generic_setup(a, 0)
+    check_generic_box(a.parts)
+    box, kernel, tables = generic_setup(pattern("p_a", top, None, a.parts), 0)
     histogram = _packed_product(box, tables)
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):

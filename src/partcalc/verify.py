@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import diagrams, dispatch, formulas, series, stirling
-from .sequences import FAMILIES, WeightSequence, quantity_weights, seq_pp, seq_strict
+from .sequences import FAMILIES, WeightSequence, pattern, quantity_weights
 
 ENUM_TOP, ENUM_TOP_LONG = 8, 16  # the largest n enumeration is read at, and with long_running
 
@@ -188,7 +188,7 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
         res.expect(counts(3)[3].symmetric, 2, "symmetric diagrams of 3")
 
     res = checks["p_a"]
-    for parts, n, want in (((1, 2, 3), 6, 7), ((1,), 5, 1), (seq_strict(3).parts, 3, 4)):
+    for parts, n, want in (((1, 2, 3), 6, 7), ((1,), 5, 1), ((1, 2, 3, 3), 3, 4)):
         if n <= cap:
             res.expect(rows("p_a", n, parts=parts)[n], want, f"p_a({n}; parts={parts}) via dp")
     if 6 <= cap:
@@ -335,8 +335,8 @@ ENGINE_SEQUENCES = (
     (1, 2, 3),
     (2, 3, 4),
     (1, 1, 2, 2),
-    seq_strict(4).parts,
-    seq_pp(3).parts,
+    (1, 2, 3, 3, 4, 4),  # the pps pattern to 4
+    (1, 2, 2, 3, 3, 3),  # the pp pattern to 3
 )
 
 
@@ -366,12 +366,12 @@ def _suite_stirling(counts, rows, max_n=None, long_running=False) -> list[CheckR
         out.append(res)
 
     res = CheckResult("stirling[partial-sum-denominators]")
-    for a in (WeightSequence((1, 2, 3)), seq_pp(4)) if 7 <= cap else ():
-        partials = stirling.regrouped_partial_sums(*stirling.generic_setup(a, 7))
+    for parts in ((1, 2, 3), (1, 2, 2, 3, 3, 3, 4, 4, 4, 4)) if 7 <= cap else ():
+        partials = stirling.regrouped_partial_sums(*stirling.generic_setup(pattern("p_a", 7, None, parts), 7))
         res.expect(
             sum(partials.values(), Fraction(0)),
-            rows("p_a", engine_top, parts=a.parts)[7],
-            f"parts={a.parts} sum of partials",
+            rows("p_a", engine_top, parts=parts)[7],
+            f"parts={parts} sum of partials",
         )
     out.append(res)
 

@@ -174,6 +174,14 @@ def test_vector_guard_bounds_the_walk():
     assert pp_formula(60) == oracle_value("pp", 60)
 
 
+# The walk checks its own guard, whichever entry point calls it.
+def test_vector_walk_checks_its_own_guard():
+    start = time.perf_counter()
+    with pytest.raises(CostGuardExceeded, match="A_61 has 1121505 multiplicity vectors"):
+        formulas._vector_histogram(61, [1] * 61)
+    assert time.perf_counter() - start < 0.5
+
+
 # p(6) = 11, p(7) = 15, p(10) = 42 and p(11) = 56.
 @pytest.mark.parametrize("limit, reach", [(14, 6), (15, 7), (42, 10)])
 def test_vector_reach_follows_the_limit(monkeypatch, limit, reach):

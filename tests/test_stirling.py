@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import time
 from dataclasses import replace
@@ -89,7 +90,7 @@ def test_kernel_is_shifted_falling_product():
 
 def test_histogram_unit_weights_counts_box_points():
     box = CongruenceBox((3, 3), (1, 1), 2, 0)
-    hist = box_weight_histogram(box)
+    hist = box_weight_histogram(box, (None, None))
     # Points with x + y even: sums 0, 2, 4, 6 with multiplicities 1, 3, 3, 1.
     assert hist == {0: 1, 2: 3, 4: 3, 6: 1}
     assert packed_histogram(box, ((1,) * 4, (1,) * 4)) == hist
@@ -103,6 +104,56 @@ def test_histogram_zero_coefficients_prune():
     hist = box_weight_histogram(box, tables)
     assert hist == {0: 1, 1: 1, 2: 1, 3: 1}
     assert sum(hist.values()) == 4
+
+
+# The walk prices the box it walks before its first point, as the packed
+# product prices its bytes before its first factor.
+def test_walk_checks_its_own_guard(monkeypatch):
+    read = []
+
+    class Table(tuple):
+        def __getitem__(self, v):
+            read.append(v)
+            return super().__getitem__(v)
+
+    box, tables = CongruenceBox((3, 3), (1, 1), 2, 0), (Table((1,) * 4), Table((1,) * 4))
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 15)
+    with pytest.raises(CostGuardExceeded, match="congruence box has 16 points, above the limit of 15"):
+        box_weight_histogram(box, tables)
+    assert read == []
+    monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 16)
+    assert box_weight_histogram(box, tables) == {0: 1, 2: 3, 4: 3, 6: 1}
+
+
+# p's sum reads the pairs of its pattern, behind one guard of the expanded box.
+def test_partition_sum_builds_no_weight_sequence(monkeypatch):
+    guarded = []
+    real = stirling.check_generic_box
+
+    def spy(parts):
+        guarded.append(list(parts))
+        real(parts)
+
+    def refuse(*args):
+        raise AssertionError("p's Stirling sum built a WeightSequence")
+
+    monkeypatch.setattr(stirling, "check_generic_box", spy)
+    monkeypatch.setattr(WeightSequence, "__init__", refuse)
+    assert stirling.partition_count_stirling(6) == 11
+    assert guarded == [[1, 2, 3, 4, 5, 6]]
+
+
+# The walk is a module function, so a request leaves no reference cycle.
+def test_generic_sums_leave_no_reference_cycle():
+    a = WeightSequence((1, 2, 2, 3))
+    gc.disable()
+    try:
+        gc.collect()
+        assert restricted_count_stirling(a, 11) == restricted_partition_dp(a, 11)
+        assert stirling.partition_count_stirling(5) == 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_generic_engine_matches_dp_small():
@@ -257,15 +308,15 @@ def _expanded_box(a, residue):
 )
 def test_grouped_walk_equals_the_expanded_walk(parts):
     a = WeightSequence(parts)
-    box, _, tables = generic_setup(a, 0)
+    box, _, tables = generic_setup(pattern("p_a", 0, None, parts), 0)
     assert len(box.bounds) == len(set(parts))
     for residue in range(a.lcm):
         grouped = box_weight_histogram(replace(box, residue=residue), tables)
-        assert grouped == box_weight_histogram(_expanded_box(a, residue)), residue
+        assert grouped == box_weight_histogram(_expanded_box(a, residue), (None,) * len(parts)), residue
 
 
 def test_grouped_box_of_seq_pp_4():
-    box, _, tables = generic_setup(seq_pp(4), 5)
+    box, _, tables = generic_setup(pattern("p_a", 5, None, seq_pp(4).parts), 5)
     assert box.weights == (1, 2, 3, 4)
     assert box.bounds == (11, 10, 9, 8)
     assert tables[0] is None
@@ -277,14 +328,14 @@ def test_grouped_box_of_seq_pp_4():
 
 @pytest.mark.parametrize("parts", [(1,), (1, 2, 3), (2, 3, 5), (4, 6), (2, 3, 7, 11)])
 def test_distinct_parts_get_no_tables(parts):
-    box, _, tables = generic_setup(WeightSequence(parts), 7)
+    box, _, tables = generic_setup(pattern("p_a", 7, None, parts), 7)
     assert tables == (None,) * len(parts)
     assert box == _expanded_box(WeightSequence(parts), 7 % box.modulus)
 
 
 def test_guard_counts_the_expanded_box(monkeypatch):
     a = seq_pp(4)
-    box, _, _ = generic_setup(a, 0)
+    box, _, _ = generic_setup(pattern("p_a", 0, None, a.parts), 0)
     grouped = math.prod(b + 1 for b in box.bounds)
     expanded = math.prod(a.lcm // part for part in a.parts)
     assert (grouped, expanded) == (11_880, 2_239_488)
@@ -321,7 +372,7 @@ def test_row_errors():
 def test_partial_sums_clear_denominators():
     a = WeightSequence((1, 2, 3))
     d, r = a.lcm, a.length
-    partials = regrouped_partial_sums(*generic_setup(a, 7))
+    partials = regrouped_partial_sums(*generic_setup(pattern("p_a", 7, None, a.parts), 7))
     scale = math.factorial(r - 1) * d ** (r - 1)
     for value in partials.values():
         assert (value * scale).denominator == 1
@@ -332,7 +383,7 @@ def test_regrouped_sum_rejects_non_integer_totals():
     box = CongruenceBox((1,), (1,), 1, 0)
     kernel = StirlingKernel(2, 3, 1, stirling_first_unsigned(2))
     with pytest.raises(ArithmeticError):
-        regrouped_sum(box, kernel)
+        regrouped_sum(box, kernel, (None,))
 
 
 def test_moment_sum_rejects_non_integer_totals():
@@ -365,7 +416,7 @@ def test_polynomial_equals_the_kernel_summed_over_the_histogram(length, modulus,
 @pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5), (3, 3, 6, 6, 12)])
 def test_leading_coefficient_at_every_residue(parts):
     a = WeightSequence(tuple(parts))
-    box, kernel, tables = generic_setup(a, 0)
+    box, kernel, tables = generic_setup(pattern("p_a", 0, None, a.parts), 0)
     g = math.gcd(*parts)
     scale = math.factorial(a.length - 1) * a.lcm ** (a.length - 1)
     for residue in range(a.lcm):
@@ -406,7 +457,7 @@ def test_packed_product_equals_the_walk(quantity, n, r):
 # The generic boxes mix None tables (parts that occur once) with block tables.
 @pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5), (3, 3, 6, 6, 12)])
 def test_packed_product_equals_the_walk_on_generic_boxes(parts):
-    box, _, tables = generic_setup(WeightSequence(tuple(parts)), 0)
+    box, _, tables = generic_setup(pattern("p_a", 0, None, tuple(parts)), 0)
     _assert_packed_equals_walk(box, tables)
 
 
@@ -451,9 +502,10 @@ def test_expanded_box_counts_grow_with_the_parts(parts):
     a = WeightSequence(tuple(parts))
     if counts[-1] > stirling.DEFAULT_BOX_LIMIT:
         with pytest.raises(CostGuardExceeded, match="congruence box has "):
-            generic_setup(a, 0)
+            stirling.check_generic_box(a.parts)
     else:
-        box, _, tables = generic_setup(a, 0)
+        stirling.check_generic_box(a.parts)
+        box, _, tables = generic_setup(pattern("p_a", 0, None, a.parts), 0)
         assert box == replace(_grouped_box(a), residue=0)
 
 
