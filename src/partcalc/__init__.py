@@ -5,32 +5,18 @@ multiplicity-vector sums, Stirling-number congruence sums, truncated series,
 dynamic programming, exhaustive diagram enumeration), and the routes are
 cross-validated against each other.  All arithmetic is exact.
 
-`import partcalc` loads combinat, sequences, series, formulas and dispatch.
-The stirling and diagrams modules load on first use (a Stirling or
-enumeration request, or one of their names below), and verify only when
-imported.
+`import partcalc` loads sequences, series and dispatch.  The formulas,
+combinat, stirling and diagrams modules load on first use (a theorem,
+Stirling or enumeration request, or one of their names below), and verify
+only when imported.
 """
 
 from __future__ import annotations
 
-from .combinat import binomial, lcm_range, stirling_first_unsigned
 from .dispatch import METHODS, ComputationRequest, RequestError, compute
-from .formulas import (
-    CostGuardExceeded,
-    HypothesisError,
-    bounded_composition_count,
-    multiplicity_vectors,
-    multipartition_formula,
-    pp_formula,
-    ppr_formula,
-    ppr_inclusion_exclusion,
-    ppr_via_multipartition_formula,
-    ppr_via_multipartition_row,
-    pps_formula,
-    ppso_formula,
-)
 from .sequences import (
     QUANTITIES,
+    HypothesisError,
     WeightFunction,
     WeightSequence,
     seq_multipartition,
@@ -40,12 +26,28 @@ from .sequences import (
     seq_symmetric,
     spp_multiplicity,
 )
-from .series import euler_product, oracle_value, restricted_partition_dp
+from .series import CostGuardExceeded, euler_product, oracle_value, restricted_partition_dp
 
 # The module of each name that loads on first use.  Each access reads the
 # module's attribute afresh, so a replaced function (a tracer, a test
 # double) is the one returned.
 _ON_FIRST_USE = {
+    **dict.fromkeys(("binomial", "lcm_range", "stirling_first_unsigned"), "combinat"),
+    **dict.fromkeys(
+        (
+            "bounded_composition_count",
+            "multiplicity_vectors",
+            "multipartition_formula",
+            "pp_formula",
+            "ppr_formula",
+            "ppr_inclusion_exclusion",
+            "ppr_via_multipartition_formula",
+            "ppr_via_multipartition_row",
+            "pps_formula",
+            "ppso_formula",
+        ),
+        "formulas",
+    ),
     **dict.fromkeys(
         (
             "CongruenceBox",

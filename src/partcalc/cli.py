@@ -7,13 +7,12 @@ refusal.  Values print in full, however many digits they have.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 
 from .dispatch import METHODS, ComputationRequest, compute, compute_table
-from .formulas import CostGuardExceeded
 from .sequences import QUANTITIES
+from .series import CostGuardExceeded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,6 +143,8 @@ def cmd_compute(args) -> int:
     )
     value, used = compute(req)
     if args.format == "json":
+        import json  # only JSON output needs it
+
         print(json.dumps(_json_row(req.quantity, req.n, req.r, req.parts, value, used)))
     elif args.format == "csv":
         print("n,value")
@@ -164,6 +165,8 @@ def cmd_table(args) -> int:
         args.quantity, args.n_from, args.n_to, r=args.r, method=args.method, strict=args.strict
     )
     if args.format == "json":
+        import json  # only JSON output needs it
+
         out = [_json_row(args.quantity, n, args.r, None, value, used) for n, value, used in rows]
         print(json.dumps(out))
     elif args.format == "csv":

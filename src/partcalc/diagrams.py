@@ -20,7 +20,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from . import series
-from .formulas import CostGuardExceeded, count_to_limit
+from .series import CostGuardExceeded, count_to_limit
 
 # Listing or counting to n is refused with CostGuardExceeded when the stacks
 # it visits, the plane partitions of weight 1..n, are more than this; read

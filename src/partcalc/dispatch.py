@@ -6,8 +6,12 @@ diagram kind, the theorem and Stirling routes in its stated range (_stated),
 the theorem only where it has a closed form, and p_a only the Stirling
 route.  compute, compute_table and verify all read it.
 
-The stirling and diagrams modules load on the first request that takes their
-route: a fresh process that runs one theorem or DP request never needs them.
+The formulas, stirling and diagrams modules load on the first request that
+takes their route.  Choosing a route reads only series and sequences: the
+theorem's reach and vector count are series', and its price, LEAF_COST, is
+here.  A fresh process that runs one series or DP request, or a table,
+never loads formulas, and one that runs a theorem request never loads
+stirling or diagrams.
 """
 
 from __future__ import annotations
@@ -15,15 +19,25 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-from . import formulas, series
+from . import series
 from .sequences import (
     FAMILIES,
     QUANTITIES,
     R_QUANTITIES,
     Family,
+    HypothesisError,
     Value,
     WeightSequence,
 )
+from .series import CostGuardExceeded
+
+# Multiply-adds of the series oracle that one vector of the theorem walk is
+# priced at.  Calibrated when each vector was one call, on pp, pps and ppso at
+# n = 3..25 on a shared 2-core VM: about 0.40 us a vector against 0.10 us a
+# recurrence pair of the series.  With parts 1 and 2 closed from one table the
+# same sums take about 0.13 us a vector, so this price is now about 3x high;
+# it stays, so that auto keeps choosing the routes it chose.
+LEAF_COST = 4
 
 
 class RequestError(ValueError):
@@ -101,6 +115,12 @@ def _run(module, suffix: str, family: Family, n: int, r: int | None) -> int:
     return wrapper(n, r) if family.takes_r else wrapper(n)
 
 
+def _theorem_value(req: ComputationRequest) -> int:
+    from . import formulas  # imported by the first theorem request
+
+    return _run(formulas, "_formula", *_stated(req))
+
+
 def _stirling_value(req: ComputationRequest) -> int:
     from . import stirling  # imported by the first Stirling request
 
@@ -144,7 +164,7 @@ ROUTES = {
     "oracle-enum": Route(lambda req: diagram_kind(req) is not None, _diagram_count),
     "theorem": Route(  # a family with a closed form: p has none
         lambda req: (stated := _stated(req)) is not None and stated[0].stem is not None,
-        lambda req: _run(formulas, "_formula", *_stated(req)),
+        _theorem_value,
     ),
     "stirling": Route(lambda req: req.quantity == "p_a" or _stated(req) is not None, _stirling_value),
 }
@@ -154,7 +174,7 @@ METHODS = ("auto", *ROUTES)
 def _cheapest(req: ComputationRequest) -> str:
     """The route with the least estimated work, in multiply-adds, among those
     whose guard admits req: the theorem walk where its route serves req and n
-    is within formulas.vector_reach(), then oracle-dp, then oracle-series, in
+    is within series.vector_reach(), then oracle-dp, then oracle-series, in
     the order that breaks a tie.  On a family the DP does more work than the
     series at every n >= 1 (see series.oracle_cost), so it is a candidate
     there only at n = 0, where neither works.  p_a that both oracles refuse
@@ -172,8 +192,8 @@ def _cheapest(req: ComputationRequest) -> str:
             refusals.append(refusal)
         elif best is None or work < best[0]:
             best = (work, f"oracle-{backend}")
-    if req.n <= formulas.vector_reach() and ROUTES["theorem"].serves(req):
-        work = formulas.LEAF_COST * formulas.vector_count(req.n)
+    if req.n <= series.vector_reach() and ROUTES["theorem"].serves(req):
+        work = LEAF_COST * series.vector_count(req.n)
         if best is None or work <= best[0]:
             best = (work, "theorem")
     if best is None and req.quantity == "p_a":
@@ -182,10 +202,10 @@ def _cheapest(req: ComputationRequest) -> str:
         try:
             stirling.check_generic_box(sorted(req.parts))
             return "stirling"
-        except formulas.CostGuardExceeded as exc:
+        except CostGuardExceeded as exc:
             refusals.append(str(exc))
     if best is None:
-        raise formulas.CostGuardExceeded("; ".join(refusals))
+        raise CostGuardExceeded("; ".join(refusals))
     return best[1]
 
 
@@ -205,7 +225,7 @@ def compute(req: ComputationRequest) -> tuple[int, str]:
             return route.value(req), req.method
         if req.strict:
             at = f"{req.quantity}, n={req.n}" + ("" if req.r is None else f", r={req.r}")
-            raise formulas.HypothesisError(f"method {req.method!r} does not cover {at}")
+            raise HypothesisError(f"method {req.method!r} does not cover {at}")
     best = _cheapest(req)
     return ROUTES[best].value(req), best
 

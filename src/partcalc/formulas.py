@@ -17,8 +17,10 @@ whose choices are the same for every partial vector of one weight, is
 folded into hist once per weight.  _vector_row reads every n off one walk,
 and _vector_sum reads one.  The table and the fold cover parts 1 to 3 only
 and read no oracle, so the walk stays an algorithm of its own.  Its time
-still grows with p(top) = |A_top|, which VECTOR_LIMIT bounds: every guard,
-wrapper and estimate reads the one reach, vector_reach().
+still grows with p(top) = |A_top|, which series.VECTOR_LIMIT bounds: every
+guard, wrapper and estimate reads the one reach, series.vector_reach().
+That guard, the vector count and HypothesisError live outside this module,
+so that a request that takes another route never loads it.
 """
 
 from __future__ import annotations
@@ -28,34 +30,10 @@ import math
 from collections.abc import Callable, Sequence
 from operator import mul
 
+from . import series
 from .combinat import binomial
-from .sequences import FAMILIES, Family, quantity_weights
-from .series import CostGuardExceeded, oracle_row, restricted_partition_row
-
-# Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
-# within, p(61) = 1,121,505 is not.
-VECTOR_LIMIT = 10**6
-
-# Multiply-adds of the series oracle that one vector of the theorem walk is
-# priced at.  Calibrated when each vector was one call, on pp, pps and ppso at
-# n = 3..25 on a shared 2-core VM: about 0.40 us a vector against 0.10 us a
-# recurrence pair of the series.  With parts 1 and 2 closed from one table the
-# same sums take about 0.13 us a vector, so this price is now about 3x high;
-# it stays, so that auto keeps choosing the routes it chose.
-LEAF_COST = 4
-
-
-class HypothesisError(ValueError):
-    """An evaluator was called outside its validity range."""
-
-
-def stated_family(quantity: str, kind: str, n: int, r: int | None = None) -> Family:
-    """FAMILIES[quantity], or HypothesisError naming the wrapper
-    <stem>_<kind> when (n, r) lies outside the family's stated range."""
-    family = FAMILIES[quantity]
-    if not family.holds(n, r):
-        raise HypothesisError(f"{family.stem}_{kind} requires {family.stated_range}")
-    return family
+from .sequences import FAMILIES, quantity_weights, stated_family
+from .series import CostGuardExceeded, oracle_row
 
 
 def bounded_composition_count(total: int, copies: int, limit: int) -> int:
@@ -110,58 +88,15 @@ def _fill_vectors(s: int, remaining: int, vec: list[int], out: list) -> None:
         _fill_vectors(s + 1, remaining - s * l, vec, out)
 
 
-# With VECTOR_LIMIT below p(64), guards read p(k) only at k <= 64
-# (count_to_limit), so one row to 64 serves every guard of the process.
-@functools.cache
-def _counts_to_64() -> list[int]:
-    return restricted_partition_row(enumerate([1] * 64, start=1), 64)
-
-
-def vector_count(n: int) -> int:
-    """|A_n| = p(n), from the restricted-partition row with each part 1..n
-    once, or for n <= 64 from the one row to 64."""
-    if n <= 64:
-        return _counts_to_64()[n]
-    return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
-
-
-def count_to_limit(count, n: int, limit: int) -> tuple[int, int]:
-    """(n, count(n)), or (k, count(k)) for the first k of 64, 128, 256, ...
-    below n with count(k) above limit; for a nondecreasing count, count(n)
-    is at least as large.  A guard reads one row of at most 64 this way
-    whatever n is, once the limit is below count(64)."""
-    k = 64
-    while k < n:
-        value = count(k)
-        if value > limit:
-            return k, value
-        k *= 2
-    return n, count(n)
-
-
-def vector_reach() -> int:
-    """The theorem route's reach: the largest n with p(n) = |A_n| at most
-    VECTOR_LIMIT, read at call time.  Every theorem guard and estimate reads
-    it; p is nondecreasing, so exactly the n <= vector_reach() are within."""
-    return _reach(VECTOR_LIMIT)
-
-
-@functools.cache
-def _reach(limit: int) -> int:
-    n = 0
-    while vector_count(n + 1) <= limit:
-        n += 1
-    return n
-
-
 def _check_reach(n: int) -> None:
-    """Raise CostGuardExceeded when n is beyond vector_reach(); the message
-    gives p(n), or p(k) at the first k = 64, 128, ... above the limit."""
-    if n > _reach(VECTOR_LIMIT):
-        k, count = count_to_limit(vector_count, n, VECTOR_LIMIT)
+    """Raise CostGuardExceeded when n is beyond series.vector_reach(); the
+    message gives p(n), or p(k) at the first k = 64, 128, ... above the limit."""
+    if n > series.vector_reach():
+        limit = series.VECTOR_LIMIT
+        k, count = series.count_to_limit(series.vector_count, n, limit)
         at_least = "" if k == n else f"at least p({k}) = "
         raise CostGuardExceeded(
-            f"A_{n} has {at_least}{count} multiplicity vectors, above the limit of {VECTOR_LIMIT}"
+            f"A_{n} has {at_least}{count} multiplicity vectors, above the limit of {limit}"
         )
 
 
@@ -371,11 +306,11 @@ def ppr_via_multipartition_row(top: int, r: int, dp_row: Sequence[int]) -> list[
 
 def _multipartition_reader(top: int, r: int, dp_row: Callable[[], Sequence[int]]) -> Callable[[int], int]:
     """P_r(k) for 0 <= k <= top: the theorem sum wherever the formula
-    hypothesis holds and k is within vector_reach(), and the oracle's
+    hypothesis holds and k is within series.vector_reach(), and the oracle's
     dp_row()[k] elsewhere.  Each side is one row, built on the first k that
-    reads it: the theorem row to min(top, vector_reach()), and dp_row()."""
+    reads it: the theorem row to min(top, series.vector_reach()), and dp_row()."""
     family = FAMILIES["P_r"]
-    reach = min(top, vector_reach())
+    reach = min(top, series.vector_reach())
     rows = {}
 
     def pr(k: int) -> int:

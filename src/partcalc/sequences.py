@@ -17,7 +17,8 @@ weighted count, not the generating function of symmetric plane partitions.
 Those are counted by spp_multiplicity: 1 for odd k and floor(j/2) for k = 2j,
 the Gordon / Bender-Knuth product (OEIS A005987).  spp has a zero at k = 2,
 which its pairs drop and its dense view keeps as a 0.  spp is not yet a
-quantity, so it has no FAMILIES entry.
+quantity, so it has no FAMILIES entry.  A wrapper called outside its
+family's stated range raises HypothesisError (stated_family).
 
 A WeightSequence is the expanded part list (multiplicities explicit); a
 WeightFunction is the dense part -> multiplicity view on 1..bound.
@@ -99,6 +100,19 @@ QUANTITIES = (*FAMILIES, "p_a")
 
 # Quantities whose weight pattern needs the extra parameter r.
 R_QUANTITIES = tuple(q for q, family in FAMILIES.items() if family.takes_r)
+
+
+class HypothesisError(ValueError):
+    """An evaluator was called outside its validity range."""
+
+
+def stated_family(quantity: str, kind: str, n: int, r: int | None = None) -> Family:
+    """FAMILIES[quantity], or HypothesisError naming the wrapper
+    <stem>_<kind> when (n, r) lies outside the family's stated range."""
+    family = FAMILIES[quantity]
+    if not family.holds(n, r):
+        raise HypothesisError(f"{family.stem}_{kind} requires {family.stated_range}")
+    return family
 
 
 def spp_multiplicity(k: int) -> int:

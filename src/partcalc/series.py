@@ -16,10 +16,16 @@ oracles refuse a request whose estimate is above ORACLE_WORK_LIMIT.  A
 truncated series is a plain sequence of its coefficients, a tuple from
 euler_product and a list from restricted_partition_row, so a[n] is the
 coefficient of z^n.
+
+The theorem route's guard lives here too, so that a request can be priced
+without loading formulas: VECTOR_LIMIT bounds the multiplicity vectors of
+a theorem walk, vector_count(n) = p(n) counts them from one DP row, and
+vector_reach() is the largest n within the limit.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 from itertools import compress, repeat
 from math import exp, expm1, log, log1p, log2, sqrt
@@ -31,6 +37,10 @@ from .sequences import WeightFunction, WeightSequence, pattern, quantity_weights
 # table row, by its estimate (dp_work, series_work); read at call time.
 # pp(2000) takes about 7.6e6 by the DP and 2.0e6 by the series.
 ORACLE_WORK_LIMIT = 10**8
+
+# Most multiplicity vectors the theorem route walks: p(60) = 966,467 is
+# within, p(61) = 1,121,505 is not.  Read at call time (vector_reach).
+VECTOR_LIMIT = 10**6
 
 # Multiply-adds that one coefficient of the series' row costs besides its
 # recurrence pairs (reading its weight, starting its loop, the exact
@@ -271,6 +281,51 @@ def series_work(parts: Iterable[int], top: int) -> int:
             support[d::d] = b"\1" * (top // d)
         pairs = support.count(1) * (top + 1) - sum(compress(range(top + 1), support))
     return pairs + ROW_COST * top
+
+
+# With VECTOR_LIMIT below p(64), guards read p(k) only at k <= 64
+# (count_to_limit), so one row to 64 serves every guard of the process.
+@functools.cache
+def _counts_to_64() -> list[int]:
+    return restricted_partition_row(enumerate([1] * 64, start=1), 64)
+
+
+def vector_count(n: int) -> int:
+    """|A_n| = p(n), the multiplicity vectors of a theorem sum at n, from
+    the restricted-partition row with each part 1..n once, or for n <= 64
+    from the one row to 64."""
+    if n <= 64:
+        return _counts_to_64()[n]
+    return restricted_partition_row(enumerate([1] * n, start=1), n)[n]
+
+
+def count_to_limit(count, n: int, limit: int) -> tuple[int, int]:
+    """(n, count(n)), or (k, count(k)) for the first k of 64, 128, 256, ...
+    below n with count(k) above limit; for a nondecreasing count, count(n)
+    is at least as large.  A guard reads one row of at most 64 this way
+    whatever n is, once the limit is below count(64)."""
+    k = 64
+    while k < n:
+        value = count(k)
+        if value > limit:
+            return k, value
+        k *= 2
+    return n, count(n)
+
+
+def vector_reach() -> int:
+    """The theorem route's reach: the largest n with p(n) = |A_n| at most
+    VECTOR_LIMIT, read at call time.  Every theorem guard and estimate reads
+    it; p is nondecreasing, so exactly the n <= vector_reach() are within."""
+    return _reach(VECTOR_LIMIT)
+
+
+@functools.cache
+def _reach(limit: int) -> int:
+    n = 0
+    while vector_count(n + 1) <= limit:
+        n += 1
+    return n
 
 
 def oracle_cost(

@@ -13,7 +13,7 @@ the same sum over a box with one coordinate per part s of 1..n.
 
 Every sum is guarded before it builds anything of size n or of the box:
 the guard counts the box's points, and past 64 coordinates the box of the
-first 64, 128, ... (formulas.count_to_limit).  Each histogram step also
+first 64, 128, ... (series.count_to_limit).  Each histogram step also
 checks its own guard: the walk counts the points of the box it walks
 (box_weight_histogram), and the product prices its slots times slot width
 in bytes before it builds any factor (_check_product).  Then every sum takes
@@ -44,8 +44,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import lcm_range, stirling_first_unsigned
-from .formulas import CostGuardExceeded, bounded_composition_count, count_to_limit, stated_family
-from .sequences import WeightSequence, pattern
+from .formulas import bounded_composition_count
+from .sequences import WeightSequence, pattern, stated_family
+from .series import CostGuardExceeded, count_to_limit
 
 # Boxes with more points are refused with CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9

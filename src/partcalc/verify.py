@@ -60,24 +60,27 @@ class CheckResult:
 
 def _row_reader():
     """A reader of rows for one run: rows(quantity, top, r, parts, backend)
-    is series.oracle_row, built on its first read and kept for the run.
-    The backend "alternating-sum" reads pp_r off
+    is _read_row over a dict of its own, kept for the run."""
+    return functools.partial(_read_row, {})
+
+
+def _read_row(built, quantity, top, r=None, parts=None, backend="dp"):
+    """series.oracle_row, built on its first read and kept in built.  The
+    backend "alternating-sum" reads pp_r off
     formulas.ppr_via_multipartition_row, from the run's own P_r DP row, and
-    "theorem" reads the family's vector sums off one walk to top."""
-    built = {}
-
-    def rows(quantity, top, r=None, parts=None, backend="dp"):
-        key = (quantity, top, r, parts, backend)
-        if key not in built:
-            if backend == "alternating-sum":
-                built[key] = formulas.ppr_via_multipartition_row(top, r, rows("P_r", top, r))
-            elif backend == "theorem":
-                built[key] = formulas._vector_row(top, quantity_weights(quantity, top, r, None).weights)
-            else:
-                built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
-        return built[key]
-
-    return rows
+    "theorem" reads the family's vector sums off one walk to top.  A module
+    function rather than a closure: a closure that calls itself is a
+    reference cycle, which would keep every row alive until the cycle
+    collector runs."""
+    key = (quantity, top, r, parts, backend)
+    if key not in built:
+        if backend == "alternating-sum":
+            built[key] = formulas.ppr_via_multipartition_row(top, r, _read_row(built, "P_r", top, r))
+        elif backend == "theorem":
+            built[key] = formulas._vector_row(top, quantity_weights(quantity, top, r, None).weights)
+        else:
+            built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
+    return built[key]
 
 
 def _cap(max_n) -> float:
@@ -110,7 +113,7 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> 
     listed = min(ENUM_TOP, n if per_case else top)
     if 1 <= n <= listed and (diagram := dispatch.diagram_kind(req)):
         values["enum"] = counts(listed)[n].count(*diagram)
-    t = min(n if per_case else top, formulas.vector_reach())
+    t = min(n if per_case else top, series.vector_reach())
     if n <= t and (route := dispatch.ROUTES["theorem"]).serves(req):
         values["theorem"] = route.value(req) if n == t else rows(quantity, t, r, backend="theorem")[n]
     if per_case and dispatch.ROUTES["stirling"].serves(req):
@@ -249,7 +252,7 @@ def _suite_oracle_consistency(counts, rows, max_n=None, long_running=False) -> l
     # every n up to the theorem route's reach.
     res = CheckResult("vector-count-vs-p")
     p_row = rows("p", top)
-    counted = min(top, formulas.vector_reach())
+    counted = min(top, series.vector_reach())
     vector_row = formulas._vector_row(counted, [1] * counted)
     for n in range(1, counted + 1):
         res.expect(vector_row[n], p_row[n], f"n={n}")

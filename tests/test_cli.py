@@ -10,8 +10,7 @@ import pytest
 
 from partcalc import formulas, series, stirling, verify
 from partcalc.cli import main
-from partcalc.formulas import CostGuardExceeded
-from partcalc.series import oracle_value
+from partcalc.series import CostGuardExceeded, oracle_value
 
 
 def run_cli(capsys, *argv):
@@ -316,7 +315,7 @@ def test_verify_prints_checks_without_cases_as_skip(capsys):
 
 
 def test_verify_cross_method_skips_the_theorem_above_the_vector_limit(capsys, monkeypatch):
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
+    monkeypatch.setattr(series, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
     code, out, err = run_cli(capsys, "verify", "--suite", "cross-method", "--max-n", "12")
     assert code == 0
     assert out.strip().splitlines()[-1].endswith("0 failing")
@@ -415,7 +414,7 @@ def test_make_tables_exit_codes(capsys, monkeypatch):
             tables(argv)
         assert exc_info.value.code == 1
         assert message in capsys.readouterr().err
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
+    monkeypatch.setattr(series, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
     assert tables(["--method", "theorem", "--to", "10"]) == 0
     theorem = capsys.readouterr().out
     assert tables(["--to", "10"]) == 0

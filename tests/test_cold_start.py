@@ -16,8 +16,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Not needed by a `compute` or `table` on the theorem or DP route.
+# Not needed by a `compute` or `table` on the theorem, series or DP route.
 LAZY_MODULES = ("partcalc.stirling", "partcalc.diagrams", "partcalc.verify", "dataclasses", "fractions")
+
+# Every partcalc module that a `compute` on the series or DP route, or a
+# `table`, loads: choosing the route reads no formulas or combinat.
+ORACLE_MODULES = ["partcalc", "partcalc.cli", "partcalc.dispatch", "partcalc.sequences", "partcalc.series"]
 
 # Runs `python -m partcalc ARGS...` in this process, then prints the names of
 # the loaded modules as the last line of standard error.
@@ -51,18 +55,41 @@ def _run_partcalc(*args: str) -> tuple[str, list[str]]:
 @pytest.mark.parametrize(
     "args, out",
     [
-        (("compute", "--quantity", "pp", "--n", "5"), "pp(5) = 24  (method: theorem)\n"),
+        (("compute", "--quantity", "pp", "--n", "42"), "pp(42) = 593001267  (method: oracle-series)\n"),
+        (
+            ("compute", "--quantity", "p_a", "--parts", "2,3,7,11", "--n", "50"),
+            "p_a(50; parts=2,3,7,11) = 83  (method: oracle-dp)\n",
+        ),
         (
             ("table", "--quantity", "pps", "--from", "1", "--to", "8"),
             "1 1\n2 2\n3 4\n4 7\n5 12\n6 21\n7 34\n8 56\n",
         ),
     ],
-    ids=["compute", "table"],
+    ids=["series", "dp", "table"],
 )
-def test_compute_and_table_load_no_lazy_module(args, out):
+def test_oracle_commands_load_no_formulas(args, out):
     got, modules = _run_partcalc(*args)
     assert got == out
+    assert [name for name in modules if name.split(".")[0] == "partcalc"] == ORACLE_MODULES
     assert [name for name in LAZY_MODULES if name in modules] == []
+
+
+def test_theorem_loads_formulas_on_first_use():
+    got, modules = _run_partcalc("compute", "--quantity", "pp", "--n", "5")
+    assert got == "pp(5) = 24  (method: theorem)\n"
+    assert "partcalc.formulas" in modules
+    assert [name for name in LAZY_MODULES if name in modules] == []
+
+
+@pytest.mark.parametrize("fmt, loaded", [("plain", False), ("csv", False), ("json", True)])
+def test_only_json_output_imports_json(fmt, loaded):
+    # The harness above imports json itself, so the import list comes from
+    # the interpreter's own -X importtime report.
+    done = _python("-X", "importtime", "-m", "partcalc", "compute", "--quantity", "pp", "--n", "42",
+                   "--format", fmt)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rpartition("|")[2].strip() for line in done.stderr.splitlines()]
+    assert ("json" in imported) is loaded
 
 
 @pytest.mark.parametrize(
@@ -105,14 +132,17 @@ def test_every_public_name_resolves():
     check = """
 import sys
 import partcalc
-assert "partcalc.stirling" not in sys.modules and "partcalc.diagrams" not in sys.modules
+lazy = ("formulas", "combinat", "stirling", "diagrams")
+assert [name for name in lazy if f"partcalc.{name}" in sys.modules] == []
 missing = [name for name in partcalc.__all__ if getattr(partcalc, name, None) is None]
 assert not missing, missing
 cached = [name for name in partcalc.__all__ if name not in vars(partcalc)]
 from partcalc import *
 assert all(name in globals() for name in partcalc.__all__)
-from partcalc import stirling
+from partcalc import combinat, formulas, stirling
 assert partcalc.pp_stirling is stirling.pp_stirling
+assert partcalc.pp_formula is formulas.pp_formula
+assert partcalc.binomial is combinat.binomial
 assert [name for name in cached if name in vars(partcalc)] == []
 try:
     partcalc.no_such_name
@@ -124,4 +154,4 @@ print(len(cached))
 """
     done = _python("-c", check)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 15  # the stirling and diagrams names
+    assert int(done.stdout) == 28  # the formulas, combinat, stirling and diagrams names

@@ -5,11 +5,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from partcalc import formulas
+from partcalc import series
 from partcalc.dispatch import METHODS, ROUTES, ComputationRequest, RequestError, compute
-from partcalc.formulas import CostGuardExceeded, HypothesisError
-from partcalc.sequences import FAMILIES, QUANTITIES, R_QUANTITIES
-from partcalc.series import oracle_value
+from partcalc.sequences import FAMILIES, QUANTITIES, R_QUANTITIES, HypothesisError
+from partcalc.series import CostGuardExceeded, oracle_value
 
 
 def test_request_validation():
@@ -70,9 +69,9 @@ def test_auto_takes_dp_above_the_vector_limit():
 def test_auto_reads_the_vector_limit(monkeypatch):
     # pps(7): p(7) = 15 vectors, 4 * 15 = 60 multiply-adds against the
     # series' 63, so the theorem runs while the limit admits 15 vectors.
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 15)
+    monkeypatch.setattr(series, "VECTOR_LIMIT", 15)
     assert compute(ComputationRequest("pps", 7)) == (oracle_value("pps", 7), "theorem")
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 14)
+    monkeypatch.setattr(series, "VECTOR_LIMIT", 14)
     assert compute(ComputationRequest("pps", 7)) == (oracle_value("pps", 7), "oracle-series")
     assert compute(ComputationRequest("pp_r", 11, r=12))[1] == "oracle-series"
     with pytest.raises(CostGuardExceeded):
@@ -286,7 +285,7 @@ def test_r_quantities_match_dp(r, n, method):
 
 def test_auto_counts_the_vectors_once(monkeypatch):
     rows = []
-    vector_count = formulas.vector_count
+    vector_count = series.vector_count
 
     def spy(n):
         rows.append(n)
@@ -294,8 +293,8 @@ def test_auto_counts_the_vectors_once(monkeypatch):
 
     # The reach is read once per process and limit; after that the route
     # choice prices p(n) once, and the walk's own guard reads no count.
-    formulas.vector_reach()
-    monkeypatch.setattr(formulas, "vector_count", spy)
+    series.vector_reach()
+    monkeypatch.setattr(series, "vector_count", spy)
     # pp(7): the theorem's 4 * p(7) = 60 multiply-adds beat the series' 63.
     assert compute(ComputationRequest("pp", 7)) == (oracle_value("pp", 7), "theorem")
     assert rows == [7]
@@ -311,7 +310,7 @@ def test_auto_counts_the_vectors_once(monkeypatch):
 
 def test_vector_limit_check_does_not_grow_with_n():
     start = time.perf_counter()
-    assert formulas.vector_reach() < 10**5
+    assert series.vector_reach() < 10**5
     for n in (10**5, 10**9):
         with pytest.raises(CostGuardExceeded, match=rf"A_{n} has at least p\(64\) = 1741630 "):
             compute(ComputationRequest("pp", n, method="theorem"))

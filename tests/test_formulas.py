@@ -11,9 +11,6 @@ from hypothesis import given, settings, strategies as st
 from partcalc import formulas, series
 from partcalc.combinat import binomial
 from partcalc.formulas import (
-    VECTOR_LIMIT,
-    CostGuardExceeded,
-    HypothesisError,
     bounded_composition_count,
     multipartition_formula,
     multiplicity_vectors,
@@ -24,11 +21,16 @@ from partcalc.formulas import (
     ppr_via_multipartition_row,
     pps_formula,
     ppso_formula,
+)
+from partcalc.sequences import FAMILIES, HypothesisError, quantity_weights
+from partcalc.series import (
+    VECTOR_LIMIT,
+    CostGuardExceeded,
+    oracle_row,
+    oracle_value,
     vector_count,
     vector_reach,
 )
-from partcalc.sequences import FAMILIES, quantity_weights
-from partcalc.series import oracle_row, oracle_value
 
 A3 = ((3, 0, 0), (1, 1, 0), (0, 0, 1))
 A4 = ((4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1))
@@ -130,8 +132,7 @@ def test_theorem_walk_uses_neither_the_dp_nor_the_series(monkeypatch):
     # The guard's p row, read once per process for the reach, is the only
     # oracle read the route makes.
     vector_reach()
-    for module in (formulas, series):
-        monkeypatch.setattr(module, "restricted_partition_row", refuse)
+    monkeypatch.setattr(series, "restricted_partition_row", refuse)
     monkeypatch.setattr(formulas, "oracle_row", refuse)
     monkeypatch.setattr(series, "euler_product", refuse)
     got = [
@@ -151,18 +152,20 @@ def test_vector_count_is_p():
 
 
 def test_vector_counts_to_64_share_one_row(monkeypatch):
+    # Read before the spy goes in: the DP oracle builds its rows the same way.
+    want, p70 = list(oracle_row("p", 64)), oracle_value("p", 70)
     built = []
-    real = formulas.restricted_partition_row
+    real = series.restricted_partition_row
 
     def spy(pairs, top):
         built.append(top)
         return real(pairs, top)
 
-    formulas._counts_to_64.cache_clear()
-    monkeypatch.setattr(formulas, "restricted_partition_row", spy)
-    assert [vector_count(n) for n in range(65)] == list(oracle_row("p", 64))
+    series._counts_to_64.cache_clear()
+    monkeypatch.setattr(series, "restricted_partition_row", spy)
+    assert [vector_count(n) for n in range(65)] == want
     assert built == [64]
-    assert vector_count(70) == oracle_value("p", 70)
+    assert vector_count(70) == p70
     assert built == [64, 70]
 
 
@@ -186,7 +189,7 @@ def test_vector_walk_checks_its_own_guard():
 @pytest.mark.parametrize("limit, reach", [(14, 6), (15, 7), (42, 10)])
 def test_vector_reach_follows_the_limit(monkeypatch, limit, reach):
     assert vector_reach() == 60
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", limit)
+    monkeypatch.setattr(series, "VECTOR_LIMIT", limit)
     assert vector_reach() == reach
     assert pp_formula(reach) == oracle_value("pp", reach)
     with pytest.raises(CostGuardExceeded, match=f"A_{reach + 1} has {vector_count(reach + 1)} "):

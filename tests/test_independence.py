@@ -19,7 +19,7 @@ from partcalc.dispatch import ComputationRequest, compute
 # generic sum at one n walks its box (box_weight_histogram).  The generic
 # row, which only verify reads, multiplies the tables too (_packed_product).
 CORES = {
-    "oracle-dp": ((series, "restricted_partition_row"), (formulas, "restricted_partition_row")),
+    "oracle-dp": ((series, "restricted_partition_row"),),
     "oracle-series": ((series, "euler_product"),),
     "oracle-enum": ((diagrams, "_dominated_rows"),),
     "theorem": ((formulas, "_vector_histogram"),),
@@ -57,7 +57,7 @@ def test_route_uses_no_other_route(monkeypatch, route):
         for method, q, n, r, parts in requests
     ]
     # The theorem guard's p row is read once per process, not per value.
-    formulas.vector_reach()
+    series.vector_reach()
 
     for other, bindings in CORES.items():
         if other == route:

@@ -6,12 +6,11 @@ import time
 
 import pytest
 
-from partcalc import formulas, sequences, series
+from partcalc import sequences, series
 from partcalc.cli import main
-from partcalc.dispatch import METHODS, ComputationRequest, compute, compute_table
-from partcalc.formulas import CostGuardExceeded
+from partcalc.dispatch import LEAF_COST, METHODS, ComputationRequest, compute, compute_table
 from partcalc.sequences import FAMILIES, QUANTITIES
-from partcalc.series import oracle_value
+from partcalc.series import CostGuardExceeded, oracle_value
 
 PARTS_25 = (2, 3, 5, 7, 9, 11, 12, 14, 17, 19, 21, 23, 26, 28, 30, 33, 35, 38, 41, 44, 47, 50, 53, 56, 59)
 
@@ -44,8 +43,8 @@ def test_auto_takes_the_smallest_estimate():
     for req in _requests(20):
         costs = {}
         leaves = oracle_value("p", req.n)  # |A_n|
-        if _theorem_serves(req) and leaves <= formulas.VECTOR_LIMIT:
-            costs["theorem"] = formulas.LEAF_COST * leaves
+        if _theorem_serves(req) and leaves <= series.VECTOR_LIMIT:
+            costs["theorem"] = LEAF_COST * leaves
         backends = ("dp", "series") if req.quantity == "p_a" or req.n == 0 else ("series",)
         for backend in backends:
             costs[f"oracle-{backend}"] = series.oracle_cost(
@@ -69,7 +68,7 @@ def test_ties_break_theorem_then_dp_then_series(monkeypatch):
     # p(0): no work by either oracle.
     assert compute(ComputationRequest("p", 0)) == (1, "oracle-dp")
     # The theorem's estimate for pp(10): 4 * p(10) = 168 multiply-adds.
-    theorem = formulas.LEAF_COST * oracle_value("p", 10)
+    theorem = LEAF_COST * oracle_value("p", 10)
     monkeypatch.setattr(series, "dp_work", lambda pairs, top: theorem)
     monkeypatch.setattr(series, "series_work", lambda parts, top: theorem)
     assert compute(ComputationRequest("p_a", 10, parts=(1, 2, 3)))[1] == "oracle-dp"
@@ -118,7 +117,7 @@ def test_chosen_route_is_within_half_again_of_the_fastest(quantity, r, parts, si
         samples = 300 if n <= 12 else 9 if n <= 42 else 1
         chosen = compute(ComputationRequest(quantity, n, r=r, parts=parts))[1]
         routes = ["oracle-dp", "oracle-series"]
-        if quantity != "p_a" and n <= formulas.vector_reach():
+        if quantity != "p_a" and n <= series.vector_reach():
             routes.append("theorem")
         requests = {route: ComputationRequest(quantity, n, r=r, parts=parts, method=route)
                     for route in routes}

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from partcalc import formulas, series, stirling
 from partcalc.combinat import stirling_first_unsigned
-from partcalc.formulas import HypothesisError
-from partcalc.sequences import FAMILIES, Family, WeightSequence, pattern, seq_pp, seq_strict
+from partcalc.sequences import FAMILIES, Family, HypothesisError, WeightSequence, pattern, seq_pp, seq_strict
 from partcalc.series import oracle_value, restricted_partition_dp
 from partcalc.stirling import (
     CongruenceBox,
@@ -356,9 +355,8 @@ def test_generic_sum_reads_no_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the Stirling sum read an oracle")
 
-    for module in (series, formulas):
-        for name in ("restricted_partition_row", "oracle_row"):
-            monkeypatch.setattr(module, name, refuse)
+    for module, name in ((series, "restricted_partition_row"), (series, "oracle_row"), (formulas, "oracle_row")):
+        monkeypatch.setattr(module, name, refuse)
     for a, row in zip(sequences, want):
         assert restricted_row_stirling(a, 24) == row
         assert [restricted_count_stirling(a, n) for n in range(25)] == row

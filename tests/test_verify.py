@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from partcalc import formulas, series, stirling, verify
@@ -48,6 +50,20 @@ def test_default_suites_keep_every_check_and_case():
         assert {res.name: res.cases for res in results} == checks
         totals[suite] = sum(res.cases for res in results)
     assert totals == {"examples": 68, "cross-method": 1598, "oracle-consistency": 930, "stirling": 379}
+
+
+def test_a_run_leaves_no_reference_cycle():
+    # A warm-up run first, so that module caches are already filled.
+    for suite in DEFAULT_CHECKS:
+        verify.run_suite(suite)
+    gc.disable()
+    try:
+        gc.collect()
+        for suite in DEFAULT_CHECKS:
+            verify.run_suite(suite)
+            assert gc.collect() == 0, suite
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("suite", ["examples", "cross-method", "oracle-consistency", "stirling"])
@@ -135,7 +151,7 @@ def test_long_running_lists_diagrams_to_16(listings):
 
 
 def test_vector_count_stops_at_the_vector_limit(monkeypatch):
-    monkeypatch.setattr(formulas, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
+    monkeypatch.setattr(series, "VECTOR_LIMIT", 42)  # p(10) = 42, p(11) = 56
     results = verify.run_suite("oracle-consistency", max_n=12)
     assert all(res.ok for res in results)
     counted = next(res for res in results if res.name == "vector-count-vs-p")
