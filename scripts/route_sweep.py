@@ -15,8 +15,9 @@ as `table --from 0 --to 9`: 1,650 requests.  The random grid draws
 RANDOM_COUNT = 400 requests from --seed: a quantity, a method, `compute` at
 n = 0..60 or a `table` of at most 8 rows below 61, r = 1..12, and for p_a
 1..4 parts of 1..6.  Family Stirling requests and enumeration requests are
-drawn at n <= 12: the box guard refuses every family Stirling sum above
-n = 5, so a larger n would add only more of the same refusal.
+drawn at n <= 12: the family Stirling sums reach only n <= 5
+(stirling.FAMILY_REACH), so a larger n would add only more of the same
+refusal.
 """
 
 from __future__ import annotations

@@ -32,10 +32,11 @@ from .series import CostGuardExceeded, euler_product, oracle_value, restricted_p
 # module's attribute afresh, so a replaced function (a tracer, a test
 # double) is the one returned.
 _ON_FIRST_USE = {
-    **dict.fromkeys(("binomial", "lcm_range", "stirling_first_unsigned"), "combinat"),
+    **dict.fromkeys(
+        ("binomial", "bounded_composition_count", "lcm_range", "stirling_first_unsigned"), "combinat"
+    ),
     **dict.fromkeys(
         (
-            "bounded_composition_count",
             "multiplicity_vectors",
             "multipartition_formula",
             "pp_formula",

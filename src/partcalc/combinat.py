@@ -1,4 +1,5 @@
-"""Exact combinatorial kernels: binomials, lcm ranges, Stirling rows.
+"""Exact combinatorial kernels: binomials, lcm ranges, Stirling rows, and the
+block coefficients that weight a Stirling sum's coordinates.
 
 All values are plain Python integers (arbitrary precision); rationals appear
 only in the Stirling-sum module, via fractions.Fraction.
@@ -38,3 +39,25 @@ def stirling_first_unsigned(r: int) -> tuple[int, ...]:
             grown[k] += row[k - 1]
         row = grown
     return tuple(row)
+
+
+def bounded_composition_count(total: int, copies: int, limit: int) -> int:
+    """Number of (x_1..x_copies) with 0 <= x_i <= limit and sum x_i = total.
+
+    Inclusion-exclusion over the coordinates pushed past the limit; returns 0
+    outside the support [0, copies*limit].
+    """
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    if total < 0:
+        return 0
+    out = 0
+    for i in range(copies + 1):
+        rest = total - i * (limit + 1)
+        if rest < 0:
+            break
+        term = math.comb(copies, i) * math.comb(rest + copies - 1, copies - 1)
+        out += term if i % 2 == 0 else -term
+    return out

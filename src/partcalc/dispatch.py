@@ -27,7 +27,6 @@ from .sequences import (
     Family,
     HypothesisError,
     Value,
-    WeightSequence,
 )
 from .series import CostGuardExceeded
 
@@ -79,7 +78,7 @@ class ComputationRequest(Value):
         self.quantity = quantity
         self.n = n
         self.r = r
-        self.parts = parts
+        self.parts = None if parts is None else tuple(parts)  # a list would not hash
         self.method = method
         self.strict = strict
 
@@ -125,7 +124,7 @@ def _stirling_value(req: ComputationRequest) -> int:
     from . import stirling  # imported by the first Stirling request
 
     if req.quantity == "p_a":
-        return stirling.restricted_count_stirling(WeightSequence.from_parts(req.parts), req.n)
+        return stirling.restricted_count_stirling(req.parts, req.n)
     family, n, r = _stated(req)
     if family.stem is None:  # p has no closed form; its Stirling sum is the generic engine
         return stirling.partition_count_stirling(n)

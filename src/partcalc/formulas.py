@@ -36,28 +36,6 @@ from .sequences import FAMILIES, quantity_weights, stated_family
 from .series import CostGuardExceeded, oracle_row
 
 
-def bounded_composition_count(total: int, copies: int, limit: int) -> int:
-    """Number of (x_1..x_copies) with 0 <= x_i <= limit and sum x_i = total.
-
-    Inclusion-exclusion over the coordinates pushed past the limit; returns 0
-    outside the support [0, copies*limit].
-    """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    if total < 0:
-        return 0
-    out = 0
-    for i in range(copies + 1):
-        rest = total - i * (limit + 1)
-        if rest < 0:
-            break
-        term = math.comb(copies, i) * math.comb(rest + copies - 1, copies - 1)
-        out += term if i % 2 == 0 else -term
-    return out
-
-
 # Only verify lists the vectors, once per n; the sums below walk A_n without
 # them, so one cached list is enough.
 @functools.lru_cache(maxsize=1)

@@ -8,7 +8,7 @@ that enumerates the family.
 pattern(quantity, bound, r, parts) is the one place that turns a quantity
 into its multiplicities: increasing (part, multiplicity) pairs, every
 multiplicity at least 1, for the family's parts 1..bound or the runs of the
-sorted parts of p_a.  Every route reads them: the DP and both Stirling setups
+sorted parts of p_a.  Every route reads them: the DP and the Stirling setup
 the pairs, the series and the theorem walk their dense view, the
 WeightFunction of quantity_weights.
 

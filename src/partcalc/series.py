@@ -422,6 +422,8 @@ def oracle_row(
     """Counts at n = 0..top from one oracle row: one
     restricted_partition_row over the quantity's pattern, or euler_product
     over its dense view.  The guard is checked once, at top."""
+    if parts is not None:
+        parts = tuple(parts)  # a list would not hash as a pattern key
     _admit(backend, quantity, top, r, parts)
     if top == 0:
         return (1,)

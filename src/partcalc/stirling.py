@@ -8,19 +8,21 @@ D = lcm(a),
                  c(r, k+1) (-1)^(k-m) C(k, m) D^(-k) S^(k-m) n^m
 
 with S the weighted sum of the box point and c the unsigned Stirling numbers
-of the first kind.  The family wrappers (pp, pp_r, pps, ppso, P_r) evaluate
-the same sum over a box with one coordinate per part s of 1..n.
+of the first kind.  The family wrappers (pp, pp_r, pps, ppso, P_r) are the
+same sum over the parts of their pattern (sequences.pattern): p_a with a the
+family's weight sequence to n, as the paper reduces them.
 
-Every sum is guarded before it builds anything of size n or of the box:
-the guard counts the box's points, and past 64 coordinates the box of the
-first 64, 128, ... (series.count_to_limit).  Each histogram step also
-checks its own guard: the walk counts the points of the box it walks
-(box_weight_histogram), and the product prices its slots times slot width
-in bytes before it builds any factor (_check_product).  Then every sum takes
-one setup and one evaluation step.  The setup turns (part, copies, bound) runs
-into a CongruenceBox, a StirlingKernel and one block table per coordinate.
-The box depends on n only through n mod D, so on one residue class the sum
-is a polynomial in n of degree r-1 (Sylvester's wave).  The step takes the
+Every sum is guarded before it builds anything of size n or of the box.
+The family sums are refused above one stated n, FAMILY_REACH.  The generic
+sums count the expanded box's points (check_generic_box), and past 64
+parts the box of the first 64, 128, ... (series.count_to_limit).  Each
+histogram step also checks its own guard: the walk counts the points of
+the box it walks (box_weight_histogram), and the product prices its slots
+times slot width in bytes before it builds any factor (_check_product).
+Then every sum takes one setup (generic_setup: a CongruenceBox, a
+StirlingKernel and one block table per pair) and one evaluation step.  The
+box depends on n only through n mod D, so on one residue class the sum is
+a polynomial in n of degree r-1 (Sylvester's wave).  The step takes the
 histogram of weighted sums over the box (mass per S), reduces it to its
 power moments sum mass * S^e, builds that polynomial's coefficients in
 exact integers over the common denominator (r-1)! D^(r-1) (_polynomial,
@@ -30,11 +32,19 @@ reads the polynomial of the one-point histogram {S: 1}.  The sums differ
 only in how they build the histogram.  The generic sums at one n and
 regrouped_partial_sums walk their box (box_weight_histogram).  The others
 multiply the block tables once (_packed_product), which holds the
-histogram of every residue class: the family sums read their own class
-(packed_histogram), and restricted_row_stirling reads every class that
-occurs in its row, builds that residue's polynomial once, and evaluates it
-at every n of the class.  regrouped_partial_sums keeps the
-per-weighted-sum view as exact fractions, for verify.
+histogram of every residue class: a family sum reads the class of its n,
+and restricted_row_stirling reads every class that occurs in its row,
+builds that residue's polynomial once, and evaluates it at every n of the
+class.  regrouped_partial_sums keeps the per-weighted-sum view as exact
+fractions, for verify.
+
+Within FAMILY_REACH the family sum has a plainer reading too.  Its parts
+are 1..n, so D = lcm(1..n) > n at every n >= 3 it serves.  The kernel at S
+is C((n - S)/D + L - 1, L - 1), L the number of parts: 1 at S = n and 0 at
+S = n + jD for 1 <= j < L.  The class of n holds no S < n, and none at
+n + LD or above (every S is below LD).  So the sum is the product's mass
+at S = n, the coefficient of z^n in prod (1 + z^a + ... + z^(D - a)) =
+prod (1 - z^D)/(1 - z^a), which below z^D is p_a(n).
 """
 
 from __future__ import annotations
@@ -43,13 +53,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import lcm_range, stirling_first_unsigned
-from .formulas import bounded_composition_count
-from .sequences import WeightSequence, pattern, stated_family
+from .combinat import bounded_composition_count, stirling_first_unsigned
+from .sequences import pattern, stated_family
 from .series import CostGuardExceeded, count_to_limit
 
-# Boxes with more points are refused with CostGuardExceeded; read at call time.
+# Generic boxes (of p and p_a) with more points are refused with
+# CostGuardExceeded; read at call time.
 DEFAULT_BOX_LIMIT = 10**9
+# Family sums above this n are refused likewise, before their pattern is
+# built.  The products at n = 6 are small, but serving them raised the
+# crosscheck workload's tail latency from about 1.1 to 2.5 ms in a
+# prototype, where that workload plans n = 6 as refused (ROADMAP item 2).
+FAMILY_REACH = 5
 # Packed products (_packed_product) of more bytes are refused likewise.
 DEFAULT_PRODUCT_LIMIT = 10**6
 
@@ -194,31 +209,6 @@ def regrouped_sum(
     return _evaluate(_polynomial(kernel, box_weight_histogram(box, coeff_tables)), kernel, kernel.target)
 
 
-def _setup(
-    runs: list[tuple[int, int, int]], modulus: int, target: int
-) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
-    """Box, kernel and coefficient tables of a congruence sum for target.
-
-    runs holds one (part k, copies m, bound b) per coordinate: weight k,
-    values 0..b, and at value v the number of (x_1..x_m) with
-    x_i <= modulus/k - 1 summing to v, the coefficients of
-    (1 + z + ... + z^(modulus/k - 1))^m.  A table that would be all ones
-    (one copy, bound modulus/k - 1) is None.  Callers check their box's
-    guard first.
-    """
-    bounds, weights = tuple(b for _, _, b in runs), tuple(k for k, _, _ in runs)
-    box = CongruenceBox(bounds, weights, modulus, target % modulus)
-    tables = tuple(
-        None
-        if m == 1 and b == modulus // k - 1
-        else tuple(bounded_composition_count(v, m, modulus // k - 1) for v in range(b + 1))
-        for k, m, b in runs
-    )
-    length = sum(m for _, m, _ in runs)
-    kernel = StirlingKernel(length, modulus, target, stirling_first_unsigned(length))
-    return box, kernel, tables
-
-
 def generic_setup(
     pairs: tuple[tuple[int, int], ...], n: int
 ) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
@@ -227,15 +217,22 @@ def generic_setup(
     lcm(a).
 
     The expanded box is 0 <= j_t < D/a_t, one coordinate per part, with
-    sum a_t j_t = n (mod D).  The m copies of a part k are walked as one
-    coordinate of weight k and bound m(D/k - 1), whose table counts the
-    (j_1..j_m) with j_i <= D/k - 1 summing to each value, so the histogram
-    is the expanded box's.  A part that occurs once walks as in the
-    expanded box, with table None.  Callers count the expanded box
-    (check_generic_box) first.
+    sum a_t j_t = n (mod D).  The m copies of a part k are one coordinate
+    of weight k and bound m(D/k - 1), whose table counts the (j_1..j_m)
+    with j_i <= D/k - 1 summing to each value, the coefficients of
+    (1 + z + ... + z^(D/k - 1))^m, so the histogram is the expanded box's.
+    A part that occurs once has table None (all ones).  Callers check
+    their guard first: check_generic_box, or FAMILY_REACH for a family.
     """
     d = math.lcm(*(k for k, _ in pairs))
-    return _setup([(k, m, m * (d // k - 1)) for k, m in pairs], d, n)
+    runs = [(k, m, d // k - 1) for k, m in pairs]
+    box = CongruenceBox(tuple(m * a for _, m, a in runs), tuple(k for k, _, _ in runs), d, n % d)
+    tables = tuple(
+        None if m == 1 else tuple(bounded_composition_count(v, m, a) for v in range(m * a + 1))
+        for _, m, a in runs
+    )
+    length = sum(m for _, m in pairs)
+    return box, StirlingKernel(length, d, n, stirling_first_unsigned(length)), tables
 
 
 def check_generic_box(parts) -> None:
@@ -257,16 +254,27 @@ def partition_count_stirling(n: int) -> int:
     return regrouped_sum(*generic_setup(pattern("p", n, None, None), n))
 
 
-def restricted_count_stirling(a: WeightSequence, n: int) -> int:
-    """p_a(n) by the generic congruence-box sum over (j_1..j_r)."""
+def _guarded_parts(parts) -> tuple[int, ...]:
+    """parts as a tuple, once every part is checked positive (ValueError)
+    and the generic box within its guard (check_generic_box)."""
+    parts = tuple(parts)
+    if not parts or min(parts) < 1:
+        raise ValueError("parts must be positive")
+    check_generic_box(sorted(parts))
+    return parts
+
+
+def restricted_count_stirling(parts: tuple[int, ...], n: int) -> int:
+    """p_a(n), a the parts in any order, by the generic congruence-box sum
+    over (j_1..j_r)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    check_generic_box(a.parts)
-    return regrouped_sum(*generic_setup(pattern("p_a", n, None, a.parts), n))
+    parts = _guarded_parts(parts)
+    return regrouped_sum(*generic_setup(pattern("p_a", n, None, parts), n))
 
 
-def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
-    """p_a(0..top) by the generic congruence-box sum.
+def restricted_row_stirling(parts: tuple[int, ...], top: int) -> list[int]:
+    """p_a(0..top), a the parts in any order, by the generic congruence-box sum.
 
     Every n with the same residue mod D shares one box, and one packed
     product of the tables generic_setup builds (_packed_product) holds the
@@ -277,8 +285,8 @@ def restricted_row_stirling(a: WeightSequence, top: int) -> list[int]:
     """
     if top < 0:
         raise ValueError("top must be >= 0")
-    check_generic_box(a.parts)
-    box, kernel, tables = generic_setup(pattern("p_a", top, None, a.parts), 0)
+    parts = _guarded_parts(parts)
+    box, kernel, tables = generic_setup(pattern("p_a", top, None, parts), 0)
     histogram = _packed_product(box, tables)
     row = [0] * (top + 1)
     for residue in range(min(kernel.modulus, top + 1)):
@@ -337,15 +345,6 @@ def _horner(poly: list[int], n: int) -> int:
     return value
 
 
-def packed_histogram(
-    box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...]
-) -> dict[int, int]:
-    """box_weight_histogram(box, coeff_tables), read off one polynomial
-    product (_packed_product): the entries at S = residue (mod modulus),
-    with their nonzero masses."""
-    return _packed_product(box, coeff_tables)(box.residue)
-
-
 def _packed_product(box: CongruenceBox, coeff_tables: tuple[tuple[int, ...] | None, ...]):
     """The histogram of weighted sums over the whole box, every residue
     class at once: a reader that returns the class of a residue mod the
@@ -396,36 +395,15 @@ def _check_product(slots: int, width: int) -> None:
         )
 
 
-def _pattern_setup(
-    n: int, pairs: tuple[tuple[int, int], ...]
-) -> tuple[CongruenceBox, StirlingKernel, tuple[tuple[int, ...] | None, ...]]:
-    """Box, kernel and per-coordinate coefficient tables for a family sum.
-
-    Coordinate s collapses the m_s expanded variables of each (s, m_s) of
-    pairs (sequences.pattern, so m_s >= 1), with D = lcm(1..n).  The bound
-    D - m_s covers every point whose weighted sum can reach the target;
-    points it cuts off would hit the kernel only where the kernel vanishes,
-    so truncation does not change the sum.
-    """
-    d = lcm_range(n)
-    return _setup([(s, m, d - m) for s, m in pairs], d, n)
-
-
-def _family_points(quantity: str, k: int, r: int | None) -> int:
-    """Points of the family box at n = k, the product of lcm(1..k) - m + 1
-    over the pairs (s, m) of its pattern, a factor below 1 read as 0; the
-    guard counts this box."""
-    d = lcm_range(k)
-    return math.prod(max(d - m + 1, 0) for _, m in pattern(quantity, k, r, None))
-
-
 def _regrouped_count(quantity: str, n: int, r: int | None = None) -> int:
-    """The family's congruence sum at (n, r), in range and within the box
-    guard before its pattern is built."""
+    """The family's congruence sum at (n, r): the generic sum over its
+    pattern, read at n off one packed product.  The range and FAMILY_REACH
+    are checked before the pattern is built."""
     stated_family(quantity, "stirling", n, r)
-    _check_box(lambda k: _family_points(quantity, k, r), n)
-    box, kernel, tables = _pattern_setup(n, pattern(quantity, n, r, None))
-    return _evaluate(_polynomial(kernel, packed_histogram(box, tables)), kernel, n)
+    if n > FAMILY_REACH:
+        raise CostGuardExceeded(f"family Stirling sums reach only n <= {FAMILY_REACH}")
+    box, kernel, tables = generic_setup(pattern(quantity, n, r, None), n)
+    return _evaluate(_polynomial(kernel, _packed_product(box, tables)(box.residue)), kernel, n)
 
 
 def pp_stirling(n: int) -> int:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import diagrams, dispatch, formulas, series, stirling
-from .sequences import FAMILIES, WeightSequence, pattern, quantity_weights
+from .combinat import bounded_composition_count
+from .sequences import FAMILIES, pattern, quantity_weights
 
 ENUM_TOP, ENUM_TOP_LONG = 8, 16  # the largest n enumeration is read at, and with long_running
 
@@ -128,8 +129,8 @@ def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> 
 
 def _block_row(copies, alpha) -> tuple[int, ...]:
     """The coefficients of the block polynomial (1 + z + ... + z^alpha)^copies
-    as the Stirling sums' tables read them, by formulas.bounded_composition_count."""
-    return tuple(formulas.bounded_composition_count(k, copies, alpha) for k in range(copies * alpha + 1))
+    as the Stirling sums' tables read them, by bounded_composition_count."""
+    return tuple(bounded_composition_count(k, copies, alpha) for k in range(copies * alpha + 1))
 
 
 def _convolved(copies, alpha) -> tuple[int, ...]:
@@ -195,7 +196,7 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
         if n <= cap:
             res.expect(rows("p_a", n, parts=parts)[n], want, f"p_a({n}; parts={parts}) via dp")
     if 6 <= cap:
-        got = stirling.restricted_count_stirling(WeightSequence((1, 2, 3)), 6)
+        got = stirling.restricted_count_stirling((1, 2, 3), 6)
         res.expect(got, 7, "p_a(6; parts=(1, 2, 3)) via stirling")
 
     res = checks["multiplicity-vectors"]
@@ -206,8 +207,8 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
     res = checks["block-coefficients"]
     res.expect(_block_row(2, 2), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
     res.expect(_block_row(3, 1), (1, 3, 3, 1), "block (1+z)^3")
-    res.expect(formulas.bounded_composition_count(3, 2, 5), 4, "copies=2 modulus=12 coefficient 3")
-    res.expect(formulas.bounded_composition_count(5, 2, 5), 6, "copies=2 modulus=12 coefficient 5")
+    res.expect(bounded_composition_count(3, 2, 5), 4, "copies=2 modulus=12 coefficient 3")
+    res.expect(bounded_composition_count(5, 2, 5), 6, "copies=2 modulus=12 coefficient 5")
 
     return list(checks.values())
 
@@ -323,7 +324,7 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
             for k in range(degree + 1):
                 direct.expect(coeffs[k], reference[k], lambda: f"{label} k={k}")
                 reciprocity.expect(coeffs[k], coeffs[degree - k], lambda: f"{label} k={k}")
-            beyond = formulas.bounded_composition_count(degree + 1, copies, alpha)
+            beyond = bounded_composition_count(degree + 1, copies, alpha)
             direct.expect(beyond, 0, f"{label} beyond degree")
             mass.expect(sum(coeffs), (modulus // copies) ** copies, label)
     out += [direct, reciprocity, mass]
@@ -350,13 +351,13 @@ def _suite_stirling(counts, rows, max_n=None, long_running=False) -> list[CheckR
     engine_top = min(60, cap)
     for parts in ENGINE_SEQUENCES:
         res = CheckResult(f"stirling-engine-vs-dp[parts={','.join(map(str, parts))}]")
-        engine_row = stirling.restricted_row_stirling(WeightSequence(tuple(parts)), engine_top)
+        engine_row = stirling.restricted_row_stirling(parts, engine_top)
         dp_row = rows("p_a", engine_top, parts=tuple(parts))
         for n in range(engine_top + 1):
             res.expect(engine_row[n], dp_row[n], f"n={n}")
         out.append(res)
 
-    wrapper_top = min(5 if long_running else 4, cap)
+    wrapper_top = min(stirling.FAMILY_REACH if long_running else 4, cap)
     for quantity, family in FAMILIES.items():
         if family.stem is None:
             continue

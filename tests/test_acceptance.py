@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import time
 
+from partcalc.combinat import bounded_composition_count
 from partcalc.diagrams import count_diagrams
 from partcalc.dispatch import ComputationRequest, compute
 from partcalc.formulas import (
-    bounded_composition_count,
     multipartition_formula,
     multiplicity_vectors,
     pp_formula,
@@ -227,7 +227,7 @@ def test_criterion_5_stirling_engine_and_wrappers():
         for n in range(61):
             _expect(
                 failures,
-                restricted_count_stirling(a, n),
+                restricted_count_stirling(parts, n),
                 restricted_partition_dp(a, n),
                 f"engine, parts={parts}, n={n}",
             )

@@ -136,7 +136,7 @@ def test_family_stirling_guard_exits_before_building_tables(capsys, n):
     assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
-    assert "cost guard: congruence box has" in err
+    assert "cost guard: family Stirling sums reach only n <= 5" in err
 
 
 def _primes_above(low, count):
@@ -149,9 +149,10 @@ def _primes_above(low, count):
     return primes
 
 
-# Each box has far more than 4,300 digits' worth of points or more than 64
-# coordinates; the guard decides on the box of the first 64, 128, ...
-# coordinates, or prints a power of ten below the count.
+# Each generic box has far more than 4,300 digits' worth of points or more
+# than 64 coordinates; the guard decides on the box of the first 64, 128, ...
+# coordinates, or prints a power of ten below the count.  A family request
+# is above the family reach, refused before its pattern is built.
 HUGE_STIRLING_REQUESTS = [
     ("p", "--n", "300"),
     ("p", "--n", "1000"),
@@ -166,20 +167,17 @@ HUGE_STIRLING_REQUESTS = [
 
 
 @pytest.mark.parametrize("request_args", HUGE_STIRLING_REQUESTS, ids=lambda args: args[0])
-def test_stirling_guard_refuses_huge_boxes_at_once(capsys, monkeypatch, family_patterns_up_to, request_args):
-    def long_lcm(n, real=stirling.lcm_range):
-        assert n <= 128, "the guard built lcm(1..n) of the whole request"
-        return real(n)
-
-    monkeypatch.setattr(stirling, "lcm_range", long_lcm)
-    family_patterns_up_to(64)  # the guard counts the box of the first 64 parts
+def test_stirling_guard_refuses_huge_boxes_at_once(capsys, family_patterns_up_to, request_args):
+    family_patterns_up_to(0)
     quantity, *extra = request_args
     start = time.perf_counter()
     argv = ("compute", "--quantity", quantity, *extra, "--method", "stirling")
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
-    assert err.startswith("partcalc: cost guard: congruence box has at least ")
+    family = quantity in ("pp", "P_r")
+    refusal = "family Stirling sums reach only " if family else "congruence box has at least "
+    assert err.startswith("partcalc: cost guard: " + refusal)
     assert len(err) < 4300
 
 

@@ -174,6 +174,17 @@ def test_stirling_path_for_p_and_p_a():
     assert compute(ComputationRequest("p", 0, method="stirling")) == (1, "oracle-dp")
 
 
+# A list of parts is kept as a tuple, so every route, and the oracles called
+# directly, can key the cached pattern on it.
+def test_every_method_takes_a_list_of_parts():
+    assert ComputationRequest("p_a", 10, parts=[3, 1, 2]).parts == (3, 1, 2)
+    for method in METHODS:
+        assert compute(ComputationRequest("p_a", 10, parts=[1, 2, 3], method=method))[0] == 14, method
+    for backend in ("dp", "series"):
+        assert oracle_value("p_a", 10, parts=[1, 2, 3], backend=backend) == 14
+        assert series.oracle_row("p_a", 10, parts=[3, 1, 2], backend=backend)[10] == 14
+
+
 def test_auto_reaches_p_a_where_both_oracles_refuse(monkeypatch):
     # Sylvester's wave for parts 1, 2, 3: p_a(n) is the integer nearest (n + 3)^2 / 12.
     n = 10**12

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partcalc import formulas, series
-from partcalc.combinat import binomial
+from partcalc.combinat import binomial, bounded_composition_count
 from partcalc.formulas import (
-    bounded_composition_count,
     multipartition_formula,
     multiplicity_vectors,
     pp_formula,

@@ -15,15 +15,16 @@ from partcalc.dispatch import ComputationRequest, compute
 
 # The function that does each route's counting, with every module binding of
 # it.  Enumeration lists, and its walk counts, the rows under each row
-# (_dominated_rows).  The family Stirling sums multiply block tables (packed_histogram); the
-# generic sum at one n walks its box (box_weight_histogram).  The generic
-# row, which only verify reads, multiplies the tables too (_packed_product).
+# (_dominated_rows).  The family Stirling sums multiply the block tables of
+# their generic box (_packed_product); the generic sum at one n walks its
+# box (box_weight_histogram).  The generic row, which only verify reads,
+# multiplies the tables too.
 CORES = {
     "oracle-dp": ((series, "restricted_partition_row"),),
     "oracle-series": ((series, "euler_product"),),
     "oracle-enum": ((diagrams, "_dominated_rows"),),
     "theorem": ((formulas, "_vector_histogram"),),
-    "family-stirling": ((stirling, "packed_histogram"),),
+    "family-stirling": ((stirling, "_packed_product"),),
     "generic-stirling": ((stirling, "box_weight_histogram"),),
 }
 

@@ -158,7 +158,7 @@ def test_zero_multiplicities_are_dropped_in_one_place(monkeypatch):
         assert tuple(formulas._vector_row(top, weights.weights)) == SPP_ROW
         assert tuple(counts.symmetric for counts in diagram_count_row(top)) == SPP_ROW
         # A Stirling setup takes one coordinate per pair, none of multiplicity 0.
-        box, kernel, _ = stirling._pattern_setup(6, pattern("spp", 6))
+        box, kernel, _ = stirling.generic_setup(pattern("spp", 6), 6)
         assert box.weights == (1, 3, 4, 5, 6)
         assert kernel.length == sum(m for _, m in pattern("spp", 6))
     finally:

@@ -20,7 +20,6 @@ from partcalc.stirling import (
     box_weight_histogram,
     generic_setup,
     multipartition_stirling,
-    packed_histogram,
     pp_stirling,
     ppr_stirling,
     pps_stirling,
@@ -92,9 +91,9 @@ def test_histogram_unit_weights_counts_box_points():
     hist = box_weight_histogram(box, (None, None))
     # Points with x + y even: sums 0, 2, 4, 6 with multiplicities 1, 3, 3, 1.
     assert hist == {0: 1, 2: 3, 4: 3, 6: 1}
-    assert packed_histogram(box, ((1,) * 4, (1,) * 4)) == hist
+    assert stirling._packed_product(box, ((1,) * 4, (1,) * 4))(box.residue) == hist
     with pytest.raises(ValueError):
-        packed_histogram(box, ((1,) * 4,))
+        stirling._packed_product(box, ((1,) * 4,))
 
 
 def test_histogram_zero_coefficients_prune():
@@ -148,7 +147,7 @@ def test_generic_sums_leave_no_reference_cycle():
     gc.disable()
     try:
         gc.collect()
-        assert restricted_count_stirling(a, 11) == restricted_partition_dp(a, 11)
+        assert restricted_count_stirling(a.parts, 11) == restricted_partition_dp(a, 11)
         assert stirling.partition_count_stirling(5) == 7
         assert gc.collect() == 0
     finally:
@@ -159,7 +158,7 @@ def test_generic_engine_matches_dp_small():
     for parts in SEQUENCES:
         a = WeightSequence(parts)
         for n in range(0, 30):
-            assert restricted_count_stirling(a, n) == restricted_partition_dp(a, n), (
+            assert restricted_count_stirling(parts, n) == restricted_partition_dp(a, n), (
                 parts,
                 n,
             )
@@ -172,21 +171,38 @@ def test_generic_engine_matches_dp_small():
 @settings(max_examples=60, deadline=None)
 def test_generic_engine_matches_dp_random(parts, n):
     a = WeightSequence(tuple(parts))
-    assert restricted_count_stirling(a, n) == restricted_partition_dp(a, n)
+    assert restricted_count_stirling(tuple(parts), n) == restricted_partition_dp(a, n)
 
 
+# The parts are checked before the guard, which would divide by a part.
 def test_generic_engine_errors():
     with pytest.raises(ValueError):
-        restricted_count_stirling(WeightSequence((1, 2)), -1)
+        restricted_count_stirling((1, 2), -1)
+    for parts in ((), (0, 1), (2, -1)):
+        with pytest.raises(ValueError, match="parts must be positive"):
+            restricted_count_stirling(parts, 5)
+        with pytest.raises(ValueError, match="parts must be positive"):
+            restricted_row_stirling(parts, 5)
 
 
+# Both generic sums take the parts in any order, as a list too.
+def test_generic_sums_take_parts_in_any_order():
+    want = [restricted_partition_dp(WeightSequence((1, 2, 2, 3)), n) for n in range(13)]
+    for parts in ((3, 2, 1, 2), [2, 3, 2, 1]):
+        assert restricted_row_stirling(parts, 12) == want
+        assert [restricted_count_stirling(parts, n) for n in range(13)] == want
+
+
+# The box limit governs the generic sums; the family sums answer to FAMILY_REACH.
 def test_cost_guard(monkeypatch):
     monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 10)
     a = seq_pp(4)  # box size (12/1)(12/2)(12/2)... comfortably above 10
     with pytest.raises(CostGuardExceeded):
-        restricted_count_stirling(a, 5)
-    with pytest.raises(CostGuardExceeded):
-        pp_stirling(4)
+        restricted_count_stirling(a.parts, 5)
+    assert pp_stirling(4) == 13
+    reach = stirling.FAMILY_REACH
+    with pytest.raises(CostGuardExceeded, match=f"family Stirling sums reach only n <= {reach}$"):
+        pp_stirling(reach + 1)
 
 
 def _kernel_double_sum(kernel, s):
@@ -220,8 +236,7 @@ def test_kernel_value_equals_the_kernel_double_sum(length, modulus, n, sums):
 # ENGINE_SEQUENCES, then one more list with a repeated part.
 @pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5)])
 def test_row_equals_the_count_at_each_n(parts):
-    a = WeightSequence(tuple(parts))
-    assert restricted_row_stirling(a, 60) == [restricted_count_stirling(a, n) for n in range(61)]
+    assert restricted_row_stirling(parts, 60) == [restricted_count_stirling(parts, n) for n in range(61)]
 
 
 # The row reads each residue that occurs in 0..top once, off one product,
@@ -247,7 +262,7 @@ def test_row_walks_each_residue_once(monkeypatch, parts, top):
     monkeypatch.setattr(stirling, "_packed_product", spy)
     monkeypatch.setattr(stirling, "box_weight_histogram", walk)
     a = WeightSequence(parts)
-    row = restricted_row_stirling(a, top)
+    row = restricted_row_stirling(parts, top)
     assert row == [restricted_partition_dp(a, n) for n in range(top + 1)]
     assert len(products) == 1
     assert sorted(read) == list(range(min(a.lcm, top + 1)))
@@ -260,7 +275,7 @@ def test_row_guard_refuses_before_any_walk(monkeypatch):
     for name in ("bounded_composition_count", "_packed_product", "box_weight_histogram"):
         monkeypatch.setattr(stirling, name, lambda *args, name=name: built.append(name))
     with pytest.raises(CostGuardExceeded, match="congruence box has "):
-        restricted_row_stirling(seq_pp(4), 60)
+        restricted_row_stirling(seq_pp(4).parts, 60)
     assert built == []
 
 
@@ -275,7 +290,7 @@ def test_product_guard_refuses_a_large_packed_product(parts, size):
     start = time.perf_counter()
     limit = stirling.DEFAULT_PRODUCT_LIMIT
     with pytest.raises(CostGuardExceeded, match=f"packed product has {size} bytes .*limit of {limit}$"):
-        restricted_row_stirling(WeightSequence(parts), 60)
+        restricted_row_stirling(parts, 60)
     assert time.perf_counter() - start < 0.5
 
 
@@ -285,16 +300,16 @@ def test_product_guard_prices_the_product_it_builds(monkeypatch):
     a = WeightSequence((3, 4, 5, 7))
     row = [restricted_partition_dp(a, n) for n in range(101)]
     monkeypatch.setattr(stirling, "DEFAULT_PRODUCT_LIMIT", 1662 * 4)
-    assert restricted_row_stirling(a, 100) == row
+    assert restricted_row_stirling(a.parts, 100) == row
     monkeypatch.setattr(stirling, "DEFAULT_PRODUCT_LIMIT", 1662 * 4 - 1)
     with pytest.raises(CostGuardExceeded, match="packed product has 6648 bytes \\(1662 slots of 4\\)"):
-        restricted_row_stirling(a, 100)
-    # The family sums share the product step, after their box guard.
+        restricted_row_stirling(a.parts, 100)
+    # The family sums share the product step, and no box limit.
     with pytest.raises(CostGuardExceeded, match="packed product has "):
         pp_stirling(5)
+    monkeypatch.setattr(stirling, "DEFAULT_PRODUCT_LIMIT", 10**6)
     monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 10)
-    with pytest.raises(CostGuardExceeded, match="congruence box has "):
-        pp_stirling(5)
+    assert pp_stirling(5) == 24
 
 
 def _expanded_box(a, residue):
@@ -341,11 +356,11 @@ def test_guard_counts_the_expanded_box(monkeypatch):
     monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", 100_000)
     message = f"congruence box has {expanded} points, above the limit of 100000"
     with pytest.raises(CostGuardExceeded, match=message):
-        restricted_count_stirling(a, 5)
+        restricted_count_stirling(a.parts, 5)
     with pytest.raises(CostGuardExceeded, match=message):
-        restricted_row_stirling(a, 30)
+        restricted_row_stirling(a.parts, 30)
     monkeypatch.setattr(stirling, "DEFAULT_BOX_LIMIT", expanded)
-    assert restricted_count_stirling(a, 5) == restricted_partition_dp(a, 5)
+    assert restricted_count_stirling(a.parts, 5) == restricted_partition_dp(a, 5)
 
 
 def test_generic_sum_reads_no_oracle(monkeypatch):
@@ -358,13 +373,13 @@ def test_generic_sum_reads_no_oracle(monkeypatch):
     for module, name in ((series, "restricted_partition_row"), (series, "oracle_row"), (formulas, "oracle_row")):
         monkeypatch.setattr(module, name, refuse)
     for a, row in zip(sequences, want):
-        assert restricted_row_stirling(a, 24) == row
-        assert [restricted_count_stirling(a, n) for n in range(25)] == row
+        assert restricted_row_stirling(a.parts, 24) == row
+        assert [restricted_count_stirling(a.parts, n) for n in range(25)] == row
 
 
 def test_row_errors():
     with pytest.raises(ValueError):
-        restricted_row_stirling(WeightSequence((1, 2)), -1)
+        restricted_row_stirling((1, 2), -1)
 
 
 def test_partial_sums_clear_denominators():
@@ -425,9 +440,9 @@ def test_leading_coefficient_at_every_residue(parts):
 
 @pytest.mark.parametrize("n", [10**12, 10**100])
 def test_generic_sum_at_huge_n(n):
-    assert restricted_count_stirling(WeightSequence((1, 2)), n) == n // 2 + 1
+    assert restricted_count_stirling((1, 2), n) == n // 2 + 1
     # round((n + 3)^2 / 12); (n + 3)^2 is never 6 mod 12, so no tie.
-    assert restricted_count_stirling(WeightSequence((1, 2, 3)), n) == ((n + 3) ** 2 + 6) // 12
+    assert restricted_count_stirling((1, 2, 3), n) == ((n + 3) ** 2 + 6) // 12
 
 
 def _family_cases(top):
@@ -441,15 +456,34 @@ def _family_cases(top):
 
 
 def _assert_packed_equals_walk(box, tables):
+    histogram = stirling._packed_product(box, tables)
     for residue in range(box.modulus):
-        at = replace(box, residue=residue)
-        assert packed_histogram(at, tables) == box_weight_histogram(at, tables), residue
+        assert histogram(residue) == box_weight_histogram(replace(box, residue=residue), tables), residue
 
 
+# A family sum is the generic sum over its pattern, read off the product.
 @pytest.mark.parametrize("quantity, n, r", list(_family_cases(4)))
 def test_packed_product_equals_the_walk(quantity, n, r):
-    box, _, tables = stirling._pattern_setup(n, pattern(quantity, n, r))
+    box, _, tables = generic_setup(pattern(quantity, n, r), n)
     _assert_packed_equals_walk(box, tables)
+
+
+# Every n the family route serves is below D = lcm(1..n), so the class of n
+# holds no S < n, the kernel is 1 at S = n and 0 at S = n + jD (1 <= j < L),
+# and the sum is the product's mass at n: the DP's value.
+@pytest.mark.parametrize("quantity, n, r", list(_family_cases(stirling.FAMILY_REACH)))
+def test_family_sum_is_the_product_mass_at_n(quantity, n, r):
+    box, kernel, tables = generic_setup(pattern(quantity, n, r), n)
+    d, length = kernel.modulus, kernel.length
+    assert n < d and box.residue == n
+    hist = stirling._packed_product(box, tables)(n)
+    assert min(hist) == n and max(hist) < n + length * d
+    for j in range(length):
+        assert stirling._evaluate(stirling._polynomial(kernel, {n + j * d: 1}), kernel, n) == (j == 0)
+    family = FAMILIES[quantity]
+    wrapper = getattr(stirling, f"{family.stem}_stirling")
+    value = wrapper(n, r) if family.takes_r else wrapper(n)
+    assert value == hist[n] == oracle_value(quantity, n, r=r)
 
 
 # The generic boxes mix None tables (parts that occur once) with block tables.
@@ -472,23 +506,25 @@ def test_family_sums_call_neither_an_oracle_nor_the_theorem_walk(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [6, 16, 30])
-def test_family_guard_refuses_before_any_table(monkeypatch, n):
+def test_family_guard_refuses_before_any_table(monkeypatch, family_patterns_up_to, n):
     def build(*args):
         raise AssertionError("a block table was built before the guard")
 
     monkeypatch.setattr(stirling, "bounded_composition_count", build)
-    d = stirling.lcm_range(n)
-    size = math.prod(d - s + 1 for s in range(1, n + 1))
-    with pytest.raises(CostGuardExceeded, match=f"congruence box has {size} points"):
+    family_patterns_up_to(0)
+    with pytest.raises(CostGuardExceeded, match="^family Stirling sums reach only n <= 5$"):
         pp_stirling(n)
 
 
-# The guard reads these counts at 64, 128, ... first and says "at least"
-# when one of them decides, which holds only if they grow with their argument.
+# One reach serves every family and r, because the expanded generic box of
+# a family's pattern only grows with n.
 @pytest.mark.parametrize("quantity", [q for q, family in FAMILIES.items() if family.stem])
 def test_family_box_counts_grow_with_n(quantity):
-    for r in (2, 3, 7, 10**40) if FAMILIES[quantity].takes_r else (None,):
-        counts = [stirling._family_points(quantity, k, r) for k in range(1, 140)]
+    for r in (2, 3, 7) if FAMILIES[quantity].takes_r else (None,):
+        counts = [
+            stirling._expanded_points([k for k, m in pattern(quantity, n, r) for _ in range(m)])
+            for n in range(1, 40)
+        ]
         assert counts == sorted(counts), r
 
 
@@ -519,14 +555,14 @@ def test_guard_prints_a_power_of_ten_below_a_long_count():
     size = stirling._expanded_points(primes)
     assert len(primes) == 40 and size.bit_length() > 13_000
     with pytest.raises(CostGuardExceeded) as exc_info:
-        restricted_count_stirling(WeightSequence(tuple(primes)), 50)
+        restricted_count_stirling(tuple(primes), 50)
     message = str(exc_info.value)
     power = int(message.split("at least 10^")[1].split()[0])
     assert 10**power <= size < 10 ** (power + 2)
 
 
 def test_stirling_wrappers_refuse_before_building_a_pattern(family_patterns_up_to):
-    family_patterns_up_to(64)  # the guard counts the box of the first 64 parts
+    family_patterns_up_to(0)
     calls = (
         pp_stirling,
         lambda n: ppr_stirling(n, 3),
@@ -535,8 +571,8 @@ def test_stirling_wrappers_refuse_before_building_a_pattern(family_patterns_up_t
         lambda n: multipartition_stirling(n, 3),
     )
     for call in calls:
-        for n in (100, 10**9):
-            with pytest.raises(CostGuardExceeded, match="congruence box has at least "):
+        for n in (stirling.FAMILY_REACH + 1, 100, 10**9):
+            with pytest.raises(CostGuardExceeded, match="family Stirling sums reach only "):
                 call(n)
     with pytest.raises(CostGuardExceeded, match="congruence box has at least "):
         stirling.partition_count_stirling(10**9)
@@ -582,6 +618,5 @@ def test_wrappers_match_oracle_n4():
 
 def test_single_coordinate_box():
     # One part: the whole box collapses onto the congruence-resolved axis.
-    a = WeightSequence((3,))
     for n in (0, 3, 4, 9):
-        assert restricted_count_stirling(a, n) == (1 if n % 3 == 0 else 0)
+        assert restricted_count_stirling((3,), n) == (1 if n % 3 == 0 else 0)
