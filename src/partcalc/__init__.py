@@ -32,9 +32,7 @@ from .series import CostGuardExceeded, euler_product, oracle_value, restricted_p
 # module's attribute afresh, so a replaced function (a tracer, a test
 # double) is the one returned.
 _ON_FIRST_USE = {
-    **dict.fromkeys(
-        ("binomial", "bounded_composition_count", "lcm_range", "stirling_first_unsigned"), "combinat"
-    ),
+    **dict.fromkeys(("binomial", "bounded_composition_count", "stirling_first_unsigned"), "combinat"),
     **dict.fromkeys(
         (
             "multiplicity_vectors",
@@ -103,7 +101,6 @@ __all__ = [
     "count_diagrams",
     "enumerate_diagrams",
     "euler_product",
-    "lcm_range",
     "multipartition_formula",
     "multipartition_stirling",
     "multiplicity_vectors",

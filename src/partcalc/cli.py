@@ -1,5 +1,10 @@
 """Command-line front end: compute single values, emit tables, run verify suites.
 
+`verify --suite S` runs one suite; `verify` alone runs every suite of
+verify.SUITES in order, prints their reports one after another and exits 2 if
+any check fails.  Each suite's run builds its own rows, one oracle row per
+pattern and backend, and reads every n off them.
+
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 cost-guard
 refusal.  Values print in full, however many digits they have.
 """
@@ -101,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_route_options(table_p)
     table_p.set_defaults(func=cmd_table)
 
-    verify_p = sub.add_parser("verify", help="run a cross-validation suite")
+    verify_p = sub.add_parser("verify", help="run the cross-validation suites, or one of them")
     verify_p.add_argument(
-        "--suite", required=True, choices=_SuiteNames(), metavar="SUITE", help="one of %(choices)s"
+        "--suite", choices=_SuiteNames(), metavar="SUITE", help="one of %(choices)s; all when omitted"
     )
     verify_p.add_argument("--max-n", dest="max_n", type=int)
     verify_p.add_argument("--long-running", dest="long_running", action="store_true")
@@ -180,7 +185,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = _verify().run_suite(args.suite, max_n=args.max_n, long_running=args.long_running)
+    suites = (args.suite,) if args.suite else _verify().SUITES
+    failed = [_report_suite(suite, args) for suite in suites]
+    return EXIT_VERIFY if any(failed) else EXIT_OK
+
+
+def _report_suite(suite: str, args) -> int:
+    """Run one suite and print its report; the number of failing checks."""
+    results = _verify().run_suite(suite, max_n=args.max_n, long_running=args.long_running)
     failing = 0
     total_cases = 0
     for res in results:
@@ -191,10 +203,10 @@ def cmd_verify(args) -> int:
         total_cases += res.cases
         failing += 0 if res.ok else 1
     print(
-        f"suite {args.suite}: {len(results)} checks, {total_cases} cases, "
+        f"suite {suite}: {len(results)} checks, {total_cases} cases, "
         f"{failing} failing"
     )
-    return EXIT_VERIFY if failing else EXIT_OK
+    return failing
 
 
 def run(command: Callable[[], int]) -> int:

@@ -1,5 +1,5 @@
-"""Exact combinatorial kernels: binomials, lcm ranges, Stirling rows, and the
-block coefficients that weight a Stirling sum's coordinates.
+"""Exact combinatorial kernels: binomials, Stirling rows, and the block
+coefficients that weight a Stirling sum's coordinates.
 
 All values are plain Python integers (arbitrary precision); rationals appear
 only in the Stirling-sum module, via fractions.Fraction.
@@ -17,13 +17,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def lcm_range(n: int) -> int:
-    """Least common multiple of 1, 2, ..., n."""
-    if n < 1:
-        raise ValueError("lcm_range requires n >= 1")
-    return math.lcm(*range(1, n + 1))
 
 
 def stirling_first_unsigned(r: int) -> tuple[int, ...]:

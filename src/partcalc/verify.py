@@ -12,7 +12,9 @@ Stirling routes serve a case, as it says for compute.  Suites:
 
 Every suite takes two readers that go with its run.  counts(top) lists
 once, to the largest n the suite reads (diagrams.diagram_count_row).  rows
-builds each oracle row once (series.oracle_row), each alternating-sum row
+keeps one oracle row per pattern and backend (series.oracle_row): p,
+pp_r(r = 1) and P_r(r = 1) are one row, and a shorter row is read off a
+longer one.  It builds each alternating-sum row
 (formulas.ppr_via_multipartition_row) over the run's own P_r DP row, and
 each theorem row by one walk (formulas._vector_row); a check reads every n
 off them, and formats a case's label only when the case fails.
@@ -66,22 +68,35 @@ def _row_reader():
 
 
 def _read_row(built, quantity, top, r=None, parts=None, backend="dp"):
-    """series.oracle_row, built on its first read and kept in built.  The
-    backend "alternating-sum" reads pp_r off
+    """A row of counts at n = 0..top at least.  The oracle backends ("dp",
+    "series") keep one row per pattern: a read takes the longest row built
+    for its own (quantity, r, parts, backend) if that reaches top, else the
+    row kept under (pattern(quantity, top, r, parts), backend) if that
+    does, and only then builds series.oracle_row, kept under both keys.
+    Rows of one pattern are one series, so any of them holds every n it
+    reaches.  The backend "alternating-sum" reads pp_r off
     formulas.ppr_via_multipartition_row, from the run's own P_r DP row, and
-    "theorem" reads the family's vector sums off one walk to top.  A module
-    function rather than a closure: a closure that calls itself is a
-    reference cycle, which would keep every row alive until the cycle
-    collector runs."""
-    key = (quantity, top, r, parts, backend)
-    if key not in built:
-        if backend == "alternating-sum":
-            built[key] = formulas.ppr_via_multipartition_row(top, r, _read_row(built, "P_r", top, r))
-        elif backend == "theorem":
-            built[key] = formulas._vector_row(top, quantity_weights(quantity, top, r, None).weights)
-        else:
-            built[key] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
-    return built[key]
+    "theorem" reads the family's vector sums off one walk to top; both keep
+    their exact key.  A module function rather than a closure: a closure
+    that calls itself is a reference cycle, which would keep every row
+    alive until the cycle collector runs."""
+    if backend in ("alternating-sum", "theorem"):
+        key = (quantity, top, r, parts, backend)
+        if key not in built:
+            if backend == "alternating-sum":
+                built[key] = formulas.ppr_via_multipartition_row(top, r, _read_row(built, "P_r", top, r))
+            else:
+                built[key] = formulas._vector_row(top, quantity_weights(quantity, top, r, None).weights)
+        return built[key]
+    own = (quantity, r, parts, backend)
+    row = built.get(own)
+    if row is None or len(row) <= top:
+        shared = (pattern(quantity, top, r, parts), backend)
+        row = built.get(shared)
+        if row is None or len(row) <= top:
+            row = built[shared] = series.oracle_row(quantity, top, r=r, parts=parts, backend=backend)
+        built[own] = row
+    return row
 
 
 def _cap(max_n) -> float:

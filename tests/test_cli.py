@@ -284,6 +284,36 @@ def test_verify_suite_runs_clean(capsys):
     assert lines[-1].endswith("0 failing")
 
 
+def test_verify_without_a_suite_runs_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    summaries = [line for line in out.splitlines() if line.startswith("suite ")]
+    assert summaries == [
+        "suite examples: 9 checks, 68 cases, 0 failing",
+        "suite cross-method: 10 checks, 1598 cases, 0 failing",
+        "suite oracle-consistency: 13 checks, 930 cases, 0 failing",
+        "suite stirling: 12 checks, 379 cases, 0 failing",
+    ]
+
+
+def test_verify_without_a_suite_reports_every_suite_after_a_failure(capsys, monkeypatch):
+    real = verify.run_suite
+
+    def fail_one(name, **kwargs):
+        results = real(name, **kwargs)
+        if name == "cross-method":
+            results[0].expect(1, 0, "planted")
+        return results
+
+    monkeypatch.setattr(verify, "run_suite", fail_one)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 2
+    summaries = [line for line in out.splitlines() if line.startswith("suite ")]
+    assert [line.split(":")[0] for line in summaries] == [f"suite {name}" for name in verify.SUITES]
+    assert summaries[1].endswith(" 1 failing")
+    assert "     mismatch: planted: expected 0, got 1" in out
+
+
 def test_verify_max_n_cap(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle-consistency", "--max-n", "8"

@@ -155,4 +155,4 @@ print(len(cached))
 """
     done = _python("-c", check)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 28  # the formulas, combinat, stirling and diagrams names
+    assert int(done.stdout) == 27  # the formulas, combinat, stirling and diagrams names

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from partcalc.combinat import binomial, lcm_range, stirling_first_unsigned
+from partcalc.combinat import binomial, stirling_first_unsigned
 
 
 def test_binomial_values():
@@ -24,29 +24,6 @@ def test_binomial_rejects_negative_n():
 @given(st.integers(1, 60), st.integers(-3, 63))
 def test_binomial_pascal(n, k):
     assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-def test_lcm_range_values():
-    assert lcm_range(1) == 1
-    assert lcm_range(3) == 6
-    assert lcm_range(4) == 12
-    assert lcm_range(5) == 60
-    assert lcm_range(10) == 2520
-    with pytest.raises(ValueError):
-        lcm_range(0)
-
-
-@given(st.integers(2, 40))
-def test_lcm_range_divisibility_and_growth(n):
-    d = lcm_range(n)
-    assert all(d % s == 0 for s in range(1, n + 1))
-    ratio = d // lcm_range(n - 1)
-    # the ratio is 1 or a prime power
-    if ratio > 1:
-        prime = next(p for p in range(2, ratio + 1) if ratio % p == 0)
-        while ratio % prime == 0:
-            ratio //= prime
-        assert ratio == 1
 
 
 def test_stirling_rows():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
 from partcalc import formulas, series, stirling
-from partcalc.combinat import lcm_range
 from partcalc.diagrams import diagram_count_row
 from partcalc.sequences import (
     FAMILIES,
@@ -35,7 +36,7 @@ def test_seq_pp():
 def test_seq_pp_length_and_lcm(n):
     a = seq_pp(n)
     assert a.length == n * (n + 1) // 2
-    assert a.lcm == lcm_range(n)
+    assert a.lcm == math.lcm(*range(1, n + 1))
 
 
 def test_seq_pp_r():
@@ -87,7 +88,7 @@ def test_seq_multipartition():
 @given(st.integers(2, 12))
 def test_all_parts_present_gives_full_lcm(n):
     for a in (seq_pp(n), seq_strict(n), seq_symmetric(n), seq_multipartition(n, 2)):
-        assert a.lcm == lcm_range(n)
+        assert a.lcm == math.lcm(*range(1, n + 1))
 
 
 def test_weight_sequence_validation():

@@ -5,7 +5,7 @@ import gc
 import pytest
 
 from partcalc import formulas, series, stirling, verify
-from partcalc.sequences import FAMILIES
+from partcalc.sequences import FAMILIES, pattern
 
 STEMS = [family.stem for family in FAMILIES.values() if family.stem is not None]
 
@@ -84,6 +84,28 @@ def test_a_run_builds_each_oracle_row_once(monkeypatch, suite):
         # Every read of a (quantity, r, parts, backend) comes from one row.
         keys = [(quantity, kwargs) for quantity, _, kwargs in built]
         assert len(keys) == len(set(keys))
+
+
+def test_oracle_consistency_builds_each_distinct_row_once(monkeypatch):
+    # p, pp_r(r = 1) and P_r(r = 1) are one pattern, pp_r(r >= top) and pp
+    # are one, permuted parts are one, and shorter rows are read off longer.
+    real = series.oracle_row
+    built = []
+
+    def spy(quantity, top, *, r=None, parts=None, backend="dp"):
+        built.append((quantity, top, r, parts, backend))
+        return real(quantity, top, r=r, parts=parts, backend=backend)
+
+    monkeypatch.setattr(series, "oracle_row", spy)
+    results = verify.run_suite("oracle-consistency")
+    assert all(res.ok for res in results)
+    assert len(built) == 40
+    for i, (quantity, top, r, parts, backend) in enumerate(built):
+        for earlier, earlier_top, earlier_r, earlier_parts, earlier_backend in built[:i]:
+            if earlier_backend != backend:
+                continue
+            assert pattern(earlier, earlier_top, earlier_r, earlier_parts) != pattern(quantity, top, r, parts)
+            assert (earlier, earlier_r, earlier_parts) != (quantity, r, parts) or earlier_top < top
 
 
 @pytest.mark.parametrize("suite", ["examples", "cross-method"])
