@@ -15,18 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from partcalc.cli import Parser, digits, run
+from partcalc.cli import Parser, digits, positive_ints, run
 from partcalc.dispatch import METHODS, compute_table
-
-
-def parse_r_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(piece) for piece in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse r list {text!r}") from None
-    if not values or any(r < 1 for r in values):
-        raise argparse.ArgumentTypeError("r values must be positive integers")
-    return values
 
 
 def build_columns(r_values: tuple[int, ...]) -> list[tuple[str, str, int | None]]:
@@ -48,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--from", dest="n_from", type=int, default=0)
     parser.add_argument("--to", dest="n_to", type=int, default=20)
     parser.add_argument(
-        "--r", type=parse_r_list, default=(2, 3), metavar="r1,r2,...",
+        "--r", type=positive_ints, default=(2, 3), metavar="r1,r2,...",
         help="r values for the row-bounded and multipartition columns",
     )
     parser.add_argument("--method", default="auto", choices=METHODS)

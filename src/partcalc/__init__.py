@@ -5,10 +5,10 @@ multiplicity-vector sums, Stirling-number congruence sums, truncated series,
 dynamic programming, exhaustive diagram enumeration), and the routes are
 cross-validated against each other.  All arithmetic is exact.
 
-`import partcalc` loads sequences, series and dispatch.  The formulas,
-combinat, stirling and diagrams modules load on first use (a theorem,
-Stirling or enumeration request, or one of their names below), and verify
-only when imported.
+`import partcalc` loads sequences, series and dispatch.  The other modules
+load on first use: formulas alone for a theorem request, stirling (with
+combinat) for a Stirling request, diagrams for enumeration, each for one of
+its names below, and verify only when imported.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .series import CostGuardExceeded, euler_product, oracle_value, restricted_p
 # module's attribute afresh, so a replaced function (a tracer, a test
 # double) is the one returned.
 _ON_FIRST_USE = {
-    **dict.fromkeys(("binomial", "bounded_composition_count", "stirling_first_unsigned"), "combinat"),
+    **dict.fromkeys(("bounded_composition_count", "stirling_first_unsigned"), "combinat"),
     **dict.fromkeys(
         (
             "multiplicity_vectors",
@@ -95,7 +95,6 @@ __all__ = [
     "StirlingKernel",
     "WeightFunction",
     "WeightSequence",
-    "binomial",
     "bounded_composition_count",
     "compute",
     "count_diagrams",

@@ -66,14 +66,16 @@ def digits(value: int) -> str:
     return "".join(reversed(chunks))
 
 
-def _parts(text: str) -> tuple[int, ...]:
+def positive_ints(text: str) -> tuple[int, ...]:
+    """The argparse type of a comma-separated list of positive integers:
+    --parts here, and --r of scripts/make_tables.py."""
     try:
-        parts = tuple(int(piece) for piece in text.split(","))
+        values = tuple(int(piece) for piece in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse parts {text!r}") from None
-    if not parts or any(p < 1 for p in parts):
-        raise argparse.ArgumentTypeError("parts must be positive integers")
-    return parts
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r} as a list of integers") from None
+    if not values or any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError("values must be positive integers")
+    return values
 
 
 def _add_route_options(parser: argparse.ArgumentParser) -> None:
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute_p.add_argument("--quantity", required=True, choices=QUANTITIES)
     compute_p.add_argument("--n", required=True, type=int)
     compute_p.add_argument("--r", type=int)
-    compute_p.add_argument("--parts", type=_parts, metavar="a1,a2,...")
+    compute_p.add_argument("--parts", type=positive_ints, metavar="a1,a2,...")
     _add_route_options(compute_p)
     compute_p.set_defaults(func=cmd_compute)
 

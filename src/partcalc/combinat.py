@@ -1,22 +1,14 @@
-"""Exact combinatorial kernels: binomials, Stirling rows, and the block
-coefficients that weight a Stirling sum's coordinates.
+"""Exact combinatorial kernels of the Stirling sums: Stirling rows, and the
+block coefficients that weight a sum's coordinates.  Binomials are
+math.comb.
 
 All values are plain Python integers (arbitrary precision); rationals appear
-only in the Stirling-sum module, via fractions.Fraction.
+only in the Stirling-sum module and in verify, via fractions.Fraction.
 """
 
 from __future__ import annotations
 
 import math
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def stirling_first_unsigned(r: int) -> tuple[int, ...]:

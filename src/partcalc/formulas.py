@@ -31,7 +31,6 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from . import series
-from .combinat import binomial
 from .sequences import FAMILIES, quantity_weights, stated_family
 from .series import CostGuardExceeded, oracle_row
 
@@ -252,7 +251,7 @@ def _shift_coefficients(n: int, r: int) -> list[int]:
     """
     coeffs = [1] + [0] * n
     for j in range(1, min(r - 1, n) + 1):
-        terms = [(-1) ** t * binomial(r - j, t) for t in range(1, min(r - j, n // j) + 1)]
+        terms = [(-1) ** t * math.comb(r - j, t) for t in range(1, min(r - j, n // j) + 1)]
         # From the top down, so that coeffs[i - j*t] still holds the product
         # without this factor.
         for i in range(n, j - 1, -1):

@@ -220,19 +220,23 @@ def generic_setup(
     sum a_t j_t = n (mod D).  The m copies of a part k are one coordinate
     of weight k and bound m(D/k - 1), whose table counts the (j_1..j_m)
     with j_i <= D/k - 1 summing to each value, the coefficients of
-    (1 + z + ... + z^(D/k - 1))^m, so the histogram is the expanded box's.
-    A part that occurs once has table None (all ones).  Callers check
-    their guard first: check_generic_box, or FAMILY_REACH for a family.
+    (1 + z + ... + z^(D/k - 1))^m (_block_table), so the histogram is the
+    expanded box's.  A part that occurs once has table None (all ones).
+    Callers check their guard first: check_generic_box, or FAMILY_REACH for
+    a family.
     """
     d = math.lcm(*(k for k, _ in pairs))
     runs = [(k, m, d // k - 1) for k, m in pairs]
     box = CongruenceBox(tuple(m * a for _, m, a in runs), tuple(k for k, _, _ in runs), d, n % d)
-    tables = tuple(
-        None if m == 1 else tuple(bounded_composition_count(v, m, a) for v in range(m * a + 1))
-        for _, m, a in runs
-    )
+    tables = tuple(None if m == 1 else _block_table(m, a) for _, m, a in runs)
     length = sum(m for _, m in pairs)
     return box, StirlingKernel(length, d, n, stirling_first_unsigned(length)), tables
+
+
+def _block_table(copies: int, alpha: int) -> tuple[int, ...]:
+    """The coefficients of (1 + z + ... + z^alpha)^copies, by
+    bounded_composition_count: the table of a part that occurs copies times."""
+    return tuple(bounded_composition_count(v, copies, alpha) for v in range(copies * alpha + 1))
 
 
 def check_generic_box(parts) -> None:

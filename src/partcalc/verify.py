@@ -35,7 +35,7 @@ from . import diagrams, dispatch, formulas, series, stirling
 from .combinat import bounded_composition_count
 from .sequences import FAMILIES, pattern, quantity_weights
 
-ENUM_TOP, ENUM_TOP_LONG = 8, 16  # the largest n enumeration is read at, and with long_running
+ENUM_TOP, ENUM_TOP_LONG = 8, 20  # the largest n enumeration is read at, and with long_running
 
 MAX_FAILURES_KEPT = 5
 
@@ -59,12 +59,6 @@ class CheckResult:
                 self.failures.append(f"{label}: expected {want}, got {got}")
             else:
                 self.failures[-1] = "... further mismatches suppressed"
-
-
-def _row_reader():
-    """A reader of rows for one run: rows(quantity, top, r, parts, backend)
-    is _read_row over a dict of its own, kept for the run."""
-    return functools.partial(_read_row, {})
 
 
 def _read_row(built, quantity, top, r=None, parts=None, backend="dp"):
@@ -113,43 +107,32 @@ def _label(quantity, n, r=None) -> str:
     return f"{quantity}({n})" if r is None else f"{quantity}({n}, r={r})"
 
 
-def _route_values(counts, rows, top, quantity, n, r=None, *, per_case=False) -> dict[str, int]:
-    """quantity at (n, r) by every route that dispatch says serves the case:
-    both oracles and, for pp_r, the alternating sum, off their rows to top;
-    enumeration to ENUM_TOP off one listing; the theorem off one walk per
-    (family, r) to t = min(top, vector_reach()), but at t, the largest n a
-    stated range serves if any, by the wrapper that compute runs.  per_case
-    (examples) lists to n, reads the alternating sum off a row to n over the
-    P_r DP row to top, calls each route at n, and adds Stirling."""
+def _route_values(counts, rows, top, quantity, n, r=None) -> dict[str, int]:
+    """quantity at (n, r) by every route but Stirling that dispatch says
+    serves the case: both oracles and, for pp_r, the alternating sum, off
+    their rows to top; enumeration off one listing to min(ENUM_TOP, top);
+    the theorem off one walk per (family, r) to t = min(top,
+    vector_reach()), but at t, the largest n a stated range serves if any,
+    by the wrapper that compute runs."""
     values = {
         "series": rows(quantity, top, r, backend="series")[n],
         "dp": rows(quantity, top, r)[n],
     }
     req = dispatch.ComputationRequest(quantity, n, r)
-    listed = min(ENUM_TOP, n if per_case else top)
+    listed = min(ENUM_TOP, top)
     if 1 <= n <= listed and (diagram := dispatch.diagram_kind(req)):
         values["enum"] = counts(listed)[n].count(*diagram)
-    t = min(n if per_case else top, series.vector_reach())
+    t = min(top, series.vector_reach())
     if n <= t and (route := dispatch.ROUTES["theorem"]).serves(req):
         values["theorem"] = route.value(req) if n == t else rows(quantity, t, r, backend="theorem")[n]
-    if per_case and dispatch.ROUTES["stirling"].serves(req):
-        values["stirling"] = dispatch.ROUTES["stirling"].value(req)
     if quantity == "pp_r":
-        values["alternating-sum"] = (
-            formulas.ppr_via_multipartition_row(n, r, rows("P_r", top, r)) if per_case
-            else rows(quantity, top, r, backend="alternating-sum")
-        )[n]
+        values["alternating-sum"] = rows(quantity, top, r, backend="alternating-sum")[n]
     return values
 
 
-def _block_row(copies, alpha) -> tuple[int, ...]:
-    """The coefficients of the block polynomial (1 + z + ... + z^alpha)^copies
-    as the Stirling sums' tables read them, by bounded_composition_count."""
-    return tuple(bounded_composition_count(k, copies, alpha) for k in range(copies * alpha + 1))
-
-
 def _convolved(copies, alpha) -> tuple[int, ...]:
-    """The same coefficients by direct convolution, the reference for _block_row."""
+    """The coefficients of (1 + z + ... + z^alpha)^copies by direct
+    convolution, the reference for stirling._block_table."""
     out = [1]
     for _ in range(copies):
         out = [sum(out[max(k - alpha, 0) : k + 1]) for k in range(len(out) + alpha)]
@@ -158,15 +141,16 @@ def _convolved(copies, alpha) -> tuple[int, ...]:
 
 # --- examples ---------------------------------------------------------------
 
-# (quantity, n, r, value), checked through every route that serves the case.
+# (quantity, n, r, value), checked through every route that serves the
+# case off rows to n, largest n first, so that no row is built again longer.
 KNOWN_VALUES = (
+    ("P_r", 4, 2, 20),
     ("pp", 3, None, 6),
     ("pp_r", 3, 1, 3),
     ("pp_r", 3, 2, 5),
     ("pp_r", 3, 3, 6),
     ("pps", 3, None, 4),
     ("ppso", 3, None, 3),
-    ("P_r", 4, 2, 20),
 )
 # (quantity, r, values at n = 0, 1, ...), checked through the series.
 KNOWN_ROWS = (
@@ -180,27 +164,26 @@ EXAMPLE_CHECKS = (
     "pp", "pp_r", "pps", "ppso", "symmetric-diagrams", "P_r", "p_a",
     "multiplicity-vectors", "block-coefficients",
 )
-# The top of the suite's oracle rows: the largest n of KNOWN_VALUES and KNOWN_ROWS.
-EXAMPLES_TOP = max(
-    *(n for _, n, _, _ in KNOWN_VALUES), *(len(row) - 1 for _, _, row in KNOWN_ROWS)
-)
 
 
 def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckResult]:
     cap = _cap(max_n)
-    top = min(EXAMPLES_TOP, cap)
     checks = {name: CheckResult(f"known-values[{name}]") for name in EXAMPLE_CHECKS}
 
-    for quantity, n, r, want in KNOWN_VALUES:
-        if n <= cap:
-            values = _route_values(counts, rows, top, quantity, n, r, per_case=True)
-            for route, got in values.items():
-                checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via {route}")
+    # The known rows first: a known value of the same request reads a prefix.
     for quantity, r, row in KNOWN_ROWS:
-        series_row = rows(quantity, top, r, backend="series")
+        series_row = rows(quantity, min(len(row) - 1, cap), r, backend="series")
         for n, want in enumerate(row):
             if n <= cap:
                 checks[quantity].expect(series_row[n], want, f"{_label(quantity, n, r)} via series")
+    for quantity, n, r, want in KNOWN_VALUES:
+        if n <= cap:
+            values = _route_values(counts, rows, n, quantity, n, r)
+            req = dispatch.ComputationRequest(quantity, n, r)
+            if dispatch.ROUTES["stirling"].serves(req):
+                values["stirling"] = dispatch.ROUTES["stirling"].value(req)
+            for route, got in values.items():
+                checks[quantity].expect(got, want, f"{_label(quantity, n, r)} via {route}")
 
     if 3 <= cap:
         res = checks["symmetric-diagrams"]
@@ -220,8 +203,8 @@ def _suite_examples(counts, rows, max_n=None, long_running=False) -> list[CheckR
             res.expect(formulas.multiplicity_vectors(n), want, f"vectors for n={n}")
 
     res = checks["block-coefficients"]
-    res.expect(_block_row(2, 2), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
-    res.expect(_block_row(3, 1), (1, 3, 3, 1), "block (1+z)^3")
+    res.expect(stirling._block_table(2, 2), (1, 2, 3, 2, 1), "block (1+z+z^2)^2")
+    res.expect(stirling._block_table(3, 1), (1, 3, 3, 1), "block (1+z)^3")
     res.expect(bounded_composition_count(3, 2, 5), 4, "copies=2 modulus=12 coefficient 3")
     res.expect(bounded_composition_count(5, 2, 5), 6, "copies=2 modulus=12 coefficient 5")
 
@@ -323,8 +306,8 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
     out.append(res)
 
     # The block polynomial (1 + z + ... + z^alpha)^copies, alpha = modulus/copies - 1,
-    # weights a Stirling sum's coordinate; bounded_composition_count gives its
-    # coefficients, checked against a direct convolution.
+    # weights a Stirling sum's coordinate; the table the sums multiply
+    # (stirling._block_table) is checked against a direct convolution.
     direct = CheckResult("block-poly[direct-vs-closed]")
     reciprocity = CheckResult("block-poly[reciprocity]")
     mass = CheckResult("block-poly[mass]")
@@ -334,7 +317,7 @@ def _suite_cross_method(counts, rows, max_n=None, long_running=False) -> list[Ch
                 continue
             alpha = modulus // copies - 1
             degree = copies * alpha
-            coeffs, reference = _block_row(copies, alpha), _convolved(copies, alpha)
+            coeffs, reference = stirling._block_table(copies, alpha), _convolved(copies, alpha)
             label = f"copies={copies} modulus={modulus}"
             for k in range(degree + 1):
                 direct.expect(coeffs[k], reference[k], lambda: f"{label} k={k}")
@@ -414,5 +397,5 @@ def run_suite(name: str, *, max_n: int | None = None, long_running: bool = False
     # The readers go with this call, so each run lists and builds rows as a
     # fresh process would.
     counts = functools.cache(diagrams.diagram_count_row)
-    rows = _row_reader()
+    rows = functools.partial(_read_row, {})
     return _SUITE_FUNCTIONS[name](counts, rows, max_n=max_n, long_running=long_running)

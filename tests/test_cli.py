@@ -114,7 +114,7 @@ def test_argparse_failures_exit_one(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["compute", "--quantity", "p_a", "--n", "3", "--parts", "1,x"])
     assert exc_info.value.code == 1
-    capsys.readouterr()
+    assert "argument --parts: cannot parse '1,x'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc_info:
         main([])
     assert exc_info.value.code == 1
@@ -437,7 +437,9 @@ def _make_tables():
 def test_make_tables_exit_codes(capsys, monkeypatch):
     tables = _make_tables()
     for argv, message in ((["--method", "foo"], "argument --method: invalid choice: 'foo'"),
-                          (["--from", "5", "--to", "2"], "need 0 <= --from <= --to")):
+                          (["--from", "5", "--to", "2"], "need 0 <= --from <= --to"),
+                          (["--r", "2,x"], "argument --r: cannot parse '2,x'"),
+                          (["--r", "3,0"], "argument --r: values must be positive")):
         with pytest.raises(SystemExit) as exc_info:
             tables(argv)
         assert exc_info.value.code == 1

@@ -81,6 +81,14 @@ def test_theorem_loads_formulas_on_first_use():
     assert [name for name in LAZY_MODULES if name in modules] == []
 
 
+def test_theorem_loads_no_combinat():
+    # The theorem sums take their binomials from math.comb.
+    got, modules = _run_partcalc("compute", "--quantity", "pp", "--n", "20", "--method", "theorem")
+    assert got == "pp(20) = 75278  (method: theorem)\n"
+    assert "partcalc.formulas" in modules
+    assert [name for name in ("partcalc.combinat", *LAZY_MODULES) if name in modules] == []
+
+
 @pytest.mark.parametrize("fmt, loaded", [("plain", False), ("csv", False), ("json", True)])
 def test_only_json_output_imports_json(fmt, loaded):
     # The harness above imports json itself, so the import list comes from
@@ -142,7 +150,6 @@ assert all(name in globals() for name in partcalc.__all__)
 from partcalc import combinat, formulas, stirling
 assert partcalc.pp_stirling is stirling.pp_stirling
 assert partcalc.pp_formula is formulas.pp_formula
-assert partcalc.binomial is combinat.binomial
 assert partcalc.bounded_composition_count is combinat.bounded_composition_count
 assert [name for name in cached if name in vars(partcalc)] == []
 try:
@@ -155,4 +162,4 @@ print(len(cached))
 """
     done = _python("-c", check)
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) == 27  # the formulas, combinat, stirling and diagrams names
+    assert int(done.stdout) == 26  # the formulas, combinat, stirling and diagrams names

@@ -5,25 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from partcalc.combinat import binomial, stirling_first_unsigned
-
-
-def test_binomial_values():
-    assert binomial(5, 2) == 10
-    assert binomial(0, 0) == 1
-    assert binomial(7, 0) == 1
-    assert binomial(4, 7) == 0
-    assert binomial(4, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(1, 60), st.integers(-3, 63))
-def test_binomial_pascal(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+from partcalc.combinat import stirling_first_unsigned
 
 
 def test_stirling_rows():

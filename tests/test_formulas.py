@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partcalc import formulas, series
-from partcalc.combinat import binomial, bounded_composition_count
+from partcalc.combinat import bounded_composition_count
 from partcalc.formulas import (
     multipartition_formula,
     multiplicity_vectors,
@@ -372,7 +372,7 @@ def _shift_pattern_coefficients(n, r):
     for ts in itertools.product(*(range(r - j + 1) for j in range(1, r))):
         shift = sum(j * t for j, t in enumerate(ts, start=1))
         if shift <= n:
-            term = math.prod(binomial(r - j, t) for j, t in enumerate(ts, start=1))
+            term = math.prod(math.comb(r - j, t) for j, t in enumerate(ts, start=1))
             coeffs[shift] += -term if sum(ts) % 2 else term
     return coeffs
 

@@ -16,9 +16,14 @@ from partcalc.dispatch import ComputationRequest, compute
 # The function that does each route's counting, with every module binding of
 # it.  Enumeration lists, and its walk counts, the rows under each row
 # (_dominated_rows).  The family Stirling sums multiply the block tables of
-# their generic box (_packed_product); the generic sum at one n walks its
-# box (box_weight_histogram).  The generic row, which only verify reads,
-# multiplies the tables too.
+# their generic box (_packed_product).  Their parts are 1..n, so D > n and
+# the sum is the product's mass at z^n: the family route evaluates the
+# paper's formula by multiplying the oracles' generating function,
+# truncated.  It checks the formula, but it is not an algorithm independent
+# of the oracles; this row shows only that it calls none of their code.
+# The generic sum at one n walks its box (box_weight_histogram), and with
+# D <= n it reads the residue's quasi-polynomial, a different algorithm.
+# The generic row, which only verify reads, multiplies the tables too.
 CORES = {
     "oracle-dp": ((series, "restricted_partition_row"),),
     "oracle-series": ((series, "euler_product"),),

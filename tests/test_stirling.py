@@ -340,6 +340,21 @@ def test_grouped_box_of_seq_pp_4():
     assert tables[3] == (1, 4, 10, 16, 19, 16, 10, 4, 1)  # (1 + z + z^2)^4
 
 
+def test_generic_setup_builds_one_block_table_per_repeated_part(monkeypatch):
+    built = []
+    real = stirling._block_table
+
+    def spy(copies, alpha):
+        built.append((copies, alpha))
+        return real(copies, alpha)
+
+    monkeypatch.setattr(stirling, "_block_table", spy)
+    # D = 6: part 1 three times (alpha 5), part 2 once, part 3 twice (alpha 1).
+    _, _, tables = generic_setup(((1, 3), (2, 1), (3, 2)), 7)
+    assert built == [(3, 5), (2, 1)]
+    assert tables == (real(3, 5), None, (1, 2, 1))
+
+
 @pytest.mark.parametrize("parts", [(1,), (1, 2, 3), (2, 3, 5), (4, 6), (2, 3, 7, 11)])
 def test_distinct_parts_get_no_tables(parts):
     box, _, tables = generic_setup(pattern("p_a", 7, None, parts), 7)

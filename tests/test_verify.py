@@ -164,12 +164,38 @@ def test_a_run_lists_each_n_once(listings, suite, listed):
         assert listings == listed
 
 
-def test_long_running_lists_diagrams_to_16(listings):
+def test_long_running_lists_diagrams_to_20(listings):
     results = verify.run_suite("oracle-consistency", long_running=True)
     assert all(res.ok for res in results)
-    assert listings == [16]
+    assert listings == [20]
     symmetric = next(res for res in results if res.name == "enum[symmetric-vs-strict-odd]")
-    assert symmetric.cases == 16
+    assert symmetric.cases == 20
+
+
+def test_block_poly_checks_the_stirling_sums_own_tables(monkeypatch):
+    built = []
+    real = stirling._block_table
+
+    def spy(copies, alpha):
+        built.append((copies, alpha))
+        return real(copies, alpha)
+
+    monkeypatch.setattr(stirling, "_block_table", spy)
+    results = verify.run_suite("cross-method")
+    assert all(res.ok for res in results)
+    cases = [(copies, modulus // copies - 1) for modulus in (6, 12, 60) for copies in range(1, 7)
+             if modulus % copies == 0]
+    assert built == cases
+    assert next(res for res in results if res.name == "block-poly[mass]").cases == len(cases)
+
+
+@pytest.mark.parametrize("suite, check", [("examples", "known-values[block-coefficients]"),
+                                          ("cross-method", "block-poly[direct-vs-closed]")])
+def test_a_wrong_block_table_fails_its_check(monkeypatch, suite, check):
+    real = stirling._block_table
+    monkeypatch.setattr(stirling, "_block_table", lambda copies, alpha: (2, *real(copies, alpha)[1:]))
+    results = verify.run_suite(suite)
+    assert check in [res.name for res in results if not res.ok]
 
 
 def test_vector_count_stops_at_the_vector_limit(monkeypatch):
