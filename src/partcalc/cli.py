@@ -6,7 +6,8 @@ any check fails.  Each suite's run builds its own rows, one oracle row per
 pattern and backend, and reads every n off them.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 cost-guard
-refusal.  Values print in full, however many digits they have.
+refusal or out of memory.  Values print in full, however many digits they
+have.
 """
 
 from __future__ import annotations
@@ -213,11 +214,15 @@ def _report_suite(suite: str, args) -> int:
 
 def run(command: Callable[[], int]) -> int:
     """command()'s exit code, or, when it raises, EXIT_COST for a cost-guard
-    refusal and EXIT_USAGE for a bad request, with the message on stderr."""
+    refusal or a MemoryError and EXIT_USAGE for a bad request, with one line
+    on stderr."""
     try:
         return command()
     except CostGuardExceeded as exc:
         print(f"partcalc: cost guard: {exc}", file=sys.stderr)
+        return EXIT_COST
+    except MemoryError:
+        print("partcalc: out of memory", file=sys.stderr)
         return EXIT_COST
     except ValueError as exc:  # RequestError and HypothesisError among them
         print(f"partcalc: error: {exc}", file=sys.stderr)

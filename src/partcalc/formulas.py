@@ -14,13 +14,16 @@ path at a time, and adds its product of binomials to hist[w].  Parts 1 and
 sum over (l_1, l_2) for every remainder R, so the sum at n is
 sum_w hist[w] * tail[n - w].  The walk loops parts top..4, and part 3,
 whose choices are the same for every partial vector of one weight, is
-folded into hist once per weight.  _vector_row reads every n off one walk,
-and _vector_sum reads one.  The table and the fold cover parts 1 to 3 only
-and read no oracle, so the walk stays an algorithm of its own.  Its time
-still grows with p(top) = |A_top|, which series.VECTOR_LIMIT bounds: every
-guard, wrapper and estimate reads the one reach, series.vector_reach().
-That guard, the vector count and HypothesisError live outside this module,
-so that a request that takes another route never loads it.
+folded into hist afterwards.  _vector_row reads every n off one walk, and
+_vector_sum reads one.  One fold, _fold, multiplies a row by (1 - z^s)^(-m)
+for any integer m: it serves parts 1 to 3 and the factors of the
+alternating sum's shift polynomial.  The table and the fold cover parts 1
+to 3 only and read no oracle, so the walk stays an algorithm of its own.
+Its time still grows with p(top) = |A_top|, which series.VECTOR_LIMIT
+bounds: every guard, wrapper and estimate reads the one reach,
+series.vector_reach().  That guard, the vector count and HypothesisError
+live outside this module, so that a request that takes another route never
+loads it.
 """
 
 from __future__ import annotations
@@ -99,10 +102,8 @@ def _vector_histogram(top: int, weights: Sequence[int]) -> tuple[list[int], list
     _check_reach(top), before anything else.
 
     The walk covers (l_4..l_top).  Every partial vector of weight w takes
-    the same choices of l_3, so part 3 is folded in once per weight
-    afterwards: the walk's mass at w adds C(l + m_3 - 1, l) times itself to
-    hist[w + 3l] for each l >= 1.  The weights w go from the top down, so
-    every mass is still the walk's when it is read.
+    the same choices of l_3, so part 3 is folded into the walk's whole
+    histogram once (_fold).
     """
     _check_reach(top)
     hist = [0] * (top + 1)
@@ -111,12 +112,7 @@ def _vector_histogram(top: int, weights: Sequence[int]) -> tuple[list[int], list
     else:
         _fill_histogram(top, 0, 1, weights, hist)
     if top >= 3:
-        threes = _factor_row(weights[2], top // 3)
-        for w in range(top - 3, -1, -1):
-            mass = hist[w]
-            if mass:
-                for l in range(1, (top - w) // 3 + 1):
-                    hist[w + 3 * l] += threes[l] * mass
+        _fold(hist, weights[2], 3)
     return hist, _tail_table(top, weights)
 
 
@@ -126,33 +122,42 @@ def _tail_table(n: int, weights: Sequence[int]) -> list[int]:
     parts 1 and 2, where C(l + m - 1, l) is 1 at l = 0 whatever m is.
 
     With m_1 = 1 the first factor is 1, and T[R] = C(R // 2 + m_2, m_2) by
-    the hockey-stick identity.  Otherwise T starts as the row of part 1's
-    factor, and each l_2 >= 1 adds its factor times that row shifted by
-    2 l_2, carried from l - 1 as in _factor_row.
+    the hockey-stick identity.  Otherwise T is 1 folded by both factors.
     """
     m1 = weights[0] if n > 0 else 1
     m2 = weights[1] if n > 1 else 0
     if m1 == 1:
         return [math.comb(R // 2 + m2, m2) for R in range(n + 1)]
-    ones = _factor_row(m1, n)
-    table = ones[:]
-    c = 1
-    for l in range(1, n // 2 + 1):
-        c = c * (m2 + l - 1) // l
-        if not c:
-            break
-        for R in range(2 * l, n + 1):
-            table[R] += c * ones[R - 2 * l]
+    table = [1] + [0] * n
+    _fold(table, m1, 1)
+    _fold(table, m2, 2)
     return table
 
 
-def _factor_row(m: int, most: int) -> list[int]:
-    """C(l + m - 1, l) for l = 0..most, each carried from l - 1 by an exact
-    division, which also gives 0 for every l > 0 when m = 0."""
-    row = [1] * (most + 1)
-    for l in range(1, most + 1):
-        row[l] = row[l - 1] * (m + l - 1) // l
-    return row
+def _fold(row: list[int], m: int, s: int) -> None:
+    """Multiply row, cut off after its last entry, by
+    (1 - z^s)^(-m) = sum_l C(l + m - 1, l) z^(sl), for any integer m.  Each
+    C(l + m - 1, l) is carried from l - 1 by an exact division; for m <= 0
+    the factor is the polynomial (1 - z^s)^(-m), ended by its first zero
+    coefficient.  Each nonzero entry adds its multiples to the entries sl
+    above it, from the top entry down, so every entry is still the row's own
+    when it is read."""
+    top = len(row) - 1
+    c, steps = 1, []
+    for l in range(1, top // s + 1):
+        c = c * (m + l - 1) // l
+        if not c:
+            break
+        steps.append(c)
+    for w in range(top - s, -1, -1):
+        mass = row[w]
+        if mass:
+            i = w
+            for c in steps:
+                i += s
+                if i > top:
+                    break
+                row[i] += c * mass
 
 
 def _fill_histogram(s: int, weight: int, coeff: int, weights: Sequence[int], hist: list[int]) -> None:
@@ -245,17 +250,13 @@ def _shift_coefficients(n: int, r: int) -> list[int]:
     """Coefficients of z^0..z^n in prod_{j=1}^{r-1} (1 - z^j)^(r-j), the
     factor that turns the generating function of P_r into that of pp_r.
 
-    The product is cut off after z^n and multiplied out from the terms
-    (-1)^t C(r-j, t) z^(jt) of the factors with j <= n, in O(n^2 log n)
-    steps whatever r is.
+    The product is cut off after z^n and multiplied out one factor
+    (1 - z^j)^(r-j) with j <= n at a time (_fold), in O(n^2 log n) steps
+    whatever r is.
     """
     coeffs = [1] + [0] * n
     for j in range(1, min(r - 1, n) + 1):
-        terms = [(-1) ** t * math.comb(r - j, t) for t in range(1, min(r - j, n // j) + 1)]
-        # From the top down, so that coeffs[i - j*t] still holds the product
-        # without this factor.
-        for i in range(n, j - 1, -1):
-            coeffs[i] += sum(c * coeffs[i - j * t] for t, c in enumerate(terms[: i // j], start=1))
+        _fold(coeffs, j - r, j)
     return coeffs
 
 

@@ -10,12 +10,12 @@ whole row from the log-derivative recurrence n a(n) = sum_k b(k) a(n-k) in
 O(N^2) exact steps; the DP route multiplies the row by
 (1 - z^k)^(-m) = sum_j C(m + j - 1, j) z^(jk) once per distinct part k of
 multiplicity m, by m stride passes or by one C-level pass per j, whichever
-_passes prices lower.  dp_work and series_work estimate their work in
-big-integer multiply-adds, the unit the route choice compares, and both
-oracles refuse a request whose estimate is above ORACLE_WORK_LIMIT.  A
-truncated series is a plain sequence of its coefficients, a tuple from
-euler_product and a list from restricted_partition_row, so a[n] is the
-coefficient of z^n.
+_passes prices lower, in one pass over the pairs.  dp_work and series_work
+estimate their work in big-integer multiply-adds, the unit the route choice
+compares, and both oracles refuse a request whose estimate is above
+ORACLE_WORK_LIMIT.  A truncated series is a plain sequence of its
+coefficients, a tuple from euler_product and a list from
+restricted_partition_row, so a[n] is the coefficient of z^n.
 
 The theorem route's guard lives here too, so that a request can be priced
 without loading formulas: VECTOR_LIMIT bounds the multiplicity vectors of
@@ -142,36 +142,22 @@ def _passes(pairs: Iterable[tuple[int, int]], top: int) -> list[tuple[int, int, 
     m stride passes cost m (top - k + 1) units, one an add.  The binomial
     pass costs, for each j <= top // k, PASS_COST and top - jk + 1
     multiply-adds, each priced by size (_sized_units).  A tie goes to the
-    stride passes.
+    stride passes.  Sizes only add to a binomial price, so the row's entry
+    bits are read once, on the first part whose price without them beats
+    its strides.
     """
+    pairs = [(k, m) for k, m in pairs if k <= top and m]
     passes = []
-    some_binomial = False
+    bits = None
     for k, m in pairs:
-        cells = top - k + 1
-        if cells <= 0 or not m:
-            continue
-        strides = m * cells
-        # The binomial pass costs at least its first pass.
-        if strides <= cells + PASS_COST:
-            passes.append((k, m, strides, False))
-            continue
+        strides = m * (top - k + 1)
         terms = top // k
         units = terms * (top + 1 + PASS_COST) - k * terms * (terms + 1) // 2
         if units < strides:
-            passes.append((k, m, units, True))
-            some_binomial = True
-        else:
-            passes.append((k, m, strides, False))
-    # Sizes only add to a binomial pass's price, so they are read only when
-    # some part takes that pass without them.
-    if some_binomial:
-        bits = _entry_bits([(k, m) for k, m, _, _ in passes], top)
-        if bits:
-            for i, (k, m, units, binomial) in enumerate(passes):
-                if binomial:
-                    strides = m * (top - k + 1)
-                    units = _sized_units(k, m, top, bits, units, strides)
-                    passes[i] = (k, m, units, True) if units < strides else (k, m, strides, False)
+            if bits is None:
+                bits = _entry_bits(pairs, top)
+            units = _sized_units(k, m, top, bits, units, strides)
+        passes.append((k, m, units, True) if units < strides else (k, m, strides, False))
     return passes
 
 
@@ -377,12 +363,12 @@ def _admit(
         raise ValueError("n must be >= 0")
     if backend not in ("dp", "series"):
         raise ValueError(f"unknown backend {backend!r}")
-    # Either estimate is at most this sum for L copies of parts in all: n(n+1)/2
-    # pairs and ROW_COST a coefficient for the series; for the DP, a cell an
-    # entry, ROW_COST a part and at most m units a cell for a part of
-    # multiplicity m, the price of its stride passes.  The pattern is read
+    # Either estimate is at most this sum for L copies of parts in all: the
+    # series' work when 1 is a part, the most any parts cost it; for the DP,
+    # a cell an entry, ROW_COST a part and at most m units a cell for a part
+    # of multiplicity m, the price of its stride passes.  The pattern is read
     # only once the row alone is within the limit.
-    row = n * (n + 1) // 2 + (ROW_COST + 1) * n
+    row = series_work((1,), n) + n
     if row <= ORACLE_WORK_LIMIT:
         copies = sum(m for _, m in pattern(quantity, n, r, parts))
         if row + (ROW_COST + n) * copies <= ORACLE_WORK_LIMIT:

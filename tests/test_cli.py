@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -424,6 +426,26 @@ def test_dp_guard_exit_code(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *args, "--method", method)
         assert code == 0
         assert out == f"P_r(50; r=100) = {value}  (method: oracle-series)\n"
+
+
+def test_out_of_memory_exits_3_without_a_traceback():
+    # The DP's work guard admits p_a(10^7; parts 1,2), about 3e7 units, but
+    # its row of 10^7 entries does not fit in 4e8 bytes of address space.
+    resource = pytest.importorskip("resource")
+    assert series.oracle_cost("dp", "p_a", 10**7, parts=(1, 2))[1] is None
+    limit = 4 * 10**8
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "partcalc", "compute", "--quantity", "p_a", "--parts", "1,2", "--n", "10000000"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("partcalc: out of memory")
+    assert "Traceback" not in done.stderr
 
 
 def _make_tables():

@@ -377,6 +377,21 @@ def _shift_pattern_coefficients(n, r):
     return coeffs
 
 
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=30), st.integers(-6, 6), st.integers(1, 6))
+@settings(max_examples=200)
+def test_fold_multiplies_by_the_expanded_factor(row, m, s):
+    # (1 - z^s)^(-m) = sum_l C(l + m - 1, l) z^(sl).  For m <= 0 that is the
+    # polynomial sum_l (-1)^l C(-m, l) z^(sl), as math.comb takes no
+    # negative argument.
+    factor = [0] * len(row)
+    for l in range(0, (len(row) - 1) // s + 1):
+        factor[s * l] = math.comb(l + m - 1, l) if m > 0 else (-1) ** l * math.comb(-m, l)
+    want = [sum(row[j] * factor[i - j] for j in range(i + 1)) for i in range(len(row))]
+    folded = row[:]
+    formulas._fold(folded, m, s)
+    assert folded == want
+
+
 def test_shift_coefficients_equal_the_pattern_enumeration():
     for r in range(1, 8):
         for n in range(26):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 import time
 from math import comb, log2
 
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from partcalc import formulas, series
 from partcalc.sequences import (
+    FAMILIES,
     QUANTITIES,
     WeightFunction,
     WeightSequence,
@@ -312,6 +315,32 @@ def test_dp_runs_the_branch_dp_work_priced(monkeypatch):
         assert work == n + sum(series.ROW_COST + units for _, _, units, _ in costs)
         branches |= {binomial for *_, binomial in costs}
     assert branches == {False, True}
+
+
+def _price_grid():
+    """(pairs, top) of the price pin: every family at five sizes (r = 3 where
+    the family takes r), P_r at three r and two sizes, and 50 seeded p_a
+    part lists with multiplicities up to 10^8."""
+    for quantity, family in FAMILIES.items():
+        for n in (1, 6, 42, 300, 1000):
+            yield pattern(quantity, n, 3 if family.takes_r else None), n
+    for r in (2, 1000, 10**8):
+        for n in (40, 500):
+            yield pattern("P_r", n, r), n
+    rng = random.Random(20261022)
+    for _ in range(50):
+        parts = sorted(rng.sample(range(1, 80), rng.randint(1, 12)))
+        yield tuple((k, rng.randint(1, 10 ** rng.randint(0, 8))) for k in parts), rng.randint(1, 600)
+
+
+# SHA-256 of _passes over _price_grid.  A change to the DP's prices or
+# branches moves it, and re-pins it on purpose.
+PRICE_PIN = "7912024d8a3d62b22cba83a4c1a4cc9ddafe927c413c5af9ffd61ce02b0044e6"
+
+
+def test_dp_prices_are_pinned():
+    lines = "".join(f"{top} {pairs!r} {series._passes(pairs, top)!r}\n" for pairs, top in _price_grid())
+    assert hashlib.sha256(lines.encode()).hexdigest() == PRICE_PIN
 
 
 def test_oracles_read_pairs_without_expanding(monkeypatch):
