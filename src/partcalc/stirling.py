@@ -30,7 +30,9 @@ the one expansion of the kernel), evaluates it at n by Horner's rule, and
 asserts that the value is an integer (_evaluate).  StirlingKernel.value(S)
 reads the polynomial of the one-point histogram {S: 1}.  The sums differ
 only in how they build the histogram.  The generic sums at one n and
-regrouped_partial_sums walk their box (box_weight_histogram).  The others
+regrouped_partial_sums walk their box (box_weight_histogram): the loop that
+fixes coordinate 1 solves coordinate 0 from the congruence for each of its
+values, so the walk makes one call per node above coordinate 1.  The others
 multiply the block tables once (_packed_product), which holds the
 histogram of every residue class: a family sum reads the class of its n,
 and restricted_row_stirling reads every class that occurs in its row,
@@ -144,13 +146,17 @@ def box_weight_histogram(
 
 def _walk_box(i: int, partial: int, coeff: int, weights, bounds, tables, leaf, hist: dict) -> None:
     """Add to hist the mass of every point of the box with the coordinates
-    above i fixed, at weighted sum partial and coefficient coeff.  The first
-    coordinate takes the x <= b_0 with w_0 x = residue - partial (mod
-    modulus), x_0 + k step; leaf = (residue, modulus, g, step, inv, w_0, b_0,
-    table_0) holds g = gcd(w_0, modulus), step = modulus / g and inv, the
-    inverse of w_0 / g mod step, once per box.  A module function rather
-    than a closure: a closure that calls itself is a reference cycle."""
-    if i:
+    above i fixed, at weighted sum partial and coefficient coeff.  Levels
+    above 1 recurse.  The level that fixes coordinate 1 (or a one-coordinate
+    box's only level, over its one value) solves coordinate 0 for each of
+    its values in its own loop, so there is one call per node above
+    coordinate 1.  Coordinate 0 takes the x <= b_0 with w_0 x = residue - p
+    (mod modulus), p the weighted sum of the coordinates above 0: x_0 +
+    k step.  leaf = (residue, modulus, g, step, inv, w_0, b_0, table_0)
+    holds g = gcd(w_0, modulus), step = modulus / g and inv, the inverse of
+    w_0 / g mod step, once per box.  A module function rather than a
+    closure: a closure that calls itself is a reference cycle."""
+    if i > 1:
         w, b, table = weights[i], bounds[i], tables[i]
         i -= 1
         if table is None:
@@ -163,16 +169,22 @@ def _walk_box(i: int, partial: int, coeff: int, weights, bounds, tables, leaf, h
                     _walk_box(i, partial + w * v, coeff * c, weights, bounds, tables, leaf, hist)
         return
     residue, modulus, g, step, inv, w0, b0, table0 = leaf
-    t = (residue - partial) % modulus
-    if t % g:
-        return
-    x = (t // g) * inv % step
-    while x <= b0:
-        c = coeff if table0 is None else coeff * table0[x]
-        if c:
-            sw = partial + w0 * x
-            hist[sw] = hist.get(sw, 0) + c
-        x += step
+    w, b, table = (weights[1], bounds[1], tables[1]) if i else (0, 0, None)
+    for v in range(b + 1):
+        c1 = coeff if table is None else coeff * table[v]
+        if not c1:
+            continue
+        p = partial + w * v
+        t = (residue - p) % modulus
+        if t % g:
+            continue
+        x = (t // g) * inv % step
+        while x <= b0:
+            c = c1 if table0 is None else c1 * table0[x]
+            if c:
+                sw = p + w0 * x
+                hist[sw] = hist.get(sw, 0) + c
+            x += step
 
 
 def _check_box(count, length: int) -> None:

@@ -141,6 +141,23 @@ def test_partition_sum_builds_no_weight_sequence(monkeypatch):
     assert guarded == [[1, 2, 3, 4, 5, 6]]
 
 
+# The level that fixes coordinate 1 solves coordinate 0 in its own loop, so
+# p(6)'s box (bounds 59, 29, 19, 14, 11, 9) takes one call per node above
+# coordinate 1: 1 + 10 + 10*12 + 120*15 + 1,800*20, not one per point.
+def test_walk_makes_one_call_per_node_above_coordinate_one(monkeypatch):
+    calls = []
+    real = stirling._walk_box
+
+    def spy(i, *args):
+        calls.append(i)
+        real(i, *args)
+
+    monkeypatch.setattr(stirling, "_walk_box", spy)
+    assert stirling.partition_count_stirling(6) == 11
+    assert len(calls) == 1 + 10 + 120 + 1_800 + 36_000 == 37_931
+    assert min(calls) == 1
+
+
 # The walk is a module function, so a request leaves no reference cycle.
 def test_generic_sums_leave_no_reference_cycle():
     a = WeightSequence((1, 2, 2, 3))
@@ -501,8 +518,9 @@ def test_family_sum_is_the_product_mass_at_n(quantity, n, r):
     assert value == hist[n] == oracle_value(quantity, n, r=r)
 
 
-# The generic boxes mix None tables (parts that occur once) with block tables.
-@pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5), (3, 3, 6, 6, 12)])
+# The generic boxes mix None tables (parts that occur once) with block tables;
+# (3,) and (4, 4) are one-coordinate boxes, with no coordinate 1.
+@pytest.mark.parametrize("parts", [*ENGINE_SEQUENCES, (2, 2, 2, 5), (3, 3, 6, 6, 12), (3,), (4, 4)])
 def test_packed_product_equals_the_walk_on_generic_boxes(parts):
     box, _, tables = generic_setup(pattern("p_a", 0, None, tuple(parts)), 0)
     _assert_packed_equals_walk(box, tables)
